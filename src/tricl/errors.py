@@ -2,7 +2,7 @@
 
 CLI exit-code mapping: ConfigError -> 1, DataError -> 2, ProtocolError -> 3.
 ShapeError / ContractError indicate programming errors and are allowed to
-propagate as tracebacks.
+propagate as tracebacks, as is NonFiniteLossError (a diverged run).
 """
 
 
@@ -40,3 +40,7 @@ class ProtocolError(TriclError):
 
 class DegenerateBatchError(TriclError):
     """Fewer than two samples survived anomaly filtering."""
+
+
+class NonFiniteLossError(TriclError):
+    """A training batch produced a NaN or infinite loss."""

@@ -2,10 +2,11 @@
 
 A dynamic tape: every operation builds a new ``Tensor`` node holding the
 forward values plus a closure that maps the node's output gradient to
-gradients for its parents. ``backward`` walks the tape in reverse
-topological order and accumulates into ``.grad`` of every tensor that
-requires gradients. Repeated backward calls accumulate; only the optimizer
-resets gradients.
+gradients for its parents (``None`` for a parent that needs none).
+``backward`` walks the tape in reverse topological order and accumulates
+into ``.grad`` of the leaves only: interior gradients live in a per-call
+table and are freed once consumed. Repeated backward calls accumulate;
+only the optimizer resets gradients.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ def no_grad():
 class Tensor:
     """A node of the computation tape.
 
-    values: float64 ndarray, row-major. grad: same-shape ndarray or None.
-    Leaves created with requires_grad=True are trainable parameters.
+    values: float64 ndarray, row-major. grad: same-shape ndarray or None;
+    ``backward`` fills it on leaves only. Leaves created with
+    requires_grad=True are trainable parameters.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "name", "_parents", "_backward")
@@ -125,7 +127,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/dx into .grad of every reachable requires_grad tensor."""
+    """Accumulate d(loss)/dx into .grad of every reachable requires_grad leaf.
+
+    Interior nodes' ``.grad`` is never written: their gradients live in the
+    walk's flow table and are dropped once passed on to their parents.
+    """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -154,11 +160,8 @@ def backward(loss: Tensor) -> None:
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
         if node._backward is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
@@ -181,19 +184,33 @@ def _binary_values(op_name: str, a: Tensor, b: Tensor, fn):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _binary_values("add", a, b, np.add)
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+    def bw(g):
+        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return ga, gb
+
+    return _make(out, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _binary_values("sub", a, b, np.subtract)
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+
+    def bw(g):
+        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
+        return ga, gb
+
+    return _make(out, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _binary_values("mul", a, b, np.multiply)
 
     def bw(g):
-        return (_unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape))
+        ga = _unbroadcast(g * b.values, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.values, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(out, (a, b), bw)
 
@@ -202,8 +219,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out = _binary_values("div", a, b, np.divide)
 
     def bw(g):
-        ga = _unbroadcast(g / b.values, a.shape)
-        gb = _unbroadcast(-g * a.values / (b.values * b.values), b.shape)
+        ga = _unbroadcast(g / b.values, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.values / (b.values * b.values), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(out, (a, b), bw)
@@ -219,7 +236,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values @ b.values
 
     def bw(g):
-        return g @ b.values.T, a.values.T @ g
+        ga = g @ b.values.T if a.requires_grad else None
+        gb = a.values.T @ g if b.requires_grad else None
+        return ga, gb
 
     return _make(out, (a, b), bw)
 
@@ -522,50 +541,3 @@ def cross_entropy_identity(logits: Tensor) -> Tensor:
         return (grad,)
 
     return _make(out, (logits,), bw)
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
-# ---------------------------------------------------------------------------
-
-_OPS = {
-    "add": lambda ins, **kw: add(*ins),
-    "sub": lambda ins, **kw: sub(*ins),
-    "mul": lambda ins, **kw: mul(*ins),
-    "div": lambda ins, **kw: div(*ins),
-    "neg": lambda ins, **kw: neg(*ins),
-    "matmul": lambda ins, **kw: matmul(*ins),
-    "exp": lambda ins, **kw: exp(*ins),
-    "log": lambda ins, **kw: log(*ins),
-    "sqrt": lambda ins, **kw: sqrt(*ins),
-    "abs": lambda ins, **kw: absval(*ins),
-    "sin": lambda ins, **kw: sin(*ins),
-    "cos": lambda ins, **kw: cos(*ins),
-    "relu": lambda ins, **kw: relu(*ins),
-    "sigmoid": lambda ins, **kw: sigmoid(*ins),
-    "softplus": lambda ins, **kw: softplus(*ins),
-    "abs_pow": lambda ins, **kw: abs_pow(*ins),
-    "complex_abs": lambda ins, **kw: complex_abs(*ins),
-    "sum": lambda ins, axis=None, keepdims=False: tsum(ins[0], axis=axis, keepdims=keepdims),
-    "mean": lambda ins, axis=None, keepdims=False: mean(ins[0], axis=axis, keepdims=keepdims),
-    "concat": lambda ins, axis=0: concat(ins, axis=axis),
-    "slice": lambda ins, axis, start, stop: narrow(ins[0], axis, start, stop),
-    "flip": lambda ins, axis=0: flip(ins[0], axis=axis),
-    "reshape": lambda ins, shape: reshape(ins[0], shape),
-    "transpose": lambda ins, axes=None: transpose(ins[0], axes=axes),
-    "take_rows": lambda ins, indices: take_rows(ins[0], indices),
-    "im2col": lambda ins, kh, kw, stride=1, pad=0: im2col(ins[0], kh, kw, stride, pad),
-    "softmax_rows": lambda ins, **kw: softmax_rows(*ins),
-    "log_softmax_rows": lambda ins, **kw: log_softmax_rows(*ins),
-    "l2_normalize_rows": lambda ins, **kw: l2_normalize_rows(*ins),
-    "scalar_scale": lambda ins, factor: scalar_scale(ins[0], factor),
-    "cross_entropy_identity": lambda ins, **kw: cross_entropy_identity(*ins),
-}
-
-
-def forward_op(op_name: str, inputs, **params) -> Tensor:
-    """Dispatch a named forward operation over a list of input tensors."""
-    fn = _OPS.get(op_name)
-    if fn is None:
-        raise ContractError(f"unknown op {op_name!r}")
-    return fn(list(inputs), **params)

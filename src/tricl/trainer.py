@@ -15,7 +15,7 @@ import numpy as np
 from .bpe import train_bpe
 from .config import RunConfig
 from .encoders import Embedding
-from .errors import ContractError, DegenerateBatchError
+from .errors import ContractError, DegenerateBatchError, NonFiniteLossError
 from .model import TriModalModel
 from .optim import AdamW
 from .tensor import (
@@ -108,6 +108,13 @@ def contrastive_loss(logits_at: Tensor, logits_ts: Tensor | None = None, logits_
     return scalar_scale(total, 1.0 / len(terms))
 
 
+def check_finite_loss(loss: Tensor, batch: int, indices: list[int]) -> None:
+    """Raise NonFiniteLossError naming the batch before a NaN/inf loss reaches backward."""
+    value = float(loss.values)
+    if not math.isfinite(value):
+        raise NonFiniteLossError(f"non-finite loss {value} in batch {batch} (sample indices {indices})")
+
+
 @dataclass
 class EpochMetrics:
     mean_loss: float
@@ -148,7 +155,8 @@ def train_epoch(dataset, model: TriModalModel, optimizer: AdamW, config: RunConf
     """One pass over the dataset: shuffle, batch, loss, backward, Adam step.
 
     Encoders, wavelet parameters, and scale coefficients update together in
-    the same step; degenerate batches are skipped and counted.
+    the same step; degenerate batches are skipped and counted. A non-finite
+    batch loss raises NonFiniteLossError before any gradient is computed.
     """
     n = len(dataset.samples)
     if n == 0:
@@ -169,6 +177,7 @@ def train_epoch(dataset, model: TriModalModel, optimizer: AdamW, config: RunConf
             log.warning("skipping degenerate batch: %s", exc)
             skipped += 1
             continue
+        check_finite_loss(loss, start // bs, indices)
         backward(loss)
         optimizer.step()
         model.clamp()

@@ -35,7 +35,7 @@ from .tensor import (
     sub,
     tsum,
 )
-from .trainer import continue_training
+from .trainer import check_finite_loss, continue_training
 
 
 def softmax_ce(logits: Tensor, targets: list[int]) -> Tensor:
@@ -131,7 +131,10 @@ class ClassifierModel:
         if missing or extra:
             raise ConfigError(f"checkpoint/classifier mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
         for name, tensor in params.items():
-            tensor.values = np.asarray(arrays[name], dtype=np.float64).copy()
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != tensor.values.shape:
+                raise ConfigError(f"checkpoint parameter {name} has shape {arr.shape}, expected {tensor.values.shape}")
+            tensor.values = arr.copy()
 
 
 def _copy_encoder_weights(dst: AudioEncoder, src: AudioEncoder) -> None:
@@ -151,7 +154,8 @@ def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig
     """Cross-entropy training shared by encoder tuning and both baselines.
 
     Returns per-epoch mean losses. Samples missing an auxiliary annotation
-    are excluded from that task's loss term only.
+    are excluded from that task's loss term only. A non-finite batch loss
+    raises NonFiniteLossError before any gradient is computed.
     """
     params = model.parameters(freeze_encoder)
     if not params:
@@ -173,6 +177,7 @@ def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig
             loss = _classifier_batch_loss(model, batch, kernels)
             if loss is None:
                 continue
+            check_finite_loss(loss, start // config.train.batch_size, idx)
             backward(loss)
             optimizer.step()
             model.encoder.wavelet.clamp()

@@ -1,4 +1,4 @@
-"""Engine tests: op semantics, dispatcher contract, gradient correctness."""
+"""Engine tests: op semantics, gradient pruning, gradient correctness."""
 
 import numpy as np
 import pytest
@@ -10,20 +10,26 @@ from tricl.errors import ContractError, ShapeError
 from tricl.tensor import (
     Tensor,
     abs_pow,
+    add,
     backward,
     complex_abs,
     concat,
     cross_entropy_identity,
-    forward_op,
+    div,
+    exp,
     im2col,
     l2_normalize_rows,
+    log,
     log_softmax_rows,
     matmul,
     mean,
     mul,
     narrow,
     no_grad,
+    relu,
+    scalar_scale,
     softmax_rows,
+    sub,
     take_rows,
     transpose,
     tsum,
@@ -31,46 +37,41 @@ from tricl.tensor import (
 
 
 def test_matmul_of_ones():
-    out = forward_op("matmul", [Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))])
+    out = matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
     np.testing.assert_array_equal(out.values, np.full((2, 2), 3.0))
 
 
 def test_l2_normalize_345_triangle():
-    out = forward_op("l2_normalize_rows", [Tensor([[3.0, 4.0]])])
+    out = l2_normalize_rows(Tensor([[3.0, 4.0]]))
     np.testing.assert_allclose(out.values, [[0.6, 0.8]])
 
 
 def test_softmax_symmetry():
-    out = forward_op("softmax_rows", [Tensor([[0.0, 0.0]])])
+    out = softmax_rows(Tensor([[0.0, 0.0]]))
     np.testing.assert_allclose(out.values, [[0.5, 0.5]])
 
 
-def test_dispatcher_rejects_unknown_op():
-    with pytest.raises(ContractError, match="unknown op"):
-        forward_op("fused_gelu", [Tensor(1.0)])
-
-
-def test_dispatcher_covers_required_ops():
+def test_required_ops_run_forward():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
     row = Tensor([[1.0, 2.0]])
     cases = {
-        "add": ([a, b], {}),
-        "mul": ([a, b], {}),
-        "matmul": ([a, b], {}),
-        "exp": ([a], {}),
-        "log": ([a], {}),
-        "sum": ([a], {}),
-        "mean": ([a], {"axis": 0}),
-        "concat": ([a, b], {"axis": 0}),
-        "slice": ([a], {"axis": 0, "start": 0, "stop": 1}),
-        "relu": ([a], {}),
-        "softmax_rows": ([row], {}),
-        "l2_normalize_rows": ([row], {}),
-        "scalar_scale": ([a], {"factor": 2.0}),
+        "add": lambda: add(a, b),
+        "mul": lambda: mul(a, b),
+        "matmul": lambda: matmul(a, b),
+        "exp": lambda: exp(a),
+        "log": lambda: log(a),
+        "sum": lambda: tsum(a),
+        "mean": lambda: mean(a, axis=0),
+        "concat": lambda: concat([a, b], axis=0),
+        "slice": lambda: narrow(a, 0, 0, 1),
+        "relu": lambda: relu(a),
+        "softmax_rows": lambda: softmax_rows(row),
+        "l2_normalize_rows": lambda: l2_normalize_rows(row),
+        "scalar_scale": lambda: scalar_scale(a, 2.0),
     }
-    for name, (ins, kw) in cases.items():
-        out = forward_op(name, ins, **kw)
+    for name, op in cases.items():
+        out = op()
         assert np.isfinite(out.values).all(), name
 
 
@@ -79,7 +80,7 @@ def test_shape_error_names_op_and_shapes():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     assert "matmul" in str(err.value) and "(2, 3)" in str(err.value)
     with pytest.raises(ShapeError, match="add"):
-        forward_op("add", [Tensor(np.ones(3)), Tensor(np.ones(4))])
+        add(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
 
 def test_backward_requires_scalar():
@@ -106,6 +107,57 @@ def test_repeated_backward_accumulates():
     backward(loss)
     backward(loss)
     np.testing.assert_allclose(x.grad, [4.0, 8.0])
+
+
+PRUNE_CASES = [
+    ("add", add, (3, 4), (3, 4)),
+    ("add_broadcast", add, (3, 4), (1, 4)),
+    ("sub_broadcast", sub, (3, 4), (4,)),
+    ("mul_broadcast", mul, (3, 4), (3, 1)),
+    ("div", div, (3, 4), (3, 4)),
+    ("matmul", matmul, (3, 4), (4, 2)),
+]
+
+
+@pytest.mark.parametrize("const_side", [0, 1], ids=["const_left", "const_right"])
+@pytest.mark.parametrize("name,op,shape_a,shape_b", PRUNE_CASES, ids=[c[0] for c in PRUNE_CASES])
+def test_binary_op_prunes_constant_operand(name, op, shape_a, shape_b, const_side):
+    rng = np.random.default_rng(11)
+    # positive values away from zero keep div's denominator safe
+    operands = [Tensor(rng.uniform(0.5, 2.0, size=shape_a)), Tensor(rng.uniform(0.5, 2.0, size=shape_b))]
+    trainable = operands[1 - const_side]
+    trainable.requires_grad = True
+    trainable.name = "trainable"
+    const = operands[const_side]
+    node = op(*operands)
+    weight = Tensor(rng.standard_normal(node.shape))
+
+    grads = node._backward(np.ones(node.shape))
+    assert grads[const_side] is None, name
+    assert grads[1 - const_side].shape == trainable.shape, name
+
+    check_grad(lambda: tsum(mul(op(*operands), weight)), [trainable], rtol=1e-4)
+    assert const.grad is None, name
+
+
+def test_backward_keeps_grad_on_leaves_only():
+    x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+    w = Tensor([1.5, 0.25, -0.5], requires_grad=True)
+    h = mul(x, w)
+    y = exp(h)
+    loss = tsum(y)
+    backward(loss)
+    for interior in (h, y, loss):
+        assert interior.grad is None
+    expect_x = np.exp(x.values * w.values) * w.values
+    expect_w = np.exp(x.values * w.values) * x.values
+    np.testing.assert_allclose(x.grad, expect_x)
+    np.testing.assert_allclose(w.grad, expect_w)
+    backward(loss)
+    np.testing.assert_allclose(x.grad, 2 * expect_x)
+    np.testing.assert_allclose(w.grad, 2 * expect_w)
+    for interior in (h, y, loss):
+        assert interior.grad is None
 
 
 def test_shared_subexpression_grad():
@@ -185,8 +237,8 @@ class TestGradientOracle:
         x = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
 
         def build():
-            h = forward_op("exp", [forward_op("mul", [x, Tensor(np.full((3, 4), 0.3))])])
-            h = forward_op("log", [h + Tensor(np.ones((3, 4)))])
+            h = exp(mul(x, Tensor(np.full((3, 4), 0.3))))
+            h = log(h + Tensor(np.ones((3, 4))))
             return tsum(mul(h, h))
 
         assert check_grad(build, [x], rtol=1e-4) < 1e-4
@@ -235,16 +287,16 @@ class TestGradientOracle:
             w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
 
             def build():
-                h = matmul(forward_op("relu", [x]), w)
+                h = matmul(relu(x), w)
                 h = softmax_rows(h)
-                h = forward_op("concat", [h, mul(h, h)], axis=1)
+                h = concat([h, mul(h, h)], axis=1)
                 return mean(mul(h, Tensor(rng.standard_normal(h.shape))))
 
             # freeze the random weighting so FD and analytic see the same function
             weight = Tensor(np.random.default_rng(seed + 100).standard_normal((4, 6)))
 
             def build():  # noqa: F811
-                h = matmul(forward_op("relu", [x]), w)
+                h = matmul(relu(x), w)
                 h = softmax_rows(h)
                 return mean(mul(matmul(h, transpose(w)), weight))
 

@@ -11,7 +11,7 @@ from tricl.config import RunConfig
 from tricl.data import Dataset, TrainSample
 from tricl.dsp import AudioSegment
 from tricl.encoders import Embedding
-from tricl.errors import ContractError, DegenerateBatchError
+from tricl.errors import ContractError, DegenerateBatchError, NonFiniteLossError
 from tricl.model import TriModalModel
 from tricl.optim import AdamW
 from tricl.templates import AnnotationRecord
@@ -250,6 +250,17 @@ class TestTrainEpoch:
         multipliers = model.scales.multipliers()
         assert any(abs(v - 1.0) > 1e-4 for v in multipliers.values())
         assert all(v <= 100.0 for v in multipliers.values())
+
+    def test_nan_parameter_raises_before_backward(self):
+        config = tiny_run_config(epochs=1, batch_size=4)
+        dataset = make_dataset(n_sources=4)
+        model = make_model(config, dataset)
+        model.scales.scale_at.values = np.asarray(np.nan)
+        params = list(model.parameters().values())
+        optimizer = AdamW(params, lr=config.train.lr)
+        with pytest.raises(NonFiniteLossError, match=r"non-finite loss nan in batch 0"):
+            train_epoch(dataset, model, optimizer, config, np.random.default_rng(0))
+        assert all(p.grad is None for p in params)
 
     def test_audio_text_mode_has_no_spec_encoder(self):
         config = tiny_run_config(modalities="audio_text")

@@ -8,7 +8,7 @@ from tricl.bpe import train_bpe
 from tricl.checkpoint import load_checkpoint, save_checkpoint
 from tricl.data import Dataset, TrainSample
 from tricl.dsp import AudioSegment
-from tricl.errors import ConfigError
+from tricl.errors import ConfigError, NonFiniteLossError
 from tricl.model import TriModalModel
 from tricl.templates import AnnotationRecord
 from tricl.tuning import (
@@ -142,6 +142,16 @@ class TestEncoderTune:
         for k, v in model.encoder.params().items():
             assert np.array_equal(v.values, pre.audio_encoder.params()[k].values)
 
+    def test_nan_parameter_raises_before_backward(self):
+        dataset = build_dataset()
+        config = tiny_run_config(epochs=1)
+        model = ClassifierModel(config, "category", {"category": dataset.vessel_types()})
+        head = model.heads["category"].w
+        head.values = np.full(head.shape, np.nan)
+        with pytest.raises(NonFiniteLossError, match=r"non-finite loss nan in batch 0"):
+            train_classifier(model, dataset, config)
+        assert all(p.grad is None for p in model.parameters().values())
+
     def test_training_reduces_loss(self):
         dataset = build_dataset()
         model, trace = encoder_tune(None, dataset, tiny_run_config(epochs=8, lr=3e-3))
@@ -229,6 +239,14 @@ class TestCheckpointRoundTrip:
         for k, v in model.parameters().items():
             assert np.array_equal(v.values, again.parameters()[k].values)
         assert again.task_classes == model.task_classes
+
+    def test_classifier_malformed_array_rejected(self):
+        dataset = build_dataset()
+        model = ClassifierModel(tiny_run_config(), "category", {"category": dataset.vessel_types()})
+        arrays = {k: v.values.copy() for k, v in model.parameters().items()}
+        arrays["head.category.w"] = np.zeros((3, 3))
+        with pytest.raises(ConfigError, match=r"head\.category\.w has shape \(3, 3\), expected \(8, 2\)"):
+            model.load_values(arrays)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
