@@ -12,12 +12,11 @@ import tempfile
 
 import numpy as np
 
-from tricl.data import ingest, make_folds, stratified_source_subset
-from tricl.experiments import train_on_fold
+from tricl.data import stratified_source_subset
+from tricl.experiments import split_off_fold, train_on_fold
 from tricl.inference import evaluate
 from tricl.presets import AUX_TEMPLATE_TEXT, LABEL_TEMPLATE_TEXT, experiment_run_config
 from tricl.synth import synth_generate, three_class_spec, transfer_target_spec
-from tricl.templates import parse_template
 from tricl.tuning import encoder_tune
 
 
@@ -41,9 +40,7 @@ def main():
     gaps = []
     for seed in args.seeds:
         config = experiment_run_config(seed=seed, epochs=args.tune_epochs, batch_size=4)
-        dataset, manifest = ingest(tgt_manifest, parse_template(LABEL_TEMPLATE_TEXT), config.preprocess)
-        folds = make_folds(manifest, k=4, seed=0)
-        train_ds, _ = dataset.split_by_fold(folds, 0)
+        train_ds, dataset, folds = split_off_fold(tgt_manifest, LABEL_TEMPLATE_TEXT, config, 0, 4)
         few = stratified_source_subset(train_ds, args.fraction, seed=seed)
         accs = {}
         for arm, source in (("pretrained", pretrained), ("random-init", None)):

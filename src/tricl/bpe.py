@@ -35,10 +35,6 @@ class TokenSequence:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def eos_position(self) -> int:
-        return len(self.ids) - 1
-
 
 def _pair_counts(ids: list[int], counts: dict) -> None:
     for pair in zip(ids, ids[1:]):

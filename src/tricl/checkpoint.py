@@ -20,6 +20,18 @@ from .tuning import ClassifierModel
 FORMAT = "tricl-checkpoint"
 VERSION = 1
 _PARAM_PREFIX = "param::"
+# JSON type of each metadata field load_checkpoint reads
+_META_TYPES = {
+    "config": dict,
+    "train_source_ids": list,
+    "model_type": str,
+    "tokenizer": str,
+    "train_template": str,
+    "test_template": str,
+    "class_labels": list,
+    "kind": str,
+    "task_classes": dict,
+}
 
 
 def _meta_for(model) -> dict:
@@ -65,23 +77,38 @@ def load_checkpoint(path):
             arrays = {k[len(_PARAM_PREFIX) :]: np.asarray(z[k]) for k in z.files if k.startswith(_PARAM_PREFIX)}
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint metadata is a JSON {type(meta).__name__}, expected an object")
     if meta.get("format") != FORMAT:
         raise ConfigError(f"{path}: not a {FORMAT} file")
     if meta.get("version") != VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-    config = RunConfig.from_dict(meta["config"])
-    if meta["model_type"] == "trimodal":
+
+    def field(name: str):
+        if name not in meta:
+            raise DataError(f"{path}: checkpoint metadata lacks the {name!r} field")
+        value, kind = meta[name], _META_TYPES[name]
+        if not isinstance(value, kind):
+            raise DataError(
+                f"{path}: checkpoint metadata field {name!r} is a {type(value).__name__}, expected {kind.__name__}"
+            )
+        return value
+
+    config = RunConfig.from_dict(field("config"))
+    sources = tuple(field("train_source_ids"))
+    model_type = field("model_type")
+    if model_type == "trimodal":
         model = TriModalModel(
             config,
-            BpeTokenizer.from_text(meta["tokenizer"]),
-            meta["train_template"],
-            meta["test_template"],
-            class_labels=meta["class_labels"],
-            train_source_ids=tuple(meta["train_source_ids"]),
+            BpeTokenizer.from_text(field("tokenizer")),
+            field("train_template"),
+            field("test_template"),
+            class_labels=field("class_labels"),
+            train_source_ids=sources,
         )
-    elif meta["model_type"] == "classifier":
-        model = ClassifierModel(config, meta["kind"], meta["task_classes"], tuple(meta["train_source_ids"]))
+    elif model_type == "classifier":
+        model = ClassifierModel(config, field("kind"), field("task_classes"), sources)
     else:
-        raise ConfigError(f"{path}: unknown model_type {meta['model_type']!r}")
+        raise ConfigError(f"{path}: unknown model_type {model_type!r}")
     model.load_values(arrays)
     return model

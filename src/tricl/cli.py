@@ -11,17 +11,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .data import ingest, load_manifest, make_folds
+from .data import ingest, make_folds
 from .dsp import TARGET_RATE, AudioSegment, read_wav, resample_to_16k
 from .errors import ConfigError, DataError, ProtocolError
+from .experiments import split_off_fold
 from .inference import SHIPSEAR_CLASS_MAP, evaluate, identity_class_map, prompt_infer, render_report
 from .model import TriModalModel
 from .synth import SynthSpec, synth_generate
-from .templates import DEFAULT_TRAIN_TEMPLATE, candidate_queue, load_template, parse_template
+from .templates import AUX_TEMPLATE_TEXT, LABEL_TEMPLATE_TEXT, candidate_queue, parse_template
 from .trainer import train
 from .tuning import encoder_tune, uart_tune
 
@@ -98,15 +97,6 @@ def _template_text(path: str | None, default_text: str) -> str:
     return text
 
 
-def _train_split(manifest_path, template_text, config, holdout_fold, k):
-    dataset, manifest = ingest(manifest_path, parse_template(template_text), config.preprocess)
-    if holdout_fold is None:
-        return dataset
-    folds = make_folds(manifest, k=k, seed=config.train.seed)
-    train_ds, _ = dataset.split_by_fold(folds, holdout_fold)
-    return train_ds
-
-
 def _cmd_synth(args) -> int:
     if not Path(args.spec).exists():
         raise ConfigError(f"synth spec not found: {args.spec}")
@@ -115,16 +105,12 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _default_train_template_text() -> str:
-    return "\n".join(c.text for c in DEFAULT_TRAIN_TEMPLATE.clauses) + "\n"
-
-
 def _cmd_train(args) -> int:
     config = _load_config(args.config)
-    template_text = _template_text(args.template, _default_train_template_text())
-    train_ds = _train_split(args.manifest, template_text, config, args.holdout_fold, args.folds)
+    template_text = _template_text(args.template, AUX_TEMPLATE_TEXT)
+    train_ds, _, _ = split_off_fold(args.manifest, template_text, config, args.holdout_fold, args.folds)
     log_path = args.log or (args.out + ".log")
-    model, _ = train(train_ds, config, template_text, "The sound belongs to {label}\n", log_path=log_path)
+    model, _ = train(train_ds, config, template_text, LABEL_TEMPLATE_TEXT, log_path=log_path)
     save_checkpoint(model, args.out)
     print(args.out)
     return 0
@@ -137,7 +123,7 @@ def _cmd_tune(args) -> int:
         if not isinstance(model, TriModalModel):
             raise ConfigError("uart tuning needs a tri-modal checkpoint")
         template_text = _template_text(args.template, model.train_template_text)
-        train_ds = _train_split(args.manifest, template_text, config, args.holdout_fold, args.folds)
+        train_ds, _, _ = split_off_fold(args.manifest, template_text, config, args.holdout_fold, args.folds)
         model.train_template_text = template_text
         uart_tune(model, train_ds, config, log_path=args.log)
         save_checkpoint(model, args.out)
@@ -145,7 +131,7 @@ def _cmd_tune(args) -> int:
         if not isinstance(model, TriModalModel):
             raise ConfigError("encoder tuning starts from a tri-modal checkpoint")
         template_text = model.train_template_text
-        train_ds = _train_split(args.manifest, template_text, config, args.holdout_fold, args.folds)
+        train_ds, _, _ = split_off_fold(args.manifest, template_text, config, args.holdout_fold, args.folds)
         classifier, _ = encoder_tune(model, train_ds, config, freeze_encoder=args.freeze_encoder)
         save_checkpoint(classifier, args.out)
     print(args.out)
@@ -190,7 +176,7 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     dataset, manifest = ingest(
         args.manifest,
-        parse_template(getattr(model, "train_template_text", None) or _default_train_template_text()),
+        parse_template(getattr(model, "train_template_text", None) or AUX_TEMPLATE_TEXT),
         model.config.preprocess,
     )
     folds = make_folds(manifest, k=args.folds, seed=args.seed)

@@ -241,38 +241,6 @@ def stratified_source_subset(dataset: Dataset, fraction: float, seed: int = 0) -
     return dataset.select([i for i, s in enumerate(dataset.samples) if s.source_id in keep])
 
 
-def iter_triples(manifest: DatasetManifest, template: TemplateSpec, preprocess: PreprocessConfig):
-    """Lazily yield (AudioSegment, Spectrogram, sentence) per segment."""
-    for rec in manifest.records:
-        samples, rate = read_wav(rec.audio_path)
-        if rate != rec.sample_rate_hz:
-            raise DataError(f"{rec.audio_path}: header rate {rate} != manifest rate {rec.sample_rate_hz}")
-        if rate != TARGET_RATE:
-            samples = resample_to_16k(samples, rate)
-        sentence = render_template(template, rec.annotation())
-        for segment in segment_audio(
-            samples, rec.source_id, preprocess.segment_seconds, preprocess.overlap_seconds
-        ):
-            if preprocess.spec_input == "mel":
-                spec = mel_spectrogram(
-                    segment,
-                    preprocess.n_mels,
-                    preprocess.frame_length_ms,
-                    preprocess.frame_shift_ms,
-                    preprocess.fft_size,
-                    preprocess.log_magnitude,
-                )
-            else:
-                spec = stft_spectrogram(
-                    segment,
-                    preprocess.frame_length_ms,
-                    preprocess.frame_shift_ms,
-                    preprocess.fft_size,
-                    preprocess.log_magnitude,
-                )
-            yield segment, spec, sentence
-
-
 def ingest(manifest_path, template: TemplateSpec, preprocess: PreprocessConfig) -> tuple[Dataset, DatasetManifest]:
     """Load every recording, segment it, and render its sentence.
 

@@ -8,7 +8,7 @@ triangular filters. Inputs are mono float64 in [-1, 1] at 16 kHz.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io.wavfile
@@ -41,12 +41,10 @@ class AudioSegment:
 @dataclass
 class Spectrogram:
     grid: np.ndarray  # frames x bins
-    kind: str  # stft | mel | wavelet
+    kind: str  # stft | mel
     frame_length_ms: float | None = None
     frame_shift_ms: float | None = None
     bin_frequencies: np.ndarray | None = None
-    scales: np.ndarray | None = None
-    tensor: object = field(default=None, repr=False)  # tape node for wavelet grids
 
     @property
     def n_frames(self) -> int:

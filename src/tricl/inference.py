@@ -55,29 +55,27 @@ def identity_class_map(labels) -> ClassMap:
     return ClassMap({label: label for label in labels})
 
 
-def prompt_infer(segment: AudioSegment, candidates: list[str], model) -> tuple[int, np.ndarray]:
-    """Index of the candidate sentence most similar to the audio, plus all
-    similarities. Ties break toward the lowest index."""
+def _prompt_similarities(segments: list[AudioSegment], candidates: list[str], model) -> np.ndarray:
+    """Cosine similarity of each segment's audio embedding (rows) to each
+    candidate sentence's text embedding (columns). The wavelet kernels and
+    the candidate embeddings are computed once for all segments."""
     if not candidates:
         raise ContractError("prompt inference needs at least one candidate sentence")
     with no_grad():
-        audio = model.audio_encoder.encode(segment)
-        sims = np.array([cosine_similarity(audio, model.encode_text(c)) for c in candidates])
-    return int(np.argmax(sims)), sims
-
-
-def _prompt_predictions(model, segments: list[AudioSegment], labels: list[str]) -> list[str]:
-    template = parse_template(model.test_template_text)
-    candidates = candidate_queue(template, labels)
-    with no_grad():
-        text_embs = [model.encode_text(c) for c in candidates]
+        texts = [model.encode_text(c) for c in candidates]
         kernels = model.audio_encoder.build_kernels()
-        out = []
+        rows = []
         for seg in segments:
             audio = model.audio_encoder.encode(seg, kernels)
-            sims = [cosine_similarity(audio, te) for te in text_embs]
-            out.append(labels[int(np.argmax(sims))])
-    return out
+            rows.append([cosine_similarity(audio, t) for t in texts])
+    return np.array(rows)
+
+
+def prompt_infer(segment: AudioSegment, candidates: list[str], model) -> tuple[int, np.ndarray]:
+    """Index of the candidate sentence most similar to the audio, plus all
+    similarities. Ties break toward the lowest index."""
+    sims = _prompt_similarities([segment], candidates, model)[0]
+    return int(np.argmax(sims)), sims
 
 
 @dataclass
@@ -113,7 +111,10 @@ def evaluate(model, dataset: Dataset, folds: FoldAssignment, test_fold: int, cla
     if hasattr(model, "predict_labels"):
         predictions = model.predict_labels(segments)
     else:
-        predictions = _prompt_predictions(model, segments, list(model.class_labels))
+        class_labels = list(model.class_labels)
+        candidates = candidate_queue(parse_template(model.test_template_text), class_labels)
+        sims = _prompt_similarities(segments, candidates, model)
+        predictions = [class_labels[int(i)] for i in np.argmax(sims, axis=1)]
 
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     hits = 0

@@ -64,8 +64,3 @@ class AdamW:
 
     def has_state(self, p: Tensor) -> bool:
         return p in self._m
-
-
-def adam_step(state: AdamW) -> None:
-    """Apply one optimizer step over the parameters registered in `state`."""
-    state.step()

@@ -1,19 +1,16 @@
 """Run-config presets for the desk-scale synthetic experiments.
 
-The experiment scripts and the acceptance suite share these so the studies
-they run are literally the same. Short segments, a 12-scale wavelet grid,
-and log-mel spectrogram-encoder input keep a full contrastive run in the
-tens of seconds on one core; the library defaults (30 s segments, 64
-scales, raw STFT) stay paper-faithful.
+The experiment scripts share these so the studies they run are literally
+the same; the planned acceptance tests are to use them too. Short
+segments, a 12-scale wavelet grid, and log-mel spectrogram-encoder input
+keep a full contrastive run in the tens of seconds on one core; the
+library defaults (30 s segments, 64 scales, raw STFT) stay paper-faithful.
 """
 
 from __future__ import annotations
 
 from .config import RunConfig
-from .templates import DEFAULT_TRAIN_TEMPLATE
-
-AUX_TEMPLATE_TEXT = "\n".join(c.text for c in DEFAULT_TRAIN_TEMPLATE.clauses) + "\n"
-LABEL_TEMPLATE_TEXT = "The sound belongs to {label}\n"
+from .templates import AUX_TEMPLATE_TEXT, LABEL_TEMPLATE_TEXT  # noqa: F401  (re-exported)
 
 
 def experiment_run_config(

@@ -226,7 +226,7 @@ def synth_generate(spec: SynthSpec, out_dir) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# presets used by the experiment scripts and the acceptance suite
+# presets used by the experiment scripts
 # ---------------------------------------------------------------------------
 
 

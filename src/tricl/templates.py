@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ConfigError
 
@@ -81,14 +80,6 @@ def parse_template(text: str) -> TemplateSpec:
     return TemplateSpec(tuple(clauses))
 
 
-def load_template(path) -> TemplateSpec:
-    return parse_template(Path(path).read_text(encoding="utf-8"))
-
-
-def save_template(template: TemplateSpec, path) -> None:
-    Path(path).write_text("\n".join(c.text for c in template.clauses) + "\n", encoding="utf-8")
-
-
 def render_template(template: TemplateSpec, record: AnnotationRecord) -> str:
     """Fill slots, delete clauses with missing values, join, add the period."""
     parts = []
@@ -115,12 +106,16 @@ def candidate_queue(test_template: TemplateSpec, label_set: list[str]) -> list[s
     return [render_template(test_template, AnnotationRecord(vessel_type=label)) for label in label_set]
 
 
-DEFAULT_TRAIN_TEMPLATE = parse_template(
+# The default training template carries every auxiliary annotation; the
+# default test template carries the label only.
+AUX_TEMPLATE_TEXT = (
     "The sound belongs to {label},\n"
     "which is in {distance} distance,\n"
     "and the channel depth is {depth},\n"
     "and it is recorded near {location},\n"
     "and the wind speed is {wind}\n"
 )
+LABEL_TEMPLATE_TEXT = "The sound belongs to {label}\n"
 
-DEFAULT_TEST_TEMPLATE = parse_template("The sound belongs to {label}\n")
+DEFAULT_TRAIN_TEMPLATE = parse_template(AUX_TEMPLATE_TEXT)
+DEFAULT_TEST_TEMPLATE = parse_template(LABEL_TEMPLATE_TEXT)

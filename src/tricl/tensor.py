@@ -59,15 +59,6 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def item(self) -> float:
-        return float(self.values.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"

@@ -23,19 +23,17 @@ from .tensor import (
     absval,
     add,
     backward,
-    concat,
     log_softmax_rows,
     mean,
     mul,
     neg,
     no_grad,
     relu,
-    reshape,
     softplus,
     sub,
     tsum,
 )
-from .trainer import check_finite_loss, continue_training
+from .trainer import check_finite_loss, continue_training, stack_embeddings
 
 
 def softmax_ce(logits: Tensor, targets: list[int]) -> Tensor:
@@ -108,12 +106,7 @@ class ClassifierModel:
     def head_logits(self, segments: list[AudioSegment], task: str, kernels=None) -> Tensor:
         if kernels is None:
             kernels = self.encoder.build_kernels()
-        rows = []
-        for seg in segments:
-            emb = self.encoder.encode(seg, kernels).vector
-            rows.append(reshape(emb, (1, emb.size)))
-        stacked = concat(rows, axis=0) if len(rows) > 1 else rows[0]
-        return self.heads[task](stacked)
+        return self.heads[task](stack_embeddings([self.encoder.encode(seg, kernels) for seg in segments]))
 
     def predict_labels(self, segments: list[AudioSegment]) -> list[str]:
         task = "multilabel" if self.kind == "multilabel" else "category"

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import AudioSegment, Spectrogram
-from .errors import ConfigError
+from .errors import ConfigError, EmptyInputError
 from .tensor import (
     Tensor,
     abs_pow,
@@ -178,6 +177,8 @@ def transform_with_kernels(
         raise ConfigError(f"hop must be >= 1, got {hop}")
     samples = np.asarray(samples, dtype=np.float64)
     n = len(samples)
+    if n == 0:
+        raise EmptyInputError("cannot transform an empty segment: it has no samples")
     max_half = max(k.half_width for k in kernels)
     padded = np.pad(samples, max_half)
 
@@ -200,22 +201,3 @@ def default_scale_grid(n_scales: int = 64, fmin_hz: float = 20.0, fmax_hz: float
         raise ConfigError(f"bad scale grid spec: n={n_scales}, range=({fmin_hz}, {fmax_hz})")
     freqs = np.geomspace(fmin_hz, fmax_hz, n_scales)
     return np.sort(1.0 / freqs)
-
-
-def wavelet_spectrogram(
-    segment: AudioSegment,
-    params: WaveletParams,
-    scale_grid,
-    hop: int,
-    truncation: float | None = 1e-4,
-) -> Spectrogram:
-    """Differentiable Fbsp spectrogram; gradients reach m, f_b, f_c via the tape."""
-    kernels = build_kernels(params, scale_grid, segment.sample_rate_hz, truncation)
-    grid = transform_with_kernels(segment.samples, kernels, hop, segment.sample_rate_hz)
-    return Spectrogram(
-        grid=grid.values.copy(),
-        kind="wavelet",
-        frame_shift_ms=1000.0 * hop / segment.sample_rate_hz,
-        scales=np.asarray(list(scale_grid), dtype=np.float64),
-        tensor=grid,
-    )

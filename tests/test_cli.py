@@ -103,6 +103,60 @@ def test_train_eval_infer_round_trip(workspace, capsys):
     assert len(out["similarities"]) == 2
 
 
+def _rewrite_meta(src, dst, edit):
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["__meta__"] = np.array(json.dumps(edit(json.loads(str(arrays["__meta__"])))))
+    with open(dst, "wb") as f:
+        np.savez(f, **arrays)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda meta: {k: v for k, v in meta.items() if k != "config"}, "config"),
+        (lambda meta: {**meta, "class_labels": "Alpha"}, "class_labels"),
+        (lambda meta: [meta], "metadata"),
+    ],
+    ids=["missing-config", "ill-typed-labels", "list-meta"],
+)
+def test_malformed_checkpoint_metadata_is_data_error(workspace, tmp_path, capsys, edit, field):
+    from tricl.checkpoint import load_checkpoint
+    from tricl.errors import DataError
+
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_meta(workspace / "model.ckpt", bad, edit)
+    with pytest.raises(DataError, match=field):
+        load_checkpoint(bad)
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(["Alpha", "Bravo"]))
+    wav = sorted((workspace / "data").glob("*.wav"))[0]
+    assert main(["infer", "--ckpt", str(bad), "--wav", str(wav), "--labels", str(labels_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_infer_empty_wav_is_data_error(workspace, tmp_path, capsys):
+    wav = tmp_path / "empty.wav"
+    write_wav(wav, np.zeros(0))
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(["Alpha", "Bravo"]))
+    ckpt = workspace / "model.ckpt"
+    assert main(["infer", "--ckpt", str(ckpt), "--wav", str(wav), "--labels", str(labels_path)]) == 2
+    assert "empty" in capsys.readouterr().err
+
+
+def test_holdout_fold_matches_eval_fold_for_any_train_seed(workspace, tmp_path, capsys):
+    # `train --holdout-fold` must hold out the fold `eval --fold` scores,
+    # whatever seed the training run uses
+    config = tmp_path / "seed3.json"
+    config.write_text(json.dumps({**CONFIG, "train": {**CONFIG["train"], "seed": 3}}))
+    ckpt = tmp_path / "seed3.ckpt"
+    manifest = workspace / "data" / "manifest.jsonl"
+    assert main(["train", "--manifest", str(manifest), "--config", str(config),
+                 "--out", str(ckpt), "--holdout-fold", "0"]) == 0
+    assert main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--fold", "0"]) == 0
+
+
 def test_eval_full_folds_leaks_protocol_error(workspace, capsys):
     # the checkpoint trained on folds 1-3; folds 1-3 therefore leak
     ckpt = workspace / "model.ckpt"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tricl.errors import ContractError
-from tricl.optim import AdamW, adam_step
+from tricl.optim import AdamW
 from tricl.tensor import Tensor
 
 
@@ -11,7 +11,7 @@ def test_first_step_moves_by_lr():
     p = Tensor(1.0, requires_grad=True, name="p")
     p.grad = np.asarray(1.0)
     opt = AdamW([p], lr=1e-5, weight_decay=1e-5)
-    adam_step(opt)
+    opt.step()
     delta = 1.0 - float(p.values)
     assert abs(delta - 1e-5) < 2e-10
     assert opt.step_count == 1

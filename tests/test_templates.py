@@ -11,10 +11,8 @@ from tricl.templates import (
     Clause,
     TemplateSpec,
     candidate_queue,
-    load_template,
     parse_template,
     render_template,
-    save_template,
 )
 
 
@@ -63,12 +61,6 @@ def test_template_requires_label_clause():
 def test_clause_single_slot_limit():
     with pytest.raises(ConfigError):
         parse_template("{label} at {distance} distance")
-
-
-def test_template_file_round_trip(tmp_path):
-    path = tmp_path / "tpl.txt"
-    save_template(DEFAULT_TRAIN_TEMPLATE, path)
-    assert load_template(path) == DEFAULT_TRAIN_TEMPLATE
 
 
 def test_candidate_queue_order_and_content():
