@@ -54,12 +54,13 @@ def _build_parser() -> _Parser:
         q.add_argument("--ckpt", required=True)
         q.add_argument("--manifest", required=True)
         q.add_argument("--config", help="run config JSON (default: checkpoint config)")
-        q.add_argument("--template", help="template file (uart only; default: checkpoint template)")
         q.add_argument("--out", required=True)
         q.add_argument("--holdout-fold", type=int, default=None)
         q.add_argument("--folds", type=int, default=4)
         q.add_argument("--log")
-        if strategy == "encoder":
+        if strategy == "uart":
+            q.add_argument("--template", help="template file (default: checkpoint template)")
+        else:
             q.add_argument("--freeze-encoder", action="store_true")
 
     p = sub.add_parser("infer", help="prompt inference on one WAV file")

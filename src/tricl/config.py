@@ -34,6 +34,10 @@ class PreprocessConfig:
             raise ConfigError(f"spec_input must be 'stft' or 'mel', got {self.spec_input!r}")
         if self.overlap_seconds >= self.segment_seconds:
             raise ConfigError("overlap_seconds must be smaller than segment_seconds")
+        if not (isinstance(self.wavelet_hop, int) and self.wavelet_hop >= 1):
+            raise ConfigError(f"wavelet_hop must be an integer >= 1, got {self.wavelet_hop!r}")
+        if not 0.0 < self.wavelet_truncation < 1.0:
+            raise ConfigError(f"wavelet_truncation must lie in (0, 1), got {self.wavelet_truncation}")
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .layers import (
     uniform_init,
 )
 from .tensor import Tensor, add, matmul, mean, narrow, reshape, take_rows
-from .wavelet import ScaleKernel, WaveletParams, build_kernels, default_scale_grid, transform_with_kernels
+from .wavelet import WaveletKernels, WaveletParams, build_kernels, default_scale_grid, transform_with_kernels
 
 
 @dataclass
@@ -50,20 +50,21 @@ class AudioEncoder:
         self.conv = ConvStack(rng, config.conv_channels, "audio.conv", attention=True)
         self.proj = Linear(rng, self.conv.out_channels, config.d, "audio.proj")
 
-    def build_kernels(self) -> list[ScaleKernel]:
+    def build_kernels(self) -> WaveletKernels:
         return build_kernels(
             self.wavelet,
             self.scale_grid,
+            self.preprocess.wavelet_hop,
             TARGET_RATE,
             truncation=self.preprocess.wavelet_truncation,
         )
 
-    def encode(self, segment: AudioSegment, kernels: list[ScaleKernel] | None = None) -> Embedding:
+    def encode(self, segment: AudioSegment, kernels: WaveletKernels | None = None) -> Embedding:
         if segment.sample_rate_hz != TARGET_RATE:
             raise ContractError(f"audio encoder expects {TARGET_RATE} Hz, got {segment.sample_rate_hz}")
         if kernels is None:
             kernels = self.build_kernels()
-        grid = transform_with_kernels(segment.samples, kernels, self.preprocess.wavelet_hop, TARGET_RATE)
+        grid = transform_with_kernels(segment.samples, kernels, self.preprocess.wavelet_hop)
         t, s = grid.shape
         h = self.conv(reshape(grid, (1, t, s)))
         pooled = reshape(mean(h, axis=(1, 2)), (1, self.conv.out_channels))

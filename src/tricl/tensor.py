@@ -105,6 +105,14 @@ def _make(values: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     return out
 
 
+def custom_op(values, parents, backward_fn) -> Tensor:
+    """Record an op defined outside this module.
+
+    ``backward_fn(g)`` returns one gradient (or ``None``) per parent.
+    """
+    return _make(np.asarray(values, dtype=np.float64), tuple(parents), backward_fn)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
     if g.shape == shape:
@@ -309,20 +317,6 @@ def abs_pow(base: Tensor, exponent: Tensor) -> Tensor:
     return _make(out, (base, exponent), bw)
 
 
-def complex_abs(re: Tensor, im: Tensor) -> Tensor:
-    """sqrt(re^2 + im^2) with zero gradients at the origin (subgradient choice)."""
-    if re.shape != im.shape:
-        raise ShapeError(f"complex_abs: mismatched shapes {re.shape} vs {im.shape}")
-    r = np.hypot(re.values, im.values)
-
-    def bw(g):
-        safe = np.where(r > 0.0, r, 1.0)
-        scale = np.where(r > 0.0, g / safe, 0.0)
-        return scale * re.values, scale * im.values
-
-    return _make(r, (re, im), bw)
-
-
 # ---------------------------------------------------------------------------
 # reductions / shape ops
 # ---------------------------------------------------------------------------
@@ -392,10 +386,6 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _make(out, (a,), bw)
-
-
-def flip(a: Tensor, axis: int = 0) -> Tensor:
-    return _make(np.flip(a.values, axis=axis), (a,), lambda g: (np.flip(g, axis=axis),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -179,6 +179,40 @@ def test_tune_encoder_produces_classifier(workspace, capsys):
     assert isinstance(load_checkpoint(out), ClassifierModel)
 
 
+def test_tune_encoder_rejects_template(workspace, tmp_path, capsys):
+    # the encoder strategy trains on the checkpoint's template; a --template it would ignore is a usage error
+    ckpt = workspace / "model.ckpt"
+    manifest = workspace / "data" / "manifest.jsonl"
+    missing = tmp_path / "nonexistent.txt"
+    for strategy in ("encoder", "uart"):
+        assert main([
+            "tune", strategy, "--ckpt", str(ckpt), "--manifest", str(manifest),
+            "--out", str(tmp_path / f"{strategy}.ckpt"), "--template", str(missing),
+        ]) == 1
+        assert not (tmp_path / f"{strategy}.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("wavelet_hop", 0), ("wavelet_hop", -800), ("wavelet_hop", 1.5),
+     ("wavelet_truncation", 0), ("wavelet_truncation", -1e-4), ("wavelet_truncation", 1.0)],
+)
+def test_bad_wavelet_settings_rejected_at_config_load(workspace, tmp_path, capsys, key, value):
+    from tricl.config import RunConfig
+    from tricl.errors import ConfigError
+
+    bad = {**CONFIG, "preprocess": {**CONFIG["preprocess"], key: value}}
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(bad)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(bad))
+    ckpt = tmp_path / "bad.ckpt"
+    manifest = workspace / "data" / "manifest.jsonl"
+    assert main(["train", "--manifest", str(manifest), "--config", str(config), "--out", str(ckpt)]) == 1
+    assert key in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_tune_uart_round_trip(workspace, capsys):
     ckpt = workspace / "model.ckpt"
     out = workspace / "tuned.ckpt"

@@ -55,7 +55,7 @@ class TestTransformOracle:
         samples = rng.standard_normal(256) * 0.3
         params = WaveletParams.create()
         scales = default_scale_grid(6, 300.0, 4000.0)
-        grid = transform_with_kernels(samples, build_kernels(params, scales), hop=32).values
+        grid = transform_with_kernels(samples, build_kernels(params, scales, hop=32), hop=32).values
         oracle = brute_force_transform(samples, 2.0, 0.5, 1.0, scales, 32)
         rel = np.abs(grid - oracle).max() / np.abs(oracle).max()
         assert rel <= 1e-3
@@ -66,7 +66,7 @@ class TestTransformOracle:
         params = WaveletParams.create()
         scales = [1.0 / 4000, 1.0 / 2000]
         assert support_half_width(params, scales[1], 16000, 1e-4) < 2048  # truncation active
-        grid = transform_with_kernels(samples, build_kernels(params, scales), hop=256).values
+        grid = transform_with_kernels(samples, build_kernels(params, scales, hop=256), hop=256).values
         oracle = brute_force_transform(samples, 2.0, 0.5, 1.0, scales, 256)
         rel = np.abs(grid - oracle).max() / np.abs(oracle).max()
         assert rel <= 1e-3
@@ -75,7 +75,7 @@ class TestTransformOracle:
         t = np.arange(4096) / 16000
         tone = np.sin(2 * np.pi * 1000 * t)
         scales = default_scale_grid(16, 200.0, 4000.0)
-        grid = transform_with_kernels(tone, build_kernels(WaveletParams.create(), scales), hop=512).values
+        grid = transform_with_kernels(tone, build_kernels(WaveletParams.create(), scales, hop=512), hop=512).values
         pseudo = 1.0 / np.asarray(scales)
         peak = pseudo[grid.mean(axis=0).argmax()]
         assert 800.0 <= peak <= 1250.0
@@ -83,7 +83,7 @@ class TestTransformOracle:
 
 def test_zero_signal_zero_grid_zero_grads():
     params = WaveletParams.create()
-    grid = transform_with_kernels(np.zeros(512), build_kernels(params, default_scale_grid(4, 500, 4000)), hop=128)
+    grid = transform_with_kernels(np.zeros(512), build_kernels(params, default_scale_grid(4, 500, 4000), hop=128), hop=128)
     assert np.abs(grid.values).max() == 0.0
     backward(tsum(grid))
     for t in params.tensors().values():
@@ -92,12 +92,12 @@ def test_zero_signal_zero_grid_zero_grads():
 
 def test_empty_scale_grid_rejected():
     with pytest.raises(ConfigError):
-        build_kernels(WaveletParams.create(), [])
+        build_kernels(WaveletParams.create(), [], hop=1)
 
 
 def test_descending_scales_rejected():
     with pytest.raises(ConfigError):
-        build_kernels(WaveletParams.create(), [0.01, 0.005])
+        build_kernels(WaveletParams.create(), [0.01, 0.005], hop=1)
 
 
 def test_gradients_match_finite_differences():
@@ -108,7 +108,7 @@ def test_gradients_match_finite_differences():
     params = WaveletParams.create()
 
     def build():
-        return tsum(mul(transform_with_kernels(samples, build_kernels(params, scales), hop=100), weights))
+        return tsum(mul(transform_with_kernels(samples, build_kernels(params, scales, hop=100), hop=100), weights))
 
     worst = check_grad(build, list(params.tensors().values()), h=1e-4, rtol=1e-3)
     assert worst <= 1e-3
