@@ -21,7 +21,7 @@ from .dsp import (
     resample_to_16k,
     stft_spectrogram,
 )
-from .errors import DataError, ProtocolError
+from .errors import ConfigError, DataError, ProtocolError
 from .templates import AUX_FIELDS, AnnotationRecord, TemplateSpec, render_template
 
 log = logging.getLogger(__name__)
@@ -155,6 +155,8 @@ def make_folds(manifest: DatasetManifest, k: int = 4, seed: int = 0) -> FoldAssi
     counter, so folds stay balanced and every fold is nonempty when there are
     at least k sources.
     """
+    if k < 2:
+        raise ConfigError(f"need at least 2 folds, got {k}")
     sources = manifest.source_ids()
     if len(sources) < k:
         raise ProtocolError(f"need at least {k} sources for {k} folds, have {len(sources)}")
@@ -214,6 +216,8 @@ class Dataset:
         return sorted({s.vessel_type for s in self.samples})
 
     def split_by_fold(self, folds: FoldAssignment, test_fold: int) -> tuple["Dataset", "Dataset"]:
+        if not 0 <= test_fold < folds.k:
+            raise ConfigError(f"fold {test_fold} is out of range for {folds.k} folds (0 to {folds.k - 1})")
         train_idx = [i for i, s in enumerate(self.samples) if folds.fold_of(s.source_id) != test_fold]
         test_idx = [i for i, s in enumerate(self.samples) if folds.fold_of(s.source_id) == test_fold]
         train, test = self.select(train_idx), self.select(test_idx)

@@ -1,23 +1,24 @@
 """Three miniature encoders projecting audio, spectrogram, and token inputs
 into one shared d-dimensional embedding space.
 
+Each encoder takes a batch of N inputs (equal-length segments, equal-shape
+spectrograms, token sequences of any length) and returns an (N, d) tensor.
+
 Audio: learnable Fbsp wavelet frontend -> residual conv stack with channel
-attention -> global pooling -> linear projection. Spectrogram: residual conv
-stack -> attention pooling over spatial positions. Text: token + learned
-positional embeddings -> causal transformer -> final-layer activation at the
-[EOS] position -> linear projection.
+attention -> per-sample pooling -> linear projection. Spectrogram: residual
+conv stack -> attention pooling over each sample's positions. Text: sequences
+packed into one row block -> token + learned positional embeddings ->
+block-causal transformer -> activation at each [EOS] row -> linear projection.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bpe import EOS_ID, TokenSequence
 from .config import EncoderConfig, PreprocessConfig
 from .dsp import TARGET_RATE, AudioSegment, Spectrogram
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .layers import (
     AttentionPool,
     ConvStack,
@@ -27,18 +28,8 @@ from .layers import (
     causal_mask,
     uniform_init,
 )
-from .tensor import Tensor, add, matmul, mean, narrow, reshape, take_rows
+from .tensor import Tensor, add, concat, matmul, mean, reshape, take_rows, transpose
 from .wavelet import WaveletKernels, WaveletParams, build_kernels, default_scale_grid, transform_with_kernels
-
-
-@dataclass
-class Embedding:
-    vector: Tensor  # shape (d,)
-    modality: str  # audio | spec | text
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt((self.vector.values**2).sum()))
 
 
 class AudioEncoder:
@@ -59,16 +50,21 @@ class AudioEncoder:
             truncation=self.preprocess.wavelet_truncation,
         )
 
-    def encode(self, segment: AudioSegment, kernels: WaveletKernels | None = None) -> Embedding:
-        if segment.sample_rate_hz != TARGET_RATE:
-            raise ContractError(f"audio encoder expects {TARGET_RATE} Hz, got {segment.sample_rate_hz}")
+    def encode(self, segments: list[AudioSegment], kernels: WaveletKernels | None = None) -> Tensor:
+        if not segments:
+            raise ContractError("cannot encode an empty batch")
+        rates = {segment.sample_rate_hz for segment in segments}
+        if rates != {TARGET_RATE}:
+            raise ContractError(f"audio encoder expects {TARGET_RATE} Hz, got {sorted(rates)}")
+        lengths = {len(segment.samples) for segment in segments}
+        if len(lengths) > 1:
+            raise ShapeError(f"audio segments in one batch need equal lengths, got {sorted(lengths)}")
         if kernels is None:
             kernels = self.build_kernels()
-        grid = transform_with_kernels(segment.samples, kernels, self.preprocess.wavelet_hop)
-        t, s = grid.shape
-        h = self.conv(reshape(grid, (1, t, s)))
-        pooled = reshape(mean(h, axis=(1, 2)), (1, self.conv.out_channels))
-        return Embedding(reshape(self.proj(pooled), (self.config.d,)), "audio")
+        grids = [transform_with_kernels(seg.samples, kernels, self.preprocess.wavelet_hop) for seg in segments]
+        t, s = grids[0].shape
+        h = self.conv(reshape(concat(grids, axis=0), (1, len(segments), t, s)))
+        return self.proj(transpose(mean(h, axis=(2, 3))))
 
     def params(self) -> dict[str, Tensor]:
         out = dict(self.wavelet.tensors())
@@ -85,15 +81,20 @@ class SpecEncoder:
         self.pool = AttentionPool(rng, self.conv.out_channels, config.attn_pool_heads, "spec.pool")
         self.proj = Linear(rng, self.conv.out_channels, config.d, "spec.proj")
 
-    def encode(self, spec: Spectrogram) -> Embedding:
-        if spec.kind != self.expected_kind:
-            raise ContractError(f"spectrogram encoder configured for {self.expected_kind!r}, got {spec.kind!r}")
-        if spec.grid.size == 0:
+    def encode(self, specs: list[Spectrogram]) -> Tensor:
+        if not specs:
+            raise ContractError("cannot encode an empty batch")
+        kinds = {spec.kind for spec in specs}
+        if kinds != {self.expected_kind}:
+            raise ContractError(f"spectrogram encoder configured for {self.expected_kind!r}, got {sorted(kinds)}")
+        if any(spec.grid.size == 0 for spec in specs):
             raise ContractError("empty spectrogram grid")
-        f, b = spec.grid.shape
-        h = self.conv(reshape(Tensor(spec.grid), (1, f, b)))
-        pooled = self.pool(h)
-        return Embedding(reshape(self.proj(pooled), (self.config.d,)), "spec")
+        shapes = {spec.grid.shape for spec in specs}
+        if len(shapes) > 1:
+            raise ShapeError(f"spectrograms in one batch need equal shapes, got {sorted(shapes)}")
+        grids = np.stack([spec.grid for spec in specs])
+        h = self.conv(Tensor(grids[None]))  # (1, N, F, B)
+        return self.proj(self.pool(h))
 
     def params(self) -> dict[str, Tensor]:
         out = dict(self.conv.params())
@@ -117,21 +118,26 @@ class TextEncoder:
         self.ln_final = LayerNorm(w, "text.ln_final")
         self.proj = uniform_init(rng, (w, config.d), w, "text.proj")
 
-    def encode(self, tokens: TokenSequence) -> Embedding:
-        ids = tokens.ids
-        if ids[-1] != EOS_ID:
-            raise ContractError("token sequence does not end with [EOS]")
-        if len(ids) > self.max_len:
-            raise ContractError(f"sequence of {len(ids)} tokens exceeds max length {self.max_len}")
-        if any(i >= self.vocab_size for i in ids):
-            raise ContractError("token id outside the encoder vocabulary")
-        n = len(ids)
-        x = add(take_rows(self.tok_emb, ids), take_rows(self.pos_emb, list(range(n))))
-        mask = causal_mask(n)
+    def encode(self, sequences: list[TokenSequence]) -> Tensor:
+        if not sequences:
+            raise ContractError("cannot encode an empty batch")
+        for tokens in sequences:
+            ids = tokens.ids
+            if ids[-1] != EOS_ID:
+                raise ContractError("token sequence does not end with [EOS]")
+            if len(ids) > self.max_len:
+                raise ContractError(f"sequence of {len(ids)} tokens exceeds max length {self.max_len}")
+            if any(i >= self.vocab_size for i in ids):
+                raise ContractError("token id outside the encoder vocabulary")
+        lengths = [len(tokens.ids) for tokens in sequences]
+        ids = [i for tokens in sequences for i in tokens.ids]
+        positions = [p for n in lengths for p in range(n)]
+        x = add(take_rows(self.tok_emb, ids), take_rows(self.pos_emb, positions))
+        mask = causal_mask(lengths)  # packed without padding: each sequence attends only to itself
         for block in self.blocks:
             x = block(x, mask)
-        eos = self.ln_final(narrow(x, 0, n - 1, n))  # layer norm is row-wise
-        return Embedding(reshape(matmul(eos, self.proj), (self.config.d,)), "text")
+        eos = self.ln_final(take_rows(x, np.cumsum(lengths) - 1))  # layer norm is row-wise
+        return matmul(eos, self.proj)
 
     def params(self) -> dict[str, Tensor]:
         out = {self.tok_emb.name: self.tok_emb, self.pos_emb.name: self.pos_emb}

@@ -18,7 +18,7 @@ from .dsp import AudioSegment
 from .errors import ConfigError, ContractError, ProtocolError
 from .templates import candidate_queue, parse_template
 from .tensor import no_grad
-from .trainer import cosine_similarity
+from .trainer import cosine_matrix
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,19 @@ def identity_class_map(labels) -> ClassMap:
 def _prompt_similarities(segments: list[AudioSegment], candidates: list[str], model) -> np.ndarray:
     """Cosine similarity of each segment's audio embedding (rows) to each
     candidate sentence's text embedding (columns). The wavelet kernels and
-    the candidate embeddings are computed once for all segments."""
+    the candidate embeddings are computed once; the audio is encoded in
+    chunks of the training batch size, which bounds memory on a large fold."""
     if not candidates:
         raise ContractError("prompt inference needs at least one candidate sentence")
+    chunk = model.config.train.batch_size
     with no_grad():
-        texts = [model.encode_text(c) for c in candidates]
+        texts = model.encode_text(candidates)
         kernels = model.audio_encoder.build_kernels()
-        rows = []
-        for seg in segments:
-            audio = model.audio_encoder.encode(seg, kernels)
-            rows.append([cosine_similarity(audio, t) for t in texts])
-    return np.array(rows)
+        rows = [
+            cosine_matrix(model.audio_encoder.encode(segments[i : i + chunk], kernels), texts).values
+            for i in range(0, len(segments), chunk)
+        ]
+    return np.concatenate(rows)
 
 
 def prompt_infer(segment: AudioSegment, candidates: list[str], model) -> tuple[int, np.ndarray]:

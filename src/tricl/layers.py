@@ -22,6 +22,7 @@ from .tensor import (
     sqrt,
     sub,
     transpose,
+    tsum,
 )
 
 
@@ -47,7 +48,7 @@ class Linear:
 
 
 class Conv2d:
-    """3x3/1x1 convolution as an im2col matmul over a (C, H, W) image."""
+    """3x3/1x1 convolution as one im2col matmul over a (C, N, H, W) batch of images."""
 
     def __init__(self, rng, c_in: int, c_out: int, kernel: int, stride: int, pad: int, name: str):
         self.c_in, self.c_out = c_in, c_out
@@ -57,21 +58,21 @@ class Conv2d:
         self.b = zeros_init((c_out, 1), f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        c, h, w = x.shape
+        c, n, h, w = x.shape
         if c != self.c_in:
             raise ShapeError(f"conv expects {self.c_in} channels, got {c}")
         oh = (h + 2 * self.pad - self.kernel) // self.stride + 1
         ow = (w + 2 * self.pad - self.kernel) // self.stride + 1
         cols = im2col(x, self.kernel, self.kernel, self.stride, self.pad)
         out = add(matmul(self.w, cols), self.b)
-        return reshape(out, (self.c_out, oh, ow))
+        return reshape(out, (self.c_out, n, oh, ow))
 
     def params(self) -> dict[str, Tensor]:
         return {self.w.name: self.w, self.b.name: self.b}
 
 
 class ChannelAttention:
-    """Squeeze-excite gate: per-channel global mean -> bottleneck -> sigmoid scale."""
+    """Squeeze-excite gate: per-sample channel means -> bottleneck -> sigmoid scale."""
 
     def __init__(self, rng, channels: int, name: str):
         hidden = max(1, channels // 4)
@@ -80,9 +81,9 @@ class ChannelAttention:
         self.channels = channels
 
     def __call__(self, x: Tensor) -> Tensor:
-        pooled = reshape(mean(x, axis=(1, 2)), (1, self.channels))
+        pooled = transpose(mean(x, axis=(2, 3)))  # (N, C)
         gates = sigmoid(self.fc2(relu(self.fc1(pooled))))
-        return mul(x, reshape(gates, (self.channels, 1, 1)))
+        return mul(x, reshape(transpose(gates), (self.channels, x.shape[1], 1, 1)))
 
     def params(self) -> dict[str, Tensor]:
         return {**self.fc1.params(), **self.fc2.params()}
@@ -139,7 +140,8 @@ class ConvStack:
 
 
 class AttentionPool:
-    """A learned query token attends over spatial positions with Q/K/V maps."""
+    """A learned query token attends over each sample's spatial positions with
+    Q/K/V maps: (C, N, H, W) -> (N, C)."""
 
     def __init__(self, rng, channels: int, heads: int, name: str):
         if channels % heads != 0:
@@ -150,25 +152,22 @@ class AttentionPool:
         self.wk = uniform_init(rng, (channels, channels), channels, f"{name}.wk")
         self.wv = uniform_init(rng, (channels, channels), channels, f"{name}.wv")
 
-    def __call__(self, x: Tensor, return_weights: bool = False):
-        c, h, w = x.shape
-        positions = transpose(reshape(x, (c, h * w)))  # (n, c)
+    def __call__(self, x: Tensor) -> Tensor:
+        c, n, h, w = x.shape
+        positions = transpose(reshape(x, (c, n * h * w)))  # (N*H*W, C), sample-major
         q = matmul(self.query, self.wq)
         k = matmul(positions, self.wk)
         v = matmul(positions, self.wv)
         dh = self.channels // self.heads
-        outs, weights = [], []
+        outs = []
         for i in range(self.heads):
             qs = narrow(q, 1, i * dh, (i + 1) * dh)
             ks = narrow(k, 1, i * dh, (i + 1) * dh)
-            vs = narrow(v, 1, i * dh, (i + 1) * dh)
-            attn = softmax_rows(scalar_scale(matmul(qs, transpose(ks)), 1.0 / np.sqrt(dh)))
-            outs.append(matmul(attn, vs))
-            weights.append(attn)
-        pooled = concat(outs, axis=1) if len(outs) > 1 else outs[0]
-        if return_weights:
-            return pooled, weights
-        return pooled
+            vs = reshape(narrow(v, 1, i * dh, (i + 1) * dh), (n, h * w, dh))
+            scores = reshape(matmul(qs, transpose(ks)), (n, h * w))  # row i: sample i's positions
+            attn = softmax_rows(scalar_scale(scores, 1.0 / np.sqrt(dh)))
+            outs.append(tsum(mul(reshape(attn, (n, h * w, 1)), vs), axis=1))
+        return concat(outs, axis=1) if len(outs) > 1 else outs[0]
 
     def params(self) -> dict[str, Tensor]:
         return {t.name: t for t in (self.query, self.wq, self.wk, self.wv)}
@@ -240,6 +239,9 @@ class TransformerBlock:
         return out
 
 
-def causal_mask(n: int) -> Tensor:
-    mask = np.triu(np.full((n, n), -1e9), k=1)
-    return Tensor(mask)
+def causal_mask(lengths) -> Tensor:
+    """Block-causal mask over sequences packed one after another: a token
+    attends to itself and the earlier tokens of its own sequence."""
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    visible = (seq[:, None] == seq[None, :]) & np.tri(len(seq), dtype=bool)
+    return Tensor(np.where(visible, 0.0, -1e9))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .bpe import BpeTokenizer, tokenize
 from .config import RunConfig
-from .encoders import AudioEncoder, Embedding, SpecEncoder, TextEncoder
+from .encoders import AudioEncoder, SpecEncoder, TextEncoder
 from .errors import ConfigError
 from .tensor import Tensor
 
@@ -82,9 +82,9 @@ class TriModalModel:
         self.audio_encoder.wavelet.clamp()
         self.scales.clamp()
 
-    def encode_text(self, sentence: str) -> Embedding:
-        seq = tokenize(sentence, self.tokenizer, self.config.train.max_tokens)
-        return self.text_encoder.encode(seq)
+    def encode_text(self, sentences: list[str]) -> Tensor:
+        max_len = self.config.train.max_tokens
+        return self.text_encoder.encode([tokenize(s, self.tokenizer, max_len) for s in sentences])
 
     def load_values(self, arrays: dict[str, np.ndarray]) -> None:
         params = self.parameters()

@@ -59,6 +59,9 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
+    def __len__(self) -> int:
+        return len(self.values)
+
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
@@ -417,26 +420,26 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
 
 def im2col(a: Tensor, kh: int, kw: int, stride: int = 1, pad: int = 0) -> Tensor:
-    """(C, H, W) -> (C*kh*kw, OH*OW) patch matrix for convolution-as-matmul."""
-    if a.values.ndim != 3:
-        raise ShapeError(f"im2col: expected (C, H, W), got shape {a.shape}")
-    c, h, w = a.shape
+    """(C, N, H, W) -> (C*kh*kw, N*OH*OW) patch matrix for convolution-as-matmul."""
+    if a.values.ndim != 4:
+        raise ShapeError(f"im2col: expected (C, N, H, W), got shape {a.shape}")
+    c, n, h, w = a.shape
     ph, pw = h + 2 * pad, w + 2 * pad
     if ph < kh or pw < kw:
         raise ShapeError(f"im2col: kernel ({kh}, {kw}) larger than padded input ({ph}, {pw})")
-    padded = np.pad(a.values, ((0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # (C, OH, OW, kh, kw)
-    oh, ow = win.shape[1], win.shape[2]
-    out = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)  # reshape of a transposed view copies
+    padded = np.pad(a.values, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (C, N, OH, OW, kh, kw)
+    oh, ow = win.shape[2], win.shape[3]
+    out = win.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, n * oh * ow)  # reshape of a transposed view copies
 
     def bw(g):
-        gwin = g.reshape(c, kh, kw, oh, ow)
-        gpad = np.zeros((c, ph, pw))
+        gwin = g.reshape(c, kh, kw, n, oh, ow)
+        gpad = np.zeros((c, n, ph, pw))
         for i in range(kh):
             for j in range(kw):
-                gpad[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += gwin[:, i, j]
-        return (gpad[:, pad : pad + h, pad : pad + w],)
+                gpad[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += gwin[:, i, j]
+        return (gpad[:, :, pad : pad + h, pad : pad + w],)
 
     return _make(out, (a,), bw)
 

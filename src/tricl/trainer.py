@@ -1,4 +1,4 @@
-"""Contrastive training loop: batch embedding, anomaly filtering, scaled
+"""Contrastive training loop: batched embedding, anomaly filtering, scaled
 similarity logits, and the symmetric cross-entropy loss averaged over all
 modality pairs (six terms tri-modal, two terms audio+text).
 """
@@ -14,7 +14,6 @@ import numpy as np
 
 from .bpe import train_bpe
 from .config import RunConfig
-from .encoders import Embedding
 from .errors import ContractError, DegenerateBatchError, NonFiniteLossError
 from .model import TriModalModel
 from .optim import AdamW
@@ -22,22 +21,21 @@ from .tensor import (
     Tensor,
     add,
     backward,
-    concat,
     cross_entropy_identity,
     exp,
     l2_normalize_rows,
     matmul,
     mul,
-    reshape,
     scalar_scale,
+    take_rows,
     transpose,
 )
 
 log = logging.getLogger(__name__)
 
 
-def anomaly_filter(modal_embeddings: dict[str, list[Embedding]]) -> tuple[dict[str, list[Embedding]], list[int]]:
-    """Drop every sample whose embedding norm is zero in any modality.
+def anomaly_filter(modal_embeddings: dict[str, Tensor]) -> tuple[dict[str, Tensor], list[int]]:
+    """Drop every row whose embedding norm is zero in any modality.
 
     A dropped sample is removed from all modalities so the batch stays
     aligned; fewer than two survivors aborts the batch.
@@ -46,49 +44,32 @@ def anomaly_filter(modal_embeddings: dict[str, list[Embedding]]) -> tuple[dict[s
     if len(sizes) != 1:
         raise ContractError(f"modalities disagree on batch size: { {k: len(v) for k, v in modal_embeddings.items()} }")
     batch = sizes.pop()
-    kept = [i for i in range(batch) if all(embs[i].norm > 0.0 for embs in modal_embeddings.values())]
+    norms = [np.sqrt((v.values**2).sum(axis=1)) for v in modal_embeddings.values()]
+    kept = [i for i in range(batch) if all(n[i] > 0.0 for n in norms)]
     if len(kept) < 2:
         raise DegenerateBatchError(f"only {len(kept)} of {batch} samples survived anomaly filtering")
-    return {k: [v[i] for i in kept] for k, v in modal_embeddings.items()}, kept
+    return {k: take_rows(v, kept) for k, v in modal_embeddings.items()}, kept
 
 
-def _values_of(e) -> np.ndarray:
-    if isinstance(e, Embedding):
-        return e.vector.values
-    if isinstance(e, Tensor):
-        return e.values
-    return np.asarray(e, dtype=np.float64)
+def cosine_matrix(x: Tensor, y: Tensor) -> Tensor:
+    """Entry (i, j) is the cosine of rows x_i and y_j; a zero-norm row is a
+    contract violation."""
+    for side, mat in (("x", x), ("y", y)):
+        norms = np.sqrt((mat.values**2).sum(axis=1))
+        if np.any(norms == 0.0):
+            raise ContractError(f"zero-norm embedding in {side} batch; run anomaly_filter first")
+    return matmul(l2_normalize_rows(x), transpose(l2_normalize_rows(y)))
 
 
-def cosine_similarity(e1, e2) -> float:
-    """dot(e1, e2) / (||e1|| * ||e2||); zero-norm inputs are a contract violation."""
-    v1, v2 = _values_of(e1).ravel(), _values_of(e2).ravel()
-    n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ContractError("cosine similarity of a zero-norm embedding (anomaly filter missed it?)")
-    return float(v1 @ v2 / (n1 * n2))
-
-
-def stack_embeddings(embeddings: list[Embedding]) -> Tensor:
-    rows = [reshape(e.vector, (1, e.vector.size)) for e in embeddings]
-    return concat(rows, axis=0) if len(rows) > 1 else rows[0]
-
-
-def compute_logits(e_x, e_y, scale) -> Tensor:
+def compute_logits(x: Tensor, y: Tensor, scale) -> Tensor:
     """B x B matrix of cosine similarities times e**scale.
 
     Rows are L2-normalized first, so entry (i, j) is exactly the cosine of
     x_i and y_j. `scale` may be a learnable scalar tensor or a plain float.
     """
-    x = stack_embeddings(e_x) if isinstance(e_x, list) else e_x
-    y = stack_embeddings(e_y) if isinstance(e_y, list) else e_y
     if x.shape != y.shape:
         raise ContractError(f"logits need equal batch shapes, got {x.shape} vs {y.shape}")
-    for side, mat in (("x", x), ("y", y)):
-        norms = np.sqrt((mat.values**2).sum(axis=1))
-        if np.any(norms == 0.0):
-            raise ContractError(f"zero-norm embedding in {side} batch; run anomaly_filter first")
-    sims = matmul(l2_normalize_rows(x), transpose(l2_normalize_rows(y)))
+    sims = cosine_matrix(x, y)
     if isinstance(scale, Tensor):
         return mul(sims, exp(scale))
     return scalar_scale(sims, math.exp(float(scale)))
@@ -122,32 +103,25 @@ class EpochMetrics:
 
 
 def batch_loss(dataset, indices, model: TriModalModel) -> Tensor:
-    """Embed one batch, filter anomalies, and build the pairwise CE loss."""
+    """Embed one batch (each distinct sentence once), filter anomalies, and
+    build the pairwise CE loss."""
     kernels = model.audio_encoder.build_kernels()
-    embeddings: dict[str, list[Embedding]] = {"audio": [], "text": []}
+    samples = [dataset.samples[i] for i in indices]
+    sentences = list(dict.fromkeys(s.sentence for s in samples))
+    row_of = {sentence: r for r, sentence in enumerate(sentences)}
+    embeddings = {
+        "audio": model.audio_encoder.encode([s.segment for s in samples], kernels),
+        "text": take_rows(model.encode_text(sentences), [row_of[s.sentence] for s in samples]),
+    }
     if model.spec_encoder is not None:
-        embeddings["spec"] = []
-    text_cache: dict[str, Embedding] = {}
-    for i in indices:
-        sample = dataset.samples[i]
-        embeddings["audio"].append(model.audio_encoder.encode(sample.segment, kernels))
-        cached = text_cache.get(sample.sentence)
-        if cached is None:
-            cached = model.encode_text(sample.sentence)
-            text_cache[sample.sentence] = cached
-        embeddings["text"].append(cached)
-        if model.spec_encoder is not None:
-            embeddings["spec"].append(model.spec_encoder.encode(dataset.spectrogram(sample)))
+        embeddings["spec"] = model.spec_encoder.encode([dataset.spectrogram(s) for s in samples])
 
-    filtered, _ = anomaly_filter(embeddings)
-    audio = stack_embeddings(filtered["audio"])
-    text = stack_embeddings(filtered["text"])
-    logits_at = compute_logits(audio, text, model.scales.scale_at)
+    emb, _ = anomaly_filter(embeddings)
+    logits_at = compute_logits(emb["audio"], emb["text"], model.scales.scale_at)
     if model.spec_encoder is None:
         return contrastive_loss(logits_at)
-    spec = stack_embeddings(filtered["spec"])
-    logits_ts = compute_logits(text, spec, model.scales.scale_ts)
-    logits_as = compute_logits(audio, spec, model.scales.scale_as)
+    logits_ts = compute_logits(emb["text"], emb["spec"], model.scales.scale_ts)
+    logits_as = compute_logits(emb["audio"], emb["spec"], model.scales.scale_as)
     return contrastive_loss(logits_at, logits_ts, logits_as)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import Dataset
-from .dsp import TARGET_RATE, AudioSegment
+from .dsp import AudioSegment
 from .encoders import AudioEncoder
 from .errors import ConfigError, ContractError
 from .layers import Linear
@@ -31,9 +31,10 @@ from .tensor import (
     relu,
     softplus,
     sub,
+    take_rows,
     tsum,
 )
-from .trainer import check_finite_loss, continue_training, stack_embeddings
+from .trainer import check_finite_loss, continue_training
 
 
 def softmax_ce(logits: Tensor, targets: list[int]) -> Tensor:
@@ -104,14 +105,16 @@ class ClassifierModel:
         return out
 
     def head_logits(self, segments: list[AudioSegment], task: str, kernels=None) -> Tensor:
-        if kernels is None:
-            kernels = self.encoder.build_kernels()
-        return self.heads[task](stack_embeddings([self.encoder.encode(seg, kernels) for seg in segments]))
+        return self.heads[task](self.encoder.encode(segments, kernels))
 
     def predict_labels(self, segments: list[AudioSegment]) -> list[str]:
         task = "multilabel" if self.kind == "multilabel" else "category"
+        chunk = self.config.train.batch_size  # bounds memory on a large fold
         with no_grad():
-            logits = self.head_logits(segments, task).values
+            kernels = self.encoder.build_kernels()
+            logits = np.concatenate(
+                [self.head_logits(segments[i : i + chunk], task, kernels).values for i in range(0, len(segments), chunk)]
+            )
         if self.kind == "multilabel":
             logits = logits[:, : self.n_categories]  # never return an auxiliary index
         labels = self.class_labels
@@ -185,7 +188,7 @@ def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig
 
 
 def _classifier_batch_loss(model: ClassifierModel, batch, kernels) -> Tensor | None:
-    segments = [s.segment for s in batch]
+    embeddings = model.encoder.encode([s.segment for s in batch], kernels)
     if model.kind == "multilabel":
         dictionary = model.task_classes["multilabel"]
         dim_index = {entry: i for i, entry in enumerate(dictionary)}
@@ -196,8 +199,7 @@ def _classifier_batch_loss(model: ClassifierModel, batch, kernels) -> Tensor | N
                 v = getattr(sample.record, f)
                 if v is not None and f"{f}={v}" in dim_index:
                     targets[r, dim_index[f"{f}={v}"]] = 1.0
-        logits = model.head_logits(segments, "multilabel", kernels)
-        return binary_ce_logits(logits, targets)
+        return binary_ce_logits(model.heads["multilabel"](embeddings), targets)
 
     total = None
     for task in sorted(model.heads):
@@ -212,8 +214,7 @@ def _classifier_batch_loss(model: ClassifierModel, batch, kernels) -> Tensor | N
             targets.append(class_index[value])
         if not rows:
             continue
-        logits = model.head_logits([segments[i] for i in rows], task, kernels)
-        term = softmax_ce(logits, targets)
+        term = softmax_ce(model.heads[task](take_rows(embeddings, rows)), targets)
         total = term if total is None else add(total, term)
     return total
 

@@ -7,7 +7,6 @@ import pytest
 
 from tricl.cli import main
 from tricl.dsp import write_wav
-from tricl.synth import SynthSpec
 
 
 SPEC = {
@@ -155,6 +154,31 @@ def test_holdout_fold_matches_eval_fold_for_any_train_seed(workspace, tmp_path, 
     assert main(["train", "--manifest", str(manifest), "--config", str(config),
                  "--out", str(ckpt), "--holdout-fold", "0"]) == 0
     assert main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest), "--fold", "0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--holdout-fold", "7"], "fold 7 is out of range for 4 folds"),
+        (["train", "--holdout-fold", "-1"], "fold -1 is out of range for 4 folds"),
+        (["train", "--holdout-fold", "0", "--folds", "0"], "at least 2 folds"),
+        (["train", "--holdout-fold", "0", "--folds", "1"], "at least 2 folds"),
+        (["eval", "--folds", "0"], "at least 2 folds"),
+        (["eval", "--fold", "9", "--folds", "4"], "fold 9 is out of range for 4 folds"),
+    ],
+    ids=["holdout-above", "holdout-negative", "train-zero-folds", "train-one-fold", "eval-zero-folds", "eval-fold-above"],
+)
+def test_fold_out_of_range_is_config_error(workspace, tmp_path, capsys, argv, message):
+    # a held-out fold outside 0..k-1 would hold out nothing; fewer than 2 folds cannot split
+    manifest = workspace / "data" / "manifest.jsonl"
+    ckpt = tmp_path / "model.ckpt"
+    if argv[0] == "train":
+        argv = argv + ["--manifest", str(manifest), "--config", str(workspace / "config.json"), "--out", str(ckpt)]
+    else:
+        argv = argv + ["--manifest", str(manifest), "--ckpt", str(workspace / "model.ckpt")]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_eval_full_folds_leaks_protocol_error(workspace, capsys):

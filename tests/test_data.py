@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import tiny_run_config
 from tricl.data import (
-    Dataset,
     DatasetManifest,
-    FoldAssignment,
     ingest,
     load_manifest,
     make_folds,
@@ -19,7 +17,7 @@ from tricl.data import (
     stratified_source_subset,
 )
 from tricl.dsp import write_wav
-from tricl.errors import DataError, ProtocolError
+from tricl.errors import ConfigError, DataError, ProtocolError
 from tricl.templates import DEFAULT_TRAIN_TEMPLATE
 
 
@@ -188,6 +186,15 @@ def test_split_by_fold_disjoint(tmp_path):
     train, test = dataset.split_by_fold(folds, 2)
     assert train.source_ids().isdisjoint(test.source_ids())
     assert len(train.samples) + len(test.samples) == len(dataset.samples)
+    for fold in (-1, 4):
+        with pytest.raises(ConfigError, match=f"fold {fold} is out of range"):
+            dataset.split_by_fold(folds, fold)
+
+
+def test_fewer_than_two_folds_rejected():
+    for k in (0, 1):
+        with pytest.raises(ConfigError, match="at least 2 folds"):
+            make_folds(_manifest(["A"] * 4), k=k, seed=0)
 
 
 def test_stratified_subset_keeps_every_class(tmp_path):

@@ -1,4 +1,5 @@
-"""Encoder contracts: shared dimension, determinism, gradient flow, pooling."""
+"""Encoder contracts: batched (N, d) output, row independence, determinism,
+gradient flow, pooling."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from helpers import check_grad, tiny_run_config
 from tricl.bpe import tokenize, train_bpe
 from tricl.dsp import AudioSegment, stft_spectrogram
 from tricl.encoders import AudioEncoder, SpecEncoder, TextEncoder
-from tricl.errors import ContractError
+from tricl.errors import ContractError, ShapeError
 from tricl.tensor import Tensor, mul, tsum
 
 CFG = tiny_run_config()
@@ -36,31 +37,75 @@ def spec_of(segment):
     return stft_spectrogram(segment, p.frame_length_ms, p.frame_shift_ms, p.fft_size)
 
 
+SENTENCES = ["The sound belongs to Alpha.", "Bravo", "The sound belongs to Bravo, far away.", "The sound"]
+
+
 def test_shared_embedding_dimension():
-    segment = make_segment()
+    segments = [make_segment(i) for i in range(3)]
     d = CFG.encoder.d
-    audio = make_audio_encoder().encode(segment)
-    spec = make_spec_encoder().encode(spec_of(segment))
-    text = make_text_encoder().encode(tokenize("The sound belongs to Alpha.", TOKENIZER))
-    assert audio.vector.shape == spec.vector.shape == text.vector.shape == (d,)
-    assert {audio.modality, spec.modality, text.modality} == {"audio", "spec", "text"}
+    audio = make_audio_encoder().encode(segments)
+    spec = make_spec_encoder().encode([spec_of(s) for s in segments])
+    text = make_text_encoder().encode([tokenize(s, TOKENIZER) for s in SENTENCES[:3]])
+    assert audio.shape == spec.shape == text.shape == (3, d)
     for e in (audio, spec, text):
-        assert np.isfinite(e.vector.values).all()
+        assert np.isfinite(e.values).all()
+
+
+class TestBatchRowsMatchSingleEncodes:
+    """Row i of encode([x0..x3]) equals encode([xi]): samples never mix."""
+
+    def check(self, encode, inputs):
+        batched = encode(inputs).values
+        for i, x in enumerate(inputs):
+            np.testing.assert_allclose(batched[i], encode([x]).values[0], rtol=0, atol=1e-12)
+
+    def test_audio(self):
+        enc = make_audio_encoder(1)
+        kernels = enc.build_kernels()
+        self.check(lambda xs: enc.encode(xs, kernels), [make_segment(i) for i in range(4)])
+
+    def test_spec(self):
+        enc = make_spec_encoder(1)
+        self.check(enc.encode, [spec_of(make_segment(i)) for i in range(4)])
+
+    def test_text_sequences_of_different_lengths(self):
+        seqs = [tokenize(s, TOKENIZER) for s in SENTENCES]
+        assert len({len(s) for s in seqs}) == 4
+        self.check(make_text_encoder(1).encode, seqs)
+
+
+def test_empty_batch_rejected():
+    with pytest.raises(ContractError, match="empty batch"):
+        make_audio_encoder().encode([])
+    with pytest.raises(ContractError, match="empty batch"):
+        make_spec_encoder().encode([])
+    with pytest.raises(ContractError, match="empty batch"):
+        make_text_encoder().encode([])
+
+
+def test_unequal_audio_lengths_rejected():
+    with pytest.raises(ShapeError, match="equal lengths"):
+        make_audio_encoder().encode([make_segment(0, n=800), make_segment(1, n=640)])
+
+
+def test_unequal_spectrogram_shapes_rejected():
+    with pytest.raises(ShapeError, match="equal shapes"):
+        make_spec_encoder().encode([spec_of(make_segment(0, n=800)), spec_of(make_segment(1, n=640))])
 
 
 def test_deterministic_forward():
-    segment = make_segment(3)
+    segments = [make_segment(3), make_segment(4)]
     enc1, enc2 = make_audio_encoder(1), make_audio_encoder(1)
-    v1 = enc1.encode(segment).vector.values
-    v2 = enc2.encode(segment).vector.values
+    v1 = enc1.encode(segments).values
+    v2 = enc2.encode(segments).values
     assert np.array_equal(v1, v2)
-    assert np.array_equal(v1, enc1.encode(segment).vector.values)
+    assert np.array_equal(v1, enc1.encode(segments).values)
 
 
 def test_audio_encoder_rejects_wrong_rate():
     enc = make_audio_encoder()
     with pytest.raises(ContractError, match="16000"):
-        enc.encode(AudioSegment(np.zeros(800), 8000, "s", 0))
+        enc.encode([make_segment(0), AudioSegment(np.zeros(800), 8000, "s", 0)])
 
 
 def test_spec_encoder_rejects_wrong_kind():
@@ -68,31 +113,31 @@ def test_spec_encoder_rejects_wrong_kind():
     spec = spec_of(make_segment())
     spec.kind = "mel"
     with pytest.raises(ContractError):
-        enc.encode(spec)
+        enc.encode([spec_of(make_segment(1)), spec])
 
 
 def test_attention_weights_sum_to_one():
+    # when every position of a sample holds the same vector c_n, any weights
+    # that sum to one pool it to c_n @ wv, whatever the scores
     enc = make_spec_encoder()
-    spec = spec_of(make_segment(5))
-    f, b = spec.grid.shape
-    from tricl.tensor import reshape
-
-    h = enc.conv(reshape(Tensor(spec.grid), (1, f, b)))
-    _, weights = enc.pool(h, return_weights=True)
-    for w in weights:
-        np.testing.assert_allclose(w.values.sum(axis=1), 1.0, atol=1e-9)
-        assert (w.values > 0).all()
+    pool = enc.pool
+    rng = np.random.default_rng(5)
+    c, n, h, w = pool.channels, 3, 4, 5
+    constants = rng.standard_normal((n, c))
+    x = np.broadcast_to(constants.T[:, :, None, None], (c, n, h, w)).copy()
+    pooled = pool(Tensor(x)).values
+    np.testing.assert_allclose(pooled, constants @ pool.wv.values, rtol=0, atol=1e-12)
 
 
 def test_frame_permutation_changes_spec_embedding():
     enc = make_spec_encoder()
     spec = spec_of(make_segment(6))
-    base = enc.encode(spec).vector.values.copy()
+    base = enc.encode([spec]).values[0].copy()
     permuted = spec.grid.copy()
     permuted[[0, 3]] = permuted[[3, 0]]
     spec2 = spec_of(make_segment(6))
     spec2.grid = permuted
-    assert not np.allclose(enc.encode(spec2).vector.values, base)
+    assert not np.allclose(enc.encode([spec2]).values[0], base)
 
 
 def test_text_appending_token_changes_embedding():
@@ -100,32 +145,36 @@ def test_text_appending_token_changes_embedding():
     short = tokenize("The sound belongs to Alpha", TOKENIZER)
     longer = tokenize("The sound belongs to Alpha.", TOKENIZER)
     assert len(longer) > len(short)
-    a = enc.encode(short).vector.values
-    b = enc.encode(longer).vector.values
+    a, b = enc.encode([short, longer]).values
     assert not np.allclose(a, b)
 
 
 def test_text_identical_sequences_identical_embedding():
     enc = make_text_encoder()
     seq = tokenize("The sound belongs to Bravo.", TOKENIZER)
-    assert np.array_equal(enc.encode(seq).vector.values, enc.encode(seq).vector.values)
+    rows = enc.encode([seq, seq]).values
+    assert np.array_equal(rows, enc.encode([seq, seq]).values)
+    # packed at different offsets, the two copies differ by summation order only
+    np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-12)
 
 
 def test_text_rejects_overlong_sequence():
     enc = TextEncoder(CFG.encoder, TOKENIZER.vocab_size, 4, np.random.default_rng(0))
     with pytest.raises(ContractError):
-        enc.encode(tokenize("The sound belongs to Alpha.", TOKENIZER, max_len=32))
+        enc.encode([tokenize("The", TOKENIZER, max_len=32), tokenize("The sound belongs to Alpha.", TOKENIZER, max_len=32)])
 
 
 class TestGradientFlow:
+    """FD oracles through each encoder at N = 3, each row read out differently."""
+
+    readout = Tensor(np.random.default_rng(8).standard_normal((3, CFG.encoder.d)))
+
     def test_audio_encoder_end_to_end(self):
         enc = make_audio_encoder(2)
-        segment = make_segment(7, n=400)
-        readout = Tensor(np.random.default_rng(8).standard_normal(CFG.encoder.d))
+        segments = [make_segment(7 + i, n=400) for i in range(3)]
 
         def build():
-            emb = enc.encode(segment)
-            return tsum(mul(emb.vector, readout))
+            return tsum(mul(enc.encode(segments), self.readout))
 
         # h below the relu-kink scale: zero-init biases leave pre-activations near 0
         params = list(enc.params().values())
@@ -134,22 +183,23 @@ class TestGradientFlow:
 
     def test_spec_encoder_end_to_end(self):
         enc = make_spec_encoder(3)
-        spec = spec_of(make_segment(9, n=400))
-        readout = Tensor(np.random.default_rng(10).standard_normal(CFG.encoder.d))
+        specs = [spec_of(make_segment(9 + i, n=400)) for i in range(3)]
 
         def build():
-            return tsum(mul(enc.encode(spec).vector, readout))
+            return tsum(mul(enc.encode(specs), self.readout))
 
         check_grad(build, list(enc.params().values()), h=1e-6, rtol=1e-3, probe_per_param=3,
                    rng=np.random.default_rng(1))
 
     def test_text_encoder_end_to_end(self):
         enc = make_text_encoder(4)
-        seq = tokenize("The sound belongs to Alpha.", TOKENIZER)
-        readout = Tensor(np.random.default_rng(11).standard_normal(CFG.encoder.d))
+        seqs = [tokenize(s, TOKENIZER) for s in SENTENCES[:3]]
 
         def build():
-            return tsum(mul(enc.encode(seq).vector, readout))
+            return tsum(mul(enc.encode(seqs), self.readout))
 
-        check_grad(build, list(enc.params().values()), h=1e-6, rtol=1e-3, probe_per_param=3,
+        # key biases have an exactly zero gradient (softmax is shift-invariant),
+        # where FD rounding at h = 1e-6 reads up to 2e-9; atol keeps that noise
+        # from counting as a relative error
+        check_grad(build, list(enc.params().values()), h=1e-6, rtol=1e-3, atol=1e-5, probe_per_param=3,
                    rng=np.random.default_rng(2))

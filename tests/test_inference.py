@@ -10,11 +10,12 @@ from helpers import tiny_run_config
 from tricl.bpe import train_bpe
 from tricl.data import Dataset, FoldAssignment, TrainSample
 from tricl.dsp import AudioSegment
+from tricl.encoders import AudioEncoder
 from tricl.errors import ContractError, ProtocolError
 from tricl.inference import (
     SHIPSEAR_CLASS_MAP,
-    ClassMap,
     EvalResult,
+    _prompt_similarities,
     evaluate,
     identity_class_map,
     prompt_infer,
@@ -22,6 +23,8 @@ from tricl.inference import (
 )
 from tricl.model import TriModalModel
 from tricl.templates import AnnotationRecord, candidate_queue, parse_template
+from tricl.tensor import Tensor, no_grad
+from tricl.trainer import cosine_matrix
 
 
 def tone_segment(freq, seed=0, n=800, source="s"):
@@ -86,18 +89,44 @@ class TestPromptInfer:
         idx2, sims2 = prompt_infer(scaled, candidates, model)
         # cosine is scale-invariant in each embedding; scaling audio input is
         # nonlinear, so check invariance on the embedding directly instead
-        from tricl.tensor import Tensor
-        from tricl.trainer import cosine_similarity
-
-        audio = model.audio_encoder.encode(seg)
+        audio = model.audio_encoder.encode([seg])
+        texts = model.encode_text(candidates)
         for c in (0.5, 3.0):
-            boosted = Tensor(audio.vector.values * c)
-            sims = [cosine_similarity(boosted, model.encode_text(s)) for s in candidates]
+            sims = cosine_matrix(Tensor(audio.values * c), texts).values[0]
             assert int(np.argmax(sims)) == idx1
 
     def test_inference_consumes_no_annotations(self):
         params = list(inspect.signature(prompt_infer).parameters)
         assert params == ["segment", "candidates", "model"]
+
+    def test_zero_norm_audio_rejected(self, monkeypatch):
+        model = build_model()
+        monkeypatch.setattr(model.audio_encoder, "encode", lambda segments, kernels: Tensor(np.zeros((len(segments), 8))))
+        with pytest.raises(ContractError, match="zero-norm"):
+            prompt_infer(tone_segment(400.0), ["The sound belongs to Alpha."], model)
+
+
+def test_encodes_in_chunks_of_batch_size(monkeypatch):
+    # 3 x batch_size segments never reach one encode call more than batch_size at a time
+    model = build_model(("Alpha", "Bravo", "Charlie"))
+    batch_size = model.config.train.batch_size
+    segments = [tone_segment(300.0 + 50.0 * i, seed=i) for i in range(3 * batch_size)]
+    candidates = candidate_queue(parse_template(model.test_template_text), list(model.class_labels))
+    with no_grad():
+        whole = model.audio_encoder.encode(segments).values
+    sizes = []
+    encode = AudioEncoder.encode
+
+    def recording(self, batch, kernels=None):
+        sizes.append(len(batch))
+        return encode(self, batch, kernels)
+
+    monkeypatch.setattr(AudioEncoder, "encode", recording)
+    sims = _prompt_similarities(segments, candidates, model)
+    assert sizes == [batch_size] * 3
+    texts = model.encode_text(candidates).values
+    expect = (whole / np.linalg.norm(whole, axis=1, keepdims=True)) @ (texts / np.linalg.norm(texts, axis=1, keepdims=True)).T
+    np.testing.assert_allclose(sims, expect, rtol=0, atol=1e-12)
 
 
 class TestClassMap:

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import tiny_run_config
-from tricl.data import ingest, load_manifest, make_folds
+from tricl.data import ingest, make_folds
 from tricl.dsp import read_wav, stft_spectrogram
 from tricl.errors import ConfigError
 from tricl.synth import (
-    AuxFieldSpec,
     ClassSpec,
     SynthSpec,
     confusable_pair_spec,

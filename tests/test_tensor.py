@@ -198,17 +198,18 @@ def test_take_rows_scatter_add():
 
 def test_im2col_matches_naive_conv():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((2, 5, 6))
+    x = rng.standard_normal((2, 2, 5, 6))  # (C, N, H, W)
     w = rng.standard_normal((3, 2 * 3 * 3))
     cols = im2col(Tensor(x), 3, 3, stride=2, pad=1)
-    got = (w @ cols.values).reshape(3, 3, 3)
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    expect = np.zeros((3, 3, 3))
+    got = (w @ cols.values).reshape(3, 2, 3, 3)
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    expect = np.zeros((3, 2, 3, 3))
     for co in range(3):
-        for i in range(3):
-            for j in range(3):
-                patch = padded[:, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
-                expect[co, i, j] = (w[co].reshape(2, 3, 3) * patch).sum()
+        for n in range(2):
+            for i in range(3):
+                for j in range(3):
+                    patch = padded[:, n, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
+                    expect[co, n, i, j] = (w[co].reshape(2, 3, 3) * patch).sum()
     np.testing.assert_allclose(got, expect)
 
 
@@ -266,6 +267,16 @@ class TestGradientOracle:
             return tsum(log_softmax_rows(s))
 
         check_grad(build, [a, b], rtol=1e-4)
+
+    def test_im2col_gradients(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((2, 2, 5, 6)), requires_grad=True)  # (C, N, H, W)
+        weights = Tensor(rng.standard_normal((2 * 3 * 3, 2 * 3 * 3)))
+
+        def build():
+            return tsum(mul(im2col(x, 3, 3, stride=2, pad=1), weights))
+
+        check_grad(build, [x], rtol=1e-4)
 
     def test_abs_pow_gradients(self):
         rng = np.random.default_rng(5)

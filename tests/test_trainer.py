@@ -10,106 +10,110 @@ from tricl.bpe import train_bpe
 from tricl.config import RunConfig
 from tricl.data import Dataset, TrainSample
 from tricl.dsp import AudioSegment
-from tricl.encoders import Embedding
 from tricl.errors import ContractError, DegenerateBatchError, NonFiniteLossError
 from tricl.model import TriModalModel
 from tricl.optim import AdamW
 from tricl.templates import AnnotationRecord
-from tricl.tensor import Tensor, backward
+from tricl.tensor import Tensor, backward, concat, tsum
 from tricl.trainer import (
     anomaly_filter,
     batch_loss,
     compute_logits,
     contrastive_loss,
-    cosine_similarity,
-    stack_embeddings,
+    cosine_matrix,
     train_epoch,
 )
 
 
-def emb(values, modality="audio"):
-    return Embedding(Tensor(np.asarray(values, dtype=np.float64)), modality)
+def rows(*values):
+    return Tensor(np.asarray(values, dtype=np.float64))
 
 
 class TestAnomalyFilter:
     def test_clean_batch_unchanged(self):
-        batch = {
-            "audio": [emb([1.0, 0.0]), emb([0.0, 1.0])],
-            "text": [emb([1.0, 1.0], "text"), emb([2.0, 0.0], "text")],
-        }
+        batch = {"audio": rows([1.0, 0.0], [0.0, 1.0]), "text": rows([1.0, 1.0], [2.0, 0.0])}
         filtered, kept = anomaly_filter(batch)
         assert kept == [0, 1]
-        assert filtered["audio"] is not batch["audio"] and len(filtered["audio"]) == 2
+        for name, matrix in batch.items():
+            assert np.array_equal(filtered[name].values, matrix.values)
 
     def test_zero_norm_in_one_modality_drops_sample_everywhere(self):
         batch = {
-            "audio": [emb([1.0]), emb([1.0]), emb([1.0]), emb([1.0])],
-            "text": [emb([1.0], "text"), emb([0.0], "text"), emb([1.0], "text"), emb([1.0], "text")],
-            "spec": [emb([1.0], "spec")] * 4,
+            "audio": rows([1.0], [1.0], [1.0], [1.0]),
+            "text": rows([1.0], [0.0], [1.0], [1.0]),
+            "spec": rows([1.0], [1.0], [1.0], [1.0]),
         }
         filtered, kept = anomaly_filter(batch)
         assert kept == [0, 2, 3]
-        assert all(len(v) == 3 for v in filtered.values())
+        assert all(v.shape == (3, 1) for v in filtered.values())
 
     def test_all_zero_batch_degenerates(self):
-        batch = {"audio": [emb([0.0]), emb([0.0])], "text": [emb([1.0], "text")] * 2}
+        batch = {"audio": rows([0.0], [0.0]), "text": rows([1.0], [1.0])}
         with pytest.raises(DegenerateBatchError):
             anomaly_filter(batch)
 
     def test_removal_is_all_or_none(self):
         rng = np.random.default_rng(0)
-        batch = {
-            "audio": [emb(rng.standard_normal(4)) for _ in range(6)],
-            "text": [emb(rng.standard_normal(4), "text") for _ in range(6)],
-        }
-        batch["audio"][2] = emb(np.zeros(4))
-        batch["text"][4] = emb(np.zeros(4), "text")
+        batch = {"audio": Tensor(rng.standard_normal((6, 4))), "text": Tensor(rng.standard_normal((6, 4)))}
+        batch["audio"].values[2] = 0.0
+        batch["text"].values[4] = 0.0
         filtered, kept = anomaly_filter(batch)
         assert kept == [0, 1, 3, 5]
-        assert len(filtered["audio"]) == len(filtered["text"]) == 4
+        for name in ("audio", "text"):
+            assert np.array_equal(filtered[name].values, batch[name].values[kept])
+
+    def test_gradient_reaches_kept_rows_only(self):
+        x = Tensor(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0]]), requires_grad=True)
+        filtered, kept = anomaly_filter({"audio": x, "text": rows([1.0], [1.0], [1.0])})
+        backward(tsum(filtered["audio"]))
+        assert kept == [0, 2]
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 class TestCosine:
+    """Entries of the cosine matrix that inference and the logits share."""
+
     def test_identical_vectors(self):
-        assert cosine_similarity(emb([2.0, 1.0]), emb([2.0, 1.0])) == pytest.approx(1.0)
+        assert float(cosine_matrix(rows([2.0, 1.0]), rows([2.0, 1.0])).values[0, 0]) == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self):
-        assert cosine_similarity(emb([1.0, 0.0]), emb([0.0, 1.0])) == 0.0
+        assert float(cosine_matrix(rows([1.0, 0.0]), rows([0.0, 1.0])).values[0, 0]) == 0.0
 
     def test_45_degrees(self):
-        assert cosine_similarity(emb([1.0, 1.0]), emb([1.0, 0.0])) == pytest.approx(0.70710678, abs=1e-8)
+        sims = cosine_matrix(rows([1.0, 1.0]), rows([1.0, 0.0], [0.0, 2.0], [-3.0, 0.0])).values
+        np.testing.assert_allclose(sims, [[0.70710678, 0.70710678, -0.70710678]], atol=1e-8)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ContractError):
-            cosine_similarity(emb([0.0, 0.0]), emb([1.0, 0.0]))
+            cosine_matrix(rows([0.0, 0.0]), rows([1.0, 0.0]))
+        with pytest.raises(ContractError):
+            cosine_matrix(rows([1.0, 0.0]), rows([1.0, 0.0], [0.0, 0.0]))
 
 
 class TestLogits:
     def test_zero_scale_gives_raw_cosines(self):
         rng = np.random.default_rng(1)
-        xs = [emb(rng.standard_normal(5)) for _ in range(3)]
-        ys = [emb(rng.standard_normal(5), "text") for _ in range(3)]
-        logits = compute_logits(xs, ys, 0.0)
+        xs = rng.standard_normal((3, 5))
+        ys = rng.standard_normal((3, 5))
+        logits = compute_logits(Tensor(xs), Tensor(ys), 0.0)
         for i in range(3):
             for j in range(3):
-                assert logits.values[i, j] == pytest.approx(cosine_similarity(xs[i], ys[j]), abs=1e-12)
+                cosine = xs[i] @ ys[j] / (np.linalg.norm(xs[i]) * np.linalg.norm(ys[j]))
+                assert logits.values[i, j] == pytest.approx(cosine, abs=1e-12)
 
     def test_orthonormal_matched_batch_is_scaled_identity(self):
-        eye = [emb(row) for row in np.eye(4)]
-        logits = compute_logits(eye, [Embedding(e.vector, "text") for e in eye], Tensor(0.7, requires_grad=True))
+        logits = compute_logits(Tensor(np.eye(4)), Tensor(np.eye(4)), Tensor(0.7, requires_grad=True))
         np.testing.assert_allclose(logits.values, np.exp(0.7) * np.eye(4), atol=1e-12)
 
     def test_bounded_by_exp_scale(self):
         rng = np.random.default_rng(2)
-        xs = [emb(rng.standard_normal(6)) for _ in range(5)]
-        ys = [emb(rng.standard_normal(6), "text") for _ in range(5)]
         s = 1.3
-        logits = compute_logits(xs, ys, s)
+        logits = compute_logits(Tensor(rng.standard_normal((5, 6))), Tensor(rng.standard_normal((5, 6))), s)
         assert np.abs(logits.values).max() <= math.exp(s) + 1e-12
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            compute_logits([emb([1.0, 0.0])], [emb([1.0, 0.0], "text"), emb([0.0, 1.0], "text")], 0.0)
+            compute_logits(rows([1.0, 0.0]), rows([1.0, 0.0], [0.0, 1.0]), 0.0)
 
 
 class TestLossIdentities:
@@ -155,9 +159,7 @@ class TestLossIdentities:
     def test_loss_near_log_b_at_random_init(self):
         rng = np.random.default_rng(5)
         for b in (4, 8, 16):
-            xs = [emb(rng.standard_normal(16)) for _ in range(b)]
-            ys = [emb(rng.standard_normal(16), "text") for _ in range(b)]
-            zs = [emb(rng.standard_normal(16), "spec") for _ in range(b)]
+            xs, ys, zs = (Tensor(rng.standard_normal((b, 16))) for _ in range(3))
             at = compute_logits(xs, ys, 0.0)
             ts = compute_logits(ys, zs, 0.0)
             a_s = compute_logits(xs, zs, 0.0)
@@ -274,6 +276,31 @@ class TestTrainEpoch:
         assert model.scales.scale_at.grad is not None
 
 
-def test_stack_embeddings_shape():
-    rows = [emb(np.arange(3.0) + i) for i in range(4)]
-    assert stack_embeddings(rows).shape == (4, 3)
+class TestBatchLoss:
+    def test_matches_single_sample_encodes(self):
+        config = tiny_run_config()
+        dataset = make_dataset(n_sources=4)
+        model = make_model(config, dataset)
+        indices = [2, 0, 3, 1]
+        kernels = model.audio_encoder.build_kernels()
+        samples = [dataset.samples[i] for i in indices]
+        audio = concat([model.audio_encoder.encode([s.segment], kernels) for s in samples])
+        text = concat([model.encode_text([s.sentence]) for s in samples])
+        spec = concat([model.spec_encoder.encode([dataset.spectrogram(s)]) for s in samples])
+        reference = contrastive_loss(
+            compute_logits(audio, text, model.scales.scale_at),
+            compute_logits(text, spec, model.scales.scale_ts),
+            compute_logits(audio, spec, model.scales.scale_as),
+        )
+        loss = batch_loss(dataset, indices, model)
+        assert float(loss.values) == pytest.approx(float(reference.values), rel=0, abs=1e-12)
+
+    def test_each_distinct_sentence_encoded_once(self, monkeypatch):
+        config = tiny_run_config()
+        dataset = make_dataset(n_sources=6)
+        model = make_model(config, dataset)
+        calls = []
+        encode_text = model.encode_text
+        monkeypatch.setattr(model, "encode_text", lambda sentences: calls.append(list(sentences)) or encode_text(sentences))
+        batch_loss(dataset, [0, 1, 2, 3, 4, 5], model)
+        assert calls == [["The sound belongs to Alpha.", "The sound belongs to Bravo."]]

@@ -8,11 +8,13 @@ from tricl.bpe import train_bpe
 from tricl.checkpoint import load_checkpoint, save_checkpoint
 from tricl.data import Dataset, TrainSample
 from tricl.dsp import AudioSegment
+from tricl.encoders import AudioEncoder
 from tricl.errors import ConfigError, NonFiniteLossError
 from tricl.model import TriModalModel
 from tricl.templates import AnnotationRecord
 from tricl.tuning import (
     ClassifierModel,
+    _classifier_batch_loss,
     binary_ce_logits,
     encoder_tune,
     multilabel_baseline,
@@ -21,7 +23,7 @@ from tricl.tuning import (
     train_classifier,
     uart_tune,
 )
-from tricl.tensor import Tensor
+from tricl.tensor import Tensor, add, backward, no_grad
 
 
 def build_dataset(per_label=4, with_aux=True, missing_wind_on=((0, 1))):
@@ -167,9 +169,6 @@ class TestBaselines:
         assert dictionary[: model.n_categories] == ["Alpha", "Bravo"]
         assert "distance=close" in dictionary and "distance=far" in dictionary
         # {label, distance, wind} -> exactly 3 ones
-        from tricl.tuning import _classifier_batch_loss  # noqa: F401
-        import tricl.tuning as tuning
-
         sample = [s for s in dataset.samples if s.record.wind is not None][0]
         dim_index = {e: i for i, e in enumerate(dictionary)}
         target = np.zeros(len(dictionary))
@@ -202,6 +201,52 @@ class TestBaselines:
         _, trace_multi = multitask_baseline(dataset, ["category"], config)
         _, trace_plain = encoder_tune(None, dataset, tiny_run_config(epochs=3, lr=1e-3))
         assert trace_multi == trace_plain
+
+    def test_multitask_loss_matches_per_task_encodes(self, monkeypatch):
+        # one encode per batch, rows gathered per task, equals encoding each
+        # task's annotated samples separately (distance drops row 0, wind row 1)
+        dataset = build_dataset()
+        model = ClassifierModel(tiny_run_config(), "multitask",
+                                {"category": ["Alpha", "Bravo"], "distance": ["close", "far"], "wind": ["calm", "gusty"]})
+        batch = dataset.samples[:4]
+        batch[0].record = AnnotationRecord("Alpha", distance=None, wind="gusty")
+        kernels = model.encoder.build_kernels()
+        reference = None
+        for task in sorted(model.heads):
+            annotated = [s for s in batch if (s.vessel_type if task == "category" else getattr(s.record, task))]
+            targets = [model.task_classes[task].index(s.vessel_type if task == "category" else getattr(s.record, task))
+                       for s in annotated]
+            term = softmax_ce(model.head_logits([s.segment for s in annotated], task, kernels), targets)
+            reference = term if reference is None else add(reference, term)
+        backward(reference)
+        expect_grads = {k: v.grad.copy() for k, v in model.parameters().items()}
+        for p in model.parameters().values():
+            p.grad = None
+
+        calls = []
+        encode = AudioEncoder.encode
+        monkeypatch.setattr(AudioEncoder, "encode", lambda self, *args: calls.append(1) or encode(self, *args))
+        loss = _classifier_batch_loss(model, batch, kernels)
+        assert len(calls) == 1
+        assert float(loss.values) == pytest.approx(float(reference.values), rel=0, abs=1e-12)
+        backward(loss)
+        for k, v in model.parameters().items():
+            np.testing.assert_allclose(v.grad, expect_grads[k], rtol=1e-12, atol=1e-12)
+
+    def test_predict_labels_encodes_in_chunks_of_batch_size(self, monkeypatch):
+        dataset = build_dataset(per_label=6)
+        config = tiny_run_config()
+        model = ClassifierModel(config, "category", {"category": ["Alpha", "Bravo"]})
+        segments = [s.segment for s in dataset.samples]
+        assert len(segments) == 3 * config.train.batch_size
+        with no_grad():
+            whole = model.heads["category"](model.encoder.encode(segments)).values
+        sizes = []
+        encode = AudioEncoder.encode
+        monkeypatch.setattr(AudioEncoder, "encode", lambda self, batch, *args: sizes.append(len(batch)) or encode(self, batch, *args))
+        preds = model.predict_labels(segments)
+        assert sizes == [config.train.batch_size] * 3
+        assert preds == [["Alpha", "Bravo"][i] for i in np.argmax(whole, axis=1)]
 
     def test_auxiliary_task_does_not_change_inference_path(self):
         dataset = build_dataset()

@@ -97,7 +97,7 @@ def test_paper_default_encode_memory_and_frames():
         tracemalloc.reset_peak()
         with no_grad():
             kernels = encoder.build_kernels()
-            encoder.encode(AudioSegment(samples, TARGET_RATE), kernels)
+            encoder.encode([AudioSegment(samples, TARGET_RATE)], kernels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
