@@ -9,7 +9,6 @@ encode/decode round trips are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ConfigError, ContractError
 
@@ -92,11 +91,6 @@ class BpeTokenizer:
             parts.append(piece)
         return b"".join(parts).decode("utf-8", errors="replace")
 
-    def save(self, path) -> None:
-        lines = [f"tricl-bpe v1 merges={len(self.merges)}"]
-        lines += [f"{a} {b}" for a, b in self.merges]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     def to_text(self) -> str:
         lines = [f"tricl-bpe v1 merges={len(self.merges)}"]
         lines += [f"{a} {b}" for a, b in self.merges]
@@ -112,10 +106,6 @@ class BpeTokenizer:
             a, b = ln.split()
             merges.append((int(a), int(b)))
         return cls(merges)
-
-    @classmethod
-    def load(cls, path) -> "BpeTokenizer":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
 def train_bpe(corpus: list[str], vocab_size: int) -> BpeTokenizer:

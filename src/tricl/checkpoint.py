@@ -1,12 +1,14 @@
-"""Versioned checkpoint container: one npz archive holding every named
-parameter array plus a JSON metadata record (config, tokenizer, templates,
-label set, training sources). Round trips are bit-exact because parameters
-are stored as raw float64 arrays.
+"""Versioned checkpoints, format v2: one npz archive holding the model's
+parameter store as a single ``params`` array plus a JSON ``__meta__`` record
+(config, tokenizer, templates, label set, training sources, and the
+name/shape index of ``params``). Round trips are bit-exact (raw float64).
+Version 1 files, one npz member per parameter, are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,7 @@ from .model import TriModalModel
 from .tuning import ClassifierModel
 
 FORMAT = "tricl-checkpoint"
-VERSION = 1
-_PARAM_PREFIX = "param::"
+VERSION = 2
 # JSON type of each metadata field load_checkpoint reads
 _META_TYPES = {
     "config": dict,
@@ -31,6 +32,7 @@ _META_TYPES = {
     "class_labels": list,
     "kind": str,
     "task_classes": dict,
+    "params": list,
 }
 
 
@@ -55,16 +57,28 @@ def _meta_for(model) -> dict:
         meta.update({"model_type": "classifier", "kind": model.kind, "task_classes": model.task_classes})
     else:
         raise ConfigError(f"cannot checkpoint object of type {type(model).__name__}")
+    meta["params"] = model.store.index()
     return meta
 
 
 def save_checkpoint(model, path) -> None:
-    arrays = {_PARAM_PREFIX + name: t.values for name, t in model.parameters().items()}
-    arrays["__meta__"] = np.array(json.dumps(_meta_for(model), sort_keys=True))
+    meta = np.array(json.dumps(_meta_for(model), sort_keys=True))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
-        np.savez(f, **arrays)
+        np.savez(f, params=model.store.buffer, __meta__=meta)
+
+
+def _split(flat: np.ndarray, index: list, path: Path) -> dict[str, np.ndarray]:
+    """Views of `flat` per [name, shape] entry of the index, in order."""
+    try:
+        sizes = [math.prod(shape) for _, shape in index]
+        if flat.ndim != 1 or sum(sizes) != flat.size:
+            raise ValueError(f"the index covers {sum(sizes)} values, the params array holds {flat.size}")
+        offsets = np.cumsum([0] + sizes)
+        return {name: flat[o : o + n].reshape(shape) for (name, shape), o, n in zip(index, offsets, sizes)}
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed parameter index: {exc}") from exc
 
 
 def load_checkpoint(path):
@@ -74,15 +88,15 @@ def load_checkpoint(path):
     try:
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(str(z["__meta__"]))
-            arrays = {k[len(_PARAM_PREFIX) :]: np.asarray(z[k]) for k in z.files if k.startswith(_PARAM_PREFIX)}
+            if not isinstance(meta, dict):
+                raise DataError(f"{path}: checkpoint metadata is a JSON {type(meta).__name__}, expected an object")
+            if meta.get("format") != FORMAT:
+                raise ConfigError(f"{path}: not a {FORMAT} file")
+            if meta.get("version") != VERSION:
+                raise ConfigError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+            flat = z["params"]
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise DataError(f"{path}: checkpoint metadata is a JSON {type(meta).__name__}, expected an object")
-    if meta.get("format") != FORMAT:
-        raise ConfigError(f"{path}: not a {FORMAT} file")
-    if meta.get("version") != VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {meta.get('version')}")
 
     def field(name: str):
         if name not in meta:
@@ -110,5 +124,5 @@ def load_checkpoint(path):
         model = ClassifierModel(config, field("kind"), field("task_classes"), sources)
     else:
         raise ConfigError(f"{path}: unknown model_type {model_type!r}")
-    model.load_values(arrays)
+    model.store.load_values(_split(flat, field("params"), path))
     return model

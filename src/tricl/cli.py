@@ -119,22 +119,18 @@ def _cmd_train(args) -> int:
 
 def _cmd_tune(args) -> int:
     model = load_checkpoint(args.ckpt)
+    if not isinstance(model, TriModalModel):
+        raise ConfigError(f"{args.strategy} tuning starts from a tri-modal checkpoint")
     config = _load_config(args.config) if args.config else model.config
-    if args.strategy == "uart":
-        if not isinstance(model, TriModalModel):
-            raise ConfigError("uart tuning needs a tri-modal checkpoint")
-        template_text = _template_text(args.template, model.train_template_text)
-        train_ds, _, _ = split_off_fold(args.manifest, template_text, config, args.holdout_fold, args.folds)
+    uart = args.strategy == "uart"
+    template_text = _template_text(args.template, model.train_template_text) if uart else model.train_template_text
+    train_ds, _, _ = split_off_fold(args.manifest, template_text, config, args.holdout_fold, args.folds)
+    if uart:
         model.train_template_text = template_text
         uart_tune(model, train_ds, config, log_path=args.log)
-        save_checkpoint(model, args.out)
     else:
-        if not isinstance(model, TriModalModel):
-            raise ConfigError("encoder tuning starts from a tri-modal checkpoint")
-        template_text = model.train_template_text
-        train_ds, _, _ = split_off_fold(args.manifest, template_text, config, args.holdout_fold, args.folds)
-        classifier, _ = encoder_tune(model, train_ds, config, freeze_encoder=args.freeze_encoder)
-        save_checkpoint(classifier, args.out)
+        model, _ = encoder_tune(model, train_ds, config, freeze_encoder=args.freeze_encoder)
+    save_checkpoint(model, args.out)
     print(args.out)
     return 0
 

@@ -144,9 +144,6 @@ class FoldAssignment:
     def fold_of(self, source_id: str) -> int:
         return self.mapping[source_id]
 
-    def sources_in(self, fold: int) -> list[str]:
-        return [s for s, f in self.mapping.items() if f == fold]
-
 
 def make_folds(manifest: DatasetManifest, k: int = 4, seed: int = 0) -> FoldAssignment:
     """Assign each source to one fold, stratified by vessel type.

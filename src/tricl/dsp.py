@@ -55,10 +55,6 @@ class Spectrogram:
         return self.grid.shape[1]
 
 
-def frame_count(n_samples: int, frame_len: int, frame_shift: int) -> int:
-    return (n_samples - frame_len) // frame_shift + 1
-
-
 def frame_signal(segment: AudioSegment, frame_length_ms: float, frame_shift_ms: float) -> np.ndarray:
     """Split into full frames (n_frames, frame_len); the tail is discarded."""
     rate = segment.sample_rate_hz

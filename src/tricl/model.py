@@ -10,7 +10,7 @@ import numpy as np
 from .bpe import BpeTokenizer, tokenize
 from .config import RunConfig
 from .encoders import AudioEncoder, SpecEncoder, TextEncoder
-from .errors import ConfigError
+from .store import ParameterStore
 from .tensor import Tensor
 
 
@@ -28,7 +28,7 @@ class ScaleCoefficients:
     def clamp(self) -> None:
         cap = np.log(MAX_EXP_SCALE)
         for t in (self.scale_at, self.scale_ts, self.scale_as):
-            t.values = np.minimum(t.values, cap)
+            np.minimum(t.values, cap, out=t.values)
 
     def tensors(self, modalities: str = "tri") -> dict[str, Tensor]:
         if modalities == "audio_text":
@@ -65,18 +65,16 @@ class TriModalModel:
         table = max(config.train.vocab_size, tokenizer.vocab_size)
         self.text_encoder = TextEncoder(config.encoder, table, config.train.max_tokens, np.random.default_rng([seed, 2]))
         self.scales = ScaleCoefficients()
+        spec = self.spec_encoder.params() if self.spec_encoder is not None else {}
+        text, scales = self.text_encoder.params(), self.scales.tensors(self.modalities)
+        self.store = ParameterStore({**self.audio_encoder.params(), **spec, **text, **scales})
 
     @property
     def modalities(self) -> str:
         return self.config.train.modalities
 
     def parameters(self) -> dict[str, Tensor]:
-        out = dict(self.audio_encoder.params())
-        if self.spec_encoder is not None:
-            out.update(self.spec_encoder.params())
-        out.update(self.text_encoder.params())
-        out.update(self.scales.tensors(self.modalities))
-        return out
+        return dict(self.store.tensors)
 
     def clamp(self) -> None:
         self.audio_encoder.wavelet.clamp()
@@ -85,15 +83,3 @@ class TriModalModel:
     def encode_text(self, sentences: list[str]) -> Tensor:
         max_len = self.config.train.max_tokens
         return self.text_encoder.encode([tokenize(s, self.tokenizer, max_len) for s in sentences])
-
-    def load_values(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise ConfigError(f"checkpoint/model parameter mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
-        for name, tensor in params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != tensor.values.shape:
-                raise ConfigError(f"checkpoint parameter {name} has shape {arr.shape}, expected {tensor.values.shape}")
-            tensor.values = arr.copy()

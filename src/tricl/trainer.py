@@ -193,8 +193,7 @@ def train(
 
 def continue_training(dataset, model: TriModalModel, config: RunConfig, log_path=None) -> list[str]:
     """Run config.train.epochs epochs of Alg-style contrastive updates on `model`."""
-    params = list(model.parameters().values())
-    optimizer = AdamW(params, lr=config.train.lr, weight_decay=config.train.weight_decay)
+    optimizer = AdamW(model.store, lr=config.train.lr, weight_decay=config.train.weight_decay)
     rng = np.random.default_rng(config.train.seed)
     lines = []
     for epoch in range(1, config.train.epochs + 1):

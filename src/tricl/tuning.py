@@ -17,6 +17,7 @@ from .errors import ConfigError, ContractError
 from .layers import Linear
 from .model import TriModalModel
 from .optim import AdamW
+from .store import ParameterStore
 from .templates import AUX_FIELDS
 from .tensor import (
     Tensor,
@@ -85,6 +86,8 @@ class ClassifierModel:
             width = len(self.task_classes[task])
             rng = np.random.default_rng([seed, 10, _task_stream(task)])
             self.heads[task] = Linear(rng, config.encoder.d, width, f"head.{task}")
+        heads = {name: t for head in self.heads.values() for name, t in head.params().items()}
+        self.store = ParameterStore({**self.encoder.params(), **heads})  # encoder first: the heads are the tail
 
     @property
     def n_categories(self) -> int:
@@ -98,11 +101,8 @@ class ClassifierModel:
             return self.task_classes["multilabel"][: self.n_categories]
         return self.task_classes["category"]
 
-    def parameters(self, freeze_encoder: bool = False) -> dict[str, Tensor]:
-        out = {} if freeze_encoder else dict(self.encoder.params())
-        for head in self.heads.values():
-            out.update(head.params())
-        return out
+    def parameters(self) -> dict[str, Tensor]:
+        return dict(self.store.tensors)
 
     def head_logits(self, segments: list[AudioSegment], task: str, kernels=None) -> Tensor:
         return self.heads[task](self.encoder.encode(segments, kernels))
@@ -120,30 +120,6 @@ class ClassifierModel:
         labels = self.class_labels
         return [labels[int(i)] for i in np.argmax(logits, axis=1)]
 
-    def load_values(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise ConfigError(f"checkpoint/classifier mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
-        for name, tensor in params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != tensor.values.shape:
-                raise ConfigError(f"checkpoint parameter {name} has shape {arr.shape}, expected {tensor.values.shape}")
-            tensor.values = arr.copy()
-
-
-def _copy_encoder_weights(dst: AudioEncoder, src: AudioEncoder) -> None:
-    src_params = src.params()
-    for name, tensor in dst.params().items():
-        if name not in src_params:
-            raise ConfigError(f"pretrained encoder lacks parameter {name}")
-        if src_params[name].values.shape != tensor.values.shape:
-            raise ConfigError(
-                f"pretrained parameter {name} has shape {src_params[name].values.shape}, expected {tensor.values.shape}"
-            )
-        tensor.values = src_params[name].values.copy()
-
 
 def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig,
                      freeze_encoder: bool = False) -> list[float]:
@@ -153,13 +129,10 @@ def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig
     are excluded from that task's loss term only. A non-finite batch loss
     raises NonFiniteLossError before any gradient is computed.
     """
-    params = model.parameters(freeze_encoder)
-    if not params:
-        raise ConfigError("nothing to train")
-    frozen_before = None
-    if freeze_encoder:
-        frozen_before = {k: v.values.copy() for k, v in model.encoder.params().items()}
-    optimizer = AdamW(list(params.values()), lr=config.train.lr, weight_decay=config.train.weight_decay)
+    encoder, heads = model.store.split(len(model.encoder.params()))
+    frozen_before = encoder.buffer.copy() if freeze_encoder else None
+    optimizer = AdamW(heads if freeze_encoder else model.store, lr=config.train.lr,
+                      weight_decay=config.train.weight_decay)
     rng = np.random.default_rng(config.train.seed)
     n = len(dataset.samples)
     trace: list[float] = []
@@ -180,10 +153,8 @@ def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig
             losses.append(float(loss.values))
         trace.append(math.fsum(losses) / len(losses) if losses else float("nan"))
     model.train_source_ids = tuple(sorted(set(model.train_source_ids) | dataset.source_ids()))
-    if freeze_encoder:
-        for k, v in model.encoder.params().items():
-            if not np.array_equal(v.values, frozen_before[k]):
-                raise ContractError(f"frozen encoder parameter {k} changed during head-only tuning")
+    if freeze_encoder and not np.array_equal(encoder.buffer, frozen_before):
+        raise ContractError("frozen encoder parameters changed during head-only tuning")
     return trace
 
 
@@ -241,7 +212,8 @@ def encoder_tune(pretrained, dataset: Dataset, config: RunConfig,
     model = ClassifierModel(config, "category", {"category": labels})
     if pretrained is not None:
         source = pretrained.audio_encoder if isinstance(pretrained, TriModalModel) else pretrained
-        _copy_encoder_weights(model.encoder, source)
+        weights = {name: t.values for name, t in source.params().items()}
+        model.store.split(len(model.encoder.params()))[0].load_values(weights, "pretrained encoder")
     trace = train_classifier(model, dataset, config, freeze_encoder=freeze_encoder)
     return model, trace
 

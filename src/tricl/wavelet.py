@@ -64,25 +64,12 @@ class WaveletParams:
 
     def clamp(self) -> None:
         """Keep the parameterization valid after an optimizer step."""
-        self.m.values = np.maximum(self.m.values, M_FLOOR)
-        self.f_b.values = np.maximum(self.f_b.values, BAND_FLOOR)
-        self.f_c.values = np.maximum(self.f_c.values, BAND_FLOOR)
+        np.maximum(self.m.values, M_FLOOR, out=self.m.values)
+        np.maximum(self.f_b.values, BAND_FLOOR, out=self.f_b.values)
+        np.maximum(self.f_c.values, BAND_FLOOR, out=self.f_c.values)
 
     def tensors(self) -> dict[str, Tensor]:
         return {"wavelet.m": self.m, "wavelet.f_b": self.f_b, "wavelet.f_c": self.f_c}
-
-
-def fbsp_kernel(x, params: WaveletParams):
-    """Evaluate psi(x); scalar in -> complex scalar, array in -> complex array."""
-    m = float(params.m.values)
-    f_b = float(params.f_b.values)
-    f_c = float(params.f_c.values)
-    xs = np.asarray(x, dtype=np.float64)
-    env = np.sqrt(f_b) * np.abs(np.sinc(f_b * xs / m)) ** m
-    out = env * np.exp(2j * np.pi * f_c * xs)
-    if np.isscalar(x) or xs.ndim == 0:
-        return complex(out)
-    return out
 
 
 def support_half_width(params: WaveletParams, scale: float, sample_rate_hz: int, truncation: float) -> int:
@@ -119,7 +106,7 @@ class WaveletKernels:
     scales: list[ScaleKernel]
     hop: int
     max_half: int
-    halves: Tensor  # re half kernels of all scales, then im half kernels, then psi(0)
+    halves: Tensor | None  # re half kernels of all scales, then im, then psi(0); None under no_grad
     folded: np.ndarray  # (2 * sum(rows), hop) scaled conjugate kernels, re and im per scale
 
     def __iter__(self):
@@ -198,7 +185,7 @@ def _fold(halves: Tensor, half_widths, scales, hop: int, sample_rate_hz: int) ->
         im[h + 1 :] = -im_h
         re *= k.factor
         im *= k.factor
-    return WaveletKernels(layout, hop, max_half, halves, folded)
+    return WaveletKernels(layout, hop, max_half, halves if halves.requires_grad else None, folded)
 
 
 def _diagonals(product: np.ndarray, row: int, col: int, width: int, frames: int) -> np.ndarray:
@@ -254,9 +241,9 @@ def transform_with_kernels(samples: np.ndarray, kernels: WaveletKernels, hop: in
             re[:, j] = _diagonals(product, k.shift - lo, k.start - k0, k.rows, frames).sum(axis=1)
             im[:, j] = _diagonals(product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames).sum(axis=1)
     mag = np.hypot(re, im)
-    center = kernels.halves.size - 1  # psi(0); the im halves start at center // 2
 
     def bw(g):
+        center = kernels.halves.size - 1  # psi(0); the im halves start at center // 2
         # complex modulus, with a zero subgradient at the origin
         scale = np.where(mag > 0.0, g / np.where(mag > 0.0, mag, 1.0), 0.0)
         g_re, g_im = scale * re, scale * im
@@ -278,7 +265,7 @@ def transform_with_kernels(samples: np.ndarray, kernels: WaveletKernels, hop: in
                 grad[center] += d_re[h]
         return (grad,)
 
-    return custom_op(mag, (kernels.halves,), bw)
+    return custom_op(mag, () if kernels.halves is None else (kernels.halves,), bw)
 
 
 def default_scale_grid(n_scales: int = 64, fmin_hz: float = 20.0, fmax_hz: float = 7800.0) -> np.ndarray:

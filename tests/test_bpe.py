@@ -51,8 +51,8 @@ def test_training_is_deterministic():
 def test_serialization_round_trip(tmp_path):
     tok = train_bpe(CORPUS, 330)
     path = tmp_path / "tok.txt"
-    tok.save(path)
-    again = BpeTokenizer.load(path)
+    path.write_text(tok.to_text(), encoding="utf-8")
+    again = BpeTokenizer.from_text(path.read_text(encoding="utf-8"))
     assert again.merges == tok.merges
     assert again.vocab == tok.vocab
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, artifact round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,12 +103,70 @@ def test_train_eval_infer_round_trip(workspace, capsys):
     assert len(out["similarities"]) == 2
 
 
-def _rewrite_meta(src, dst, edit):
+def _rewrite(src, dst, edit):
+    """Copy a checkpoint, passing its (metadata, arrays) through `edit`."""
     with np.load(src) as z:
-        arrays = {k: z[k] for k in z.files}
-    arrays["__meta__"] = np.array(json.dumps(edit(json.loads(str(arrays["__meta__"])))))
+        arrays = {k: z[k] for k in z.files if k != "__meta__"}
+        meta = json.loads(str(z["__meta__"]))
+    meta, arrays = edit(meta, arrays)
     with open(dst, "wb") as f:
-        np.savez(f, **arrays)
+        np.savez(f, __meta__=np.array(json.dumps(meta)), **arrays)
+
+
+def _rewrite_meta(src, dst, edit):
+    _rewrite(src, dst, lambda meta, arrays: (edit(meta), arrays))
+
+
+def _as_version_1(meta, arrays):
+    """The version 1 layout: one npz member per parameter, no index."""
+    flat, offset, members = arrays["params"], 0, {}
+    for name, shape in meta.pop("params"):
+        size = int(np.prod(shape))
+        members["param::" + name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return {**meta, "version": 1}, members
+
+
+def _edit_index(edit):
+    def rewrite(meta, arrays):
+        edit(meta["params"])
+        return meta, arrays
+
+    return rewrite
+
+
+def _transpose_entry(name):
+    def edit(index):
+        entry = next(e for e in index if e[0] == name)
+        entry[1] = entry[1][::-1]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error, message, code",
+    [
+        (_as_version_1, "ConfigError", "unsupported checkpoint version 1", 1),
+        (_edit_index(lambda index: index.pop()), "DataError", "index covers", 2),
+        (_edit_index(lambda index: index[0].__setitem__(0, "wavelet.q")), "ConfigError", "wavelet.q", 1),
+        (_edit_index(_transpose_entry("audio.proj.w")), "ConfigError",
+         r"audio\.proj\.w has shape \(8, 6\), expected \(6, 8\)", 1),
+    ],
+    ids=["version-1", "index-short-of-array", "unknown-name", "shape-disagrees"],
+)
+def test_malformed_checkpoint_params_exit_code(workspace, tmp_path, capsys, edit, error, message, code):
+    import tricl.errors
+    from tricl.checkpoint import load_checkpoint
+
+    bad = tmp_path / "bad.ckpt"
+    _rewrite(workspace / "model.ckpt", bad, edit)
+    with pytest.raises(getattr(tricl.errors, error), match=message):
+        load_checkpoint(bad)
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(["Alpha", "Bravo"]))
+    wav = sorted((workspace / "data").glob("*.wav"))[0]
+    assert main(["infer", "--ckpt", str(bad), "--wav", str(wav), "--labels", str(labels_path)]) == code
+    assert re.search(message, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(

@@ -67,11 +67,15 @@ def _manifest(types_per_source):
     return m
 
 
+def sources_in(folds, fold):
+    return [s for s, f in folds.mapping.items() if f == fold]
+
+
 class TestFolds:
     def test_eight_sources_every_fold_nonempty(self):
         folds = make_folds(_manifest(["A"] * 4 + ["B"] * 4), k=4, seed=0)
         for f in range(4):
-            assert folds.sources_in(f)
+            assert sources_in(folds, f)
 
     def test_same_seed_same_assignment(self):
         m = _manifest(["A", "A", "B", "B", "C", "C", "C", "B"])
@@ -86,7 +90,7 @@ class TestFolds:
             folds = make_folds(m, 4, seed)
             union = set()
             for f in range(4):
-                part = set(folds.sources_in(f))
+                part = set(sources_in(folds, f))
                 assert not (part & union)
                 union |= part
             assert union == {f"s{i}" for i in range(n)}

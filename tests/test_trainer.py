@@ -215,8 +215,7 @@ class TestTrainEpoch:
         config = tiny_run_config(epochs=10, lr=3e-3)
         dataset = make_dataset()
         model = make_model(config, dataset)
-        optimizer = AdamW(list(model.parameters().values()), lr=config.train.lr,
-                          weight_decay=config.train.weight_decay)
+        optimizer = AdamW(model.store, lr=config.train.lr, weight_decay=config.train.weight_decay)
         rng = np.random.default_rng(0)
         losses = [train_epoch(dataset, model, optimizer, config, rng).mean_loss for _ in range(10)]
         assert losses[-1] < losses[0]
@@ -226,7 +225,7 @@ class TestTrainEpoch:
             config = tiny_run_config(epochs=3, lr=1e-3)
             dataset = make_dataset()
             model = make_model(config, dataset)
-            optimizer = AdamW(list(model.parameters().values()), lr=config.train.lr)
+            optimizer = AdamW(model.store, lr=config.train.lr)
             rng = np.random.default_rng(config.train.seed)
             return [train_epoch(dataset, model, optimizer, config, rng).mean_loss for _ in range(3)]
 
@@ -245,7 +244,7 @@ class TestTrainEpoch:
         config = tiny_run_config(epochs=6, lr=3e-3)
         dataset = make_dataset()
         model = make_model(config, dataset)
-        optimizer = AdamW(list(model.parameters().values()), lr=config.train.lr)
+        optimizer = AdamW(model.store, lr=config.train.lr)
         rng = np.random.default_rng(0)
         for _ in range(6):
             train_epoch(dataset, model, optimizer, config, rng)
@@ -257,9 +256,9 @@ class TestTrainEpoch:
         config = tiny_run_config(epochs=1, batch_size=4)
         dataset = make_dataset(n_sources=4)
         model = make_model(config, dataset)
-        model.scales.scale_at.values = np.asarray(np.nan)
+        model.scales.scale_at.values[...] = np.nan
         params = list(model.parameters().values())
-        optimizer = AdamW(params, lr=config.train.lr)
+        optimizer = AdamW(model.store, lr=config.train.lr)
         with pytest.raises(NonFiniteLossError, match=r"non-finite loss nan in batch 0"):
             train_epoch(dataset, model, optimizer, config, np.random.default_rng(0))
         assert all(p.grad is None for p in params)

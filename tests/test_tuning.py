@@ -149,7 +149,7 @@ class TestEncoderTune:
         config = tiny_run_config(epochs=1)
         model = ClassifierModel(config, "category", {"category": dataset.vessel_types()})
         head = model.heads["category"].w
-        head.values = np.full(head.shape, np.nan)
+        head.values[...] = np.nan
         with pytest.raises(NonFiniteLossError, match=r"non-finite loss nan in batch 0"):
             train_classifier(model, dataset, config)
         assert all(p.grad is None for p in model.parameters().values())
@@ -285,13 +285,29 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(v.values, again.parameters()[k].values)
         assert again.task_classes == model.task_classes
 
+    def test_audio_text_bit_exact(self, tmp_path):
+        dataset = build_dataset()
+        config = tiny_run_config(modalities="audio_text", epochs=1, lr=1e-3)
+        model = fresh_model(dataset, config)
+        from tricl.trainer import continue_training
+
+        continue_training(dataset, model, config)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        again = load_checkpoint(path)
+        assert again.spec_encoder is None
+        assert list(again.parameters()) == list(model.parameters())
+        for k, v in model.parameters().items():
+            assert np.array_equal(v.values, again.parameters()[k].values)
+        assert np.array_equal(again.store.buffer, model.store.buffer)
+
     def test_classifier_malformed_array_rejected(self):
         dataset = build_dataset()
         model = ClassifierModel(tiny_run_config(), "category", {"category": dataset.vessel_types()})
         arrays = {k: v.values.copy() for k, v in model.parameters().items()}
         arrays["head.category.w"] = np.zeros((3, 3))
         with pytest.raises(ConfigError, match=r"head\.category\.w has shape \(3, 3\), expected \(8, 2\)"):
-            model.load_values(arrays)
+            model.store.load_values(arrays)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -300,3 +316,65 @@ class TestCheckpointRoundTrip:
 
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+def views_its_store(model) -> bool:
+    return all(np.shares_memory(t.values, model.store.buffer) for t in model.parameters().values())
+
+
+def encoder_slice(model) -> np.ndarray:
+    encoder = model.encoder if isinstance(model, ClassifierModel) else model.audio_encoder
+    return model.store.split(len(encoder.params()))[0].buffer
+
+
+class TestParameterStore:
+    def test_parameters_stay_views_through_clamp_step_load_and_copy(self, tmp_path):
+        from tricl.model import MAX_EXP_SCALE
+        from tricl.optim import AdamW
+        from tricl.trainer import batch_loss
+        from tricl.wavelet import BAND_FLOOR, M_FLOOR
+
+        dataset = build_dataset()
+        config = tiny_run_config(epochs=0, lr=1e-3)
+        model = fresh_model(dataset, config)
+        assert views_its_store(model)
+        wavelet = model.audio_encoder.wavelet
+        wavelet.m.values[...] = 0.5
+        wavelet.f_b.values[...] = -1.0
+        wavelet.f_c.values[...] = 0.0
+        model.scales.scale_at.values[...] = 10.0
+        model.clamp()
+        assert float(wavelet.m.values) == M_FLOOR
+        assert float(wavelet.f_b.values) == float(wavelet.f_c.values) == BAND_FLOOR
+        assert float(model.scales.scale_at.values) == np.log(MAX_EXP_SCALE)
+        assert views_its_store(model)
+        # back to the initial values: kernels at the band floor run to millions of taps
+        for t, value in ((wavelet.m, 2.0), (wavelet.f_b, 0.5), (wavelet.f_c, 1.0), (model.scales.scale_at, 0.0)):
+            t.values[...] = value
+
+        before = model.store.buffer.copy()
+        backward(batch_loss(dataset, [0, 1, 4, 5], model))
+        AdamW(model.store, lr=1e-3).step()
+        assert views_its_store(model)
+        assert not np.array_equal(model.store.buffer, before)
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        again = load_checkpoint(path)
+        assert views_its_store(again)
+        assert np.array_equal(again.store.buffer, model.store.buffer)
+
+        classifier, _ = encoder_tune(again, dataset, config)
+        assert views_its_store(classifier)
+        assert np.array_equal(encoder_slice(classifier), encoder_slice(model))
+
+    def test_frozen_encoder_run_leaves_encoder_slice_unchanged(self):
+        dataset = build_dataset()
+        config = tiny_run_config(epochs=2, lr=1e-3)
+        pre = fresh_model(dataset, config)
+        untuned, _ = encoder_tune(pre, dataset, tiny_run_config(epochs=0))
+        model, _ = encoder_tune(pre, dataset, config, freeze_encoder=True)
+        encoder = encoder_slice(model)
+        assert np.array_equal(encoder, encoder_slice(pre))
+        assert not np.array_equal(model.store.buffer[encoder.size :], untuned.store.buffer[encoder.size :])
+        assert views_its_store(model)

@@ -4,14 +4,13 @@ finite-difference gradients through the tape."""
 import numpy as np
 import pytest
 
-from helpers import check_grad
+from helpers import check_grad, fbsp_kernel
 from tricl.errors import ConfigError
 from tricl.tensor import Tensor, backward, mul, tsum
 from tricl.wavelet import (
     WaveletParams,
     build_kernels,
     default_scale_grid,
-    fbsp_kernel,
     support_half_width,
     transform_with_kernels,
 )

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import check_grad
+from helpers import check_grad, fbsp_kernel
 from tricl.config import EncoderConfig, PreprocessConfig
 from tricl.dsp import TARGET_RATE, AudioSegment
 from tricl.encoders import AudioEncoder
@@ -17,7 +17,6 @@ from tricl.wavelet import (
     WaveletParams,
     build_kernels,
     default_scale_grid,
-    fbsp_kernel,
     support_half_width,
     transform_with_kernels,
 )
@@ -86,6 +85,20 @@ def test_hop_mismatch_rejected():
     kernels = build_kernels(WaveletParams.create(), default_scale_grid(3, 600.0, 3000.0), 100)
     with pytest.raises(ConfigError, match="hop"):
         transform_with_kernels(np.ones(500), kernels, 50)
+
+
+def test_no_grad_build_keeps_no_half_kernels():
+    params = WaveletParams.create()
+    scales = default_scale_grid(4, 500.0, 4000.0)
+    samples = np.random.default_rng(5).standard_normal(900)
+    with no_grad():
+        kernels = build_kernels(params, scales, 160)
+        fast = transform_with_kernels(samples, kernels, 160).values
+    assert kernels.halves is None
+    taped = build_kernels(params, scales, 160)
+    assert taped.halves is not None  # the transform's backward reads them
+    np.testing.assert_array_equal(taped.folded, kernels.folded)
+    np.testing.assert_array_equal(transform_with_kernels(samples, taped, 160).values, fast)
 
 
 def test_paper_default_encode_memory_and_frames():
