@@ -42,13 +42,7 @@ class AudioSegment:
 class Spectrogram:
     grid: np.ndarray  # frames x bins
     kind: str  # stft | mel
-    frame_length_ms: float | None = None
-    frame_shift_ms: float | None = None
     bin_frequencies: np.ndarray | None = None
-
-    @property
-    def n_frames(self) -> int:
-        return self.grid.shape[0]
 
     @property
     def n_bins(self) -> int:
@@ -96,13 +90,7 @@ def stft_spectrogram(
     if log_magnitude:
         grid = np.log1p(grid)
     freqs = np.fft.rfftfreq(nfft, d=1.0 / segment.sample_rate_hz)
-    return Spectrogram(
-        grid=grid,
-        kind="stft",
-        frame_length_ms=frame_length_ms,
-        frame_shift_ms=frame_shift_ms,
-        bin_frequencies=freqs,
-    )
+    return Spectrogram(grid, "stft", freqs)
 
 
 def _hz_to_mel(f):
@@ -149,13 +137,7 @@ def mel_spectrogram(
     if log_magnitude:
         grid = np.log1p(grid)
     centers = _mel_to_hz(np.linspace(0.0, _hz_to_mel(segment.sample_rate_hz / 2.0), n_mels + 2))[1:-1]
-    return Spectrogram(
-        grid=grid,
-        kind="mel",
-        frame_length_ms=frame_length_ms,
-        frame_shift_ms=frame_shift_ms,
-        bin_frequencies=centers,
-    )
+    return Spectrogram(grid, "mel", centers)
 
 
 def resample_to_16k(samples: np.ndarray, src_rate_hz: int) -> np.ndarray:

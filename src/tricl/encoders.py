@@ -66,12 +66,6 @@ class AudioEncoder:
         h = self.conv(reshape(concat(grids, axis=0), (1, len(segments), t, s)))
         return self.proj(transpose(mean(h, axis=(2, 3))))
 
-    def params(self) -> dict[str, Tensor]:
-        out = dict(self.wavelet.tensors())
-        out.update(self.conv.params())
-        out.update(self.proj.params())
-        return out
-
 
 class SpecEncoder:
     def __init__(self, config: EncoderConfig, expected_kind: str, rng: np.random.Generator):
@@ -95,12 +89,6 @@ class SpecEncoder:
         grids = np.stack([spec.grid for spec in specs])
         h = self.conv(Tensor(grids[None]))  # (1, N, F, B)
         return self.proj(self.pool(h))
-
-    def params(self) -> dict[str, Tensor]:
-        out = dict(self.conv.params())
-        out.update(self.pool.params())
-        out.update(self.proj.params())
-        return out
 
 
 class TextEncoder:
@@ -138,11 +126,3 @@ class TextEncoder:
             x = block(x, mask)
         eos = self.ln_final(take_rows(x, np.cumsum(lengths) - 1))  # layer norm is row-wise
         return matmul(eos, self.proj)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {self.tok_emb.name: self.tok_emb, self.pos_emb.name: self.pos_emb}
-        for block in self.blocks:
-            out.update(block.params())
-        out.update(self.ln_final.params())
-        out[self.proj.name] = self.proj
-        return out

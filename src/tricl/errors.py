@@ -22,6 +22,10 @@ class ConfigError(TriclError):
     """Invalid configuration or usage."""
 
 
+class KernelSupportError(ConfigError):
+    """Wavelet parameters whose kernels are too wide to build in bounded memory."""
+
+
 class DataError(TriclError):
     """Malformed or unreadable input data."""
 

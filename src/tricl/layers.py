@@ -1,4 +1,10 @@
-"""Building blocks for the miniature encoders: conv, residual, attention."""
+"""Building blocks for the miniature encoders: conv, residual, attention.
+
+A layer's trainable tensors are its attributes: ``store.trainable`` finds
+them (and those of nested layers) in the order they are assigned in
+``__init__``, and that order is the checkpoint layout. Each carries an
+explicit dotted name, which is its checkpoint key.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ from .tensor import (
     Tensor,
     add,
     concat,
+    div,
     im2col,
     matmul,
     mean,
@@ -43,9 +50,6 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return add(matmul(x, self.w), self.b)
 
-    def params(self) -> dict[str, Tensor]:
-        return {self.w.name: self.w, self.b.name: self.b}
-
 
 class Conv2d:
     """3x3/1x1 convolution as one im2col matmul over a (C, N, H, W) batch of images."""
@@ -67,9 +71,6 @@ class Conv2d:
         out = add(matmul(self.w, cols), self.b)
         return reshape(out, (self.c_out, n, oh, ow))
 
-    def params(self) -> dict[str, Tensor]:
-        return {self.w.name: self.w, self.b.name: self.b}
-
 
 class ChannelAttention:
     """Squeeze-excite gate: per-sample channel means -> bottleneck -> sigmoid scale."""
@@ -84,9 +85,6 @@ class ChannelAttention:
         pooled = transpose(mean(x, axis=(2, 3)))  # (N, C)
         gates = sigmoid(self.fc2(relu(self.fc1(pooled))))
         return mul(x, reshape(transpose(gates), (self.channels, x.shape[1], 1, 1)))
-
-    def params(self) -> dict[str, Tensor]:
-        return {**self.fc1.params(), **self.fc2.params()}
 
 
 class ResBlock:
@@ -106,14 +104,6 @@ class ResBlock:
             out = self.attn(out)
         return relu(out)
 
-    def params(self) -> dict[str, Tensor]:
-        out = {**self.conv1.params(), **self.conv2.params()}
-        if self.skip is not None:
-            out.update(self.skip.params())
-        if self.attn is not None:
-            out.update(self.attn.params())
-        return out
-
 
 class ConvStack:
     """Stem conv plus one stride-2 residual block per configured channel width."""
@@ -131,12 +121,6 @@ class ConvStack:
         for block in self.blocks:
             h = block(h)
         return h
-
-    def params(self) -> dict[str, Tensor]:
-        out = self.stem.params()
-        for block in self.blocks:
-            out.update(block.params())
-        return out
 
 
 class AttentionPool:
@@ -169,9 +153,6 @@ class AttentionPool:
             outs.append(tsum(mul(reshape(attn, (n, h * w, 1)), vs), axis=1))
         return concat(outs, axis=1) if len(outs) > 1 else outs[0]
 
-    def params(self) -> dict[str, Tensor]:
-        return {t.name: t for t in (self.query, self.wq, self.wk, self.wv)}
-
 
 class LayerNorm:
     def __init__(self, dim: int, name: str):
@@ -183,11 +164,8 @@ class LayerNorm:
         mu = mean(x, axis=1, keepdims=True)
         centered = sub(x, mu)
         var = mean(mul(centered, centered), axis=1, keepdims=True)
-        normed = centered / sqrt(add(var, self._eps))
+        normed = div(centered, sqrt(add(var, self._eps)))
         return add(mul(normed, self.gain), self.bias)
-
-    def params(self) -> dict[str, Tensor]:
-        return {self.gain.name: self.gain, self.bias.name: self.bias}
 
 
 class MultiHeadSelfAttention:
@@ -211,12 +189,6 @@ class MultiHeadSelfAttention:
         merged = concat(outs, axis=1) if len(outs) > 1 else outs[0]
         return self.wo(merged)
 
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        for m in (self.wq, self.wk, self.wv, self.wo):
-            out.update(m.params())
-        return out
-
 
 class TransformerBlock:
     """Pre-norm causal block: x + attn(ln(x)), then x + mlp(ln(x))."""
@@ -231,12 +203,6 @@ class TransformerBlock:
     def __call__(self, x: Tensor, mask: Tensor) -> Tensor:
         x = add(x, self.attn(self.ln1(x), mask))
         return add(x, self.fc2(relu(self.fc1(self.ln2(x)))))
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        for m in (self.ln1, self.attn, self.ln2, self.fc1, self.fc2):
-            out.update(m.params())
-        return out
 
 
 def causal_mask(lengths) -> Tensor:

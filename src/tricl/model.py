@@ -10,7 +10,7 @@ import numpy as np
 from .bpe import BpeTokenizer, tokenize
 from .config import RunConfig
 from .encoders import AudioEncoder, SpecEncoder, TextEncoder
-from .store import ParameterStore
+from .store import ParameterStore, trainable
 from .tensor import Tensor
 
 
@@ -20,23 +20,20 @@ MAX_EXP_SCALE = 100.0
 class ScaleCoefficients:
     """Learnable per-pair logit scales; the multiplier is e**scale, capped at 100."""
 
-    def __init__(self):
+    def __init__(self, modalities: str):
+        """audio_text trains the audio-text scale only; the other two are None."""
         self.scale_at = Tensor(0.0, requires_grad=True, name="scale.at")
-        self.scale_ts = Tensor(0.0, requires_grad=True, name="scale.ts")
-        self.scale_as = Tensor(0.0, requires_grad=True, name="scale.as")
+        tri = modalities == "tri"
+        self.scale_ts = Tensor(0.0, requires_grad=True, name="scale.ts") if tri else None
+        self.scale_as = Tensor(0.0, requires_grad=True, name="scale.as") if tri else None
 
     def clamp(self) -> None:
         cap = np.log(MAX_EXP_SCALE)
-        for t in (self.scale_at, self.scale_ts, self.scale_as):
+        for t in trainable(self).values():
             np.minimum(t.values, cap, out=t.values)
 
-    def tensors(self, modalities: str = "tri") -> dict[str, Tensor]:
-        if modalities == "audio_text":
-            return {"scale.at": self.scale_at}
-        return {"scale.at": self.scale_at, "scale.ts": self.scale_ts, "scale.as": self.scale_as}
-
-    def multipliers(self, modalities: str = "tri") -> dict[str, float]:
-        return {name: float(np.exp(t.values)) for name, t in self.tensors(modalities).items()}
+    def multipliers(self) -> dict[str, float]:
+        return {name: float(np.exp(t.values)) for name, t in trainable(self).items()}
 
 
 class TriModalModel:
@@ -64,17 +61,12 @@ class TriModalModel:
             self.spec_encoder = None
         table = max(config.train.vocab_size, tokenizer.vocab_size)
         self.text_encoder = TextEncoder(config.encoder, table, config.train.max_tokens, np.random.default_rng([seed, 2]))
-        self.scales = ScaleCoefficients()
-        spec = self.spec_encoder.params() if self.spec_encoder is not None else {}
-        text, scales = self.text_encoder.params(), self.scales.tensors(self.modalities)
-        self.store = ParameterStore({**self.audio_encoder.params(), **spec, **text, **scales})
+        self.scales = ScaleCoefficients(config.train.modalities)
+        self.store = ParameterStore(trainable(self.audio_encoder, self.spec_encoder, self.text_encoder, self.scales))
 
     @property
     def modalities(self) -> str:
         return self.config.train.modalities
-
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self.store.tensors)
 
     def clamp(self) -> None:
         self.audio_encoder.wavelet.clamp()

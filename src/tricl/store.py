@@ -1,7 +1,11 @@
 """One contiguous float64 buffer holding a model's trainable parameters.
 
-Each parameter's ``values`` is a view into the buffer, in the order the model
-lists them (encoder first, so a classifier's heads are the tail). Checkpoints,
+Parameters are found, not listed: ``trainable`` walks a model's parts
+through their attributes in assignment order and collects every tensor that
+requires grad, keyed by its name. That order is the buffer layout and so the
+checkpoint layout: reordering the attribute assignments of a layer or an
+encoder moves it. Each parameter's ``values`` is a view into the buffer
+(encoder first, so a classifier's heads are the tail). Checkpoints,
 ``load_values`` and the optimizer all work on the buffer or a contiguous run
 of it. Write a parameter through its view (``t.values[...] = x``); rebinding
 ``t.values`` detaches it from the store.
@@ -11,8 +15,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .tensor import Tensor
+
+
+def trainable(*parts) -> dict[str, Tensor]:
+    """Every tensor that requires grad under `parts`, keyed by name.
+
+    Objects are walked through ``vars()`` in assignment order, lists and
+    tuples in order, dicts by value; ``None`` and other leaves are skipped.
+    """
+    found: dict[str, Tensor] = {}
+    _collect(parts, found)
+    return found
+
+
+def _collect(obj, found: dict[str, Tensor]) -> None:
+    if isinstance(obj, Tensor):
+        if obj.requires_grad and found.setdefault(obj.name, obj) is not obj:
+            raise ContractError(f"two trainable tensors are named {obj.name!r}")
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _collect(item, found)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _collect(item, found)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            _collect(item, found)
 
 
 class ParameterStore:

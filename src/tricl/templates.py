@@ -60,9 +60,6 @@ class TemplateSpec:
         if len(label_clauses) != 1:
             raise ConfigError(f"template must contain exactly one {{{LABEL_SLOT}}} clause, found {len(label_clauses)}")
 
-    def slots(self) -> list[str]:
-        return [c.slot for c in self.clauses if c.slot is not None]
-
 
 def parse_template(text: str) -> TemplateSpec:
     """One clause per line; slot syntax ``{name}``; blank lines ignored."""
@@ -116,6 +113,3 @@ AUX_TEMPLATE_TEXT = (
     "and the wind speed is {wind}\n"
 )
 LABEL_TEMPLATE_TEXT = "The sound belongs to {label}\n"
-
-DEFAULT_TRAIN_TEMPLATE = parse_template(AUX_TEMPLATE_TEXT)
-DEFAULT_TEST_TEMPLATE = parse_template(LABEL_TEMPLATE_TEXT)

@@ -61,18 +61,15 @@ def cosine_matrix(x: Tensor, y: Tensor) -> Tensor:
     return matmul(l2_normalize_rows(x), transpose(l2_normalize_rows(y)))
 
 
-def compute_logits(x: Tensor, y: Tensor, scale) -> Tensor:
+def compute_logits(x: Tensor, y: Tensor, scale: Tensor) -> Tensor:
     """B x B matrix of cosine similarities times e**scale.
 
     Rows are L2-normalized first, so entry (i, j) is exactly the cosine of
-    x_i and y_j. `scale` may be a learnable scalar tensor or a plain float.
+    x_i and y_j. `scale` is a scalar tensor, learnable or constant.
     """
     if x.shape != y.shape:
         raise ContractError(f"logits need equal batch shapes, got {x.shape} vs {y.shape}")
-    sims = cosine_matrix(x, y)
-    if isinstance(scale, Tensor):
-        return mul(sims, exp(scale))
-    return scalar_scale(sims, math.exp(float(scale)))
+    return mul(cosine_matrix(x, y), exp(scale))
 
 
 def contrastive_loss(logits_at: Tensor, logits_ts: Tensor | None = None, logits_as: Tensor | None = None) -> Tensor:
@@ -162,7 +159,7 @@ def train_epoch(dataset, model: TriModalModel, optimizer: AdamW, config: RunConf
 
 def format_log_line(epoch: int, metrics: EpochMetrics, model: TriModalModel) -> str:
     parts = [f"epoch={epoch:03d}", f"mean_loss={metrics.mean_loss:.6f}", f"skipped_batches={metrics.skipped_batches}"]
-    for name, value in model.scales.multipliers(model.modalities).items():
+    for name, value in model.scales.multipliers().items():
         parts.append(f"exp_{name.replace('.', '_')}={value:.6f}")
     return " ".join(parts)
 

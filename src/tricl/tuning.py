@@ -17,7 +17,7 @@ from .errors import ConfigError, ContractError
 from .layers import Linear
 from .model import TriModalModel
 from .optim import AdamW
-from .store import ParameterStore
+from .store import ParameterStore, trainable
 from .templates import AUX_FIELDS
 from .tensor import (
     Tensor,
@@ -86,8 +86,7 @@ class ClassifierModel:
             width = len(self.task_classes[task])
             rng = np.random.default_rng([seed, 10, _task_stream(task)])
             self.heads[task] = Linear(rng, config.encoder.d, width, f"head.{task}")
-        heads = {name: t for head in self.heads.values() for name, t in head.params().items()}
-        self.store = ParameterStore({**self.encoder.params(), **heads})  # encoder first: the heads are the tail
+        self.store = ParameterStore(trainable(self.encoder, self.heads))  # encoder first: the heads are the tail
 
     @property
     def n_categories(self) -> int:
@@ -100,9 +99,6 @@ class ClassifierModel:
         if self.kind == "multilabel":
             return self.task_classes["multilabel"][: self.n_categories]
         return self.task_classes["category"]
-
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self.store.tensors)
 
     def head_logits(self, segments: list[AudioSegment], task: str, kernels=None) -> Tensor:
         return self.heads[task](self.encoder.encode(segments, kernels))
@@ -129,7 +125,7 @@ def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig
     are excluded from that task's loss term only. A non-finite batch loss
     raises NonFiniteLossError before any gradient is computed.
     """
-    encoder, heads = model.store.split(len(model.encoder.params()))
+    encoder, heads = model.store.split(len(trainable(model.encoder)))
     frozen_before = encoder.buffer.copy() if freeze_encoder else None
     optimizer = AdamW(heads if freeze_encoder else model.store, lr=config.train.lr,
                       weight_decay=config.train.weight_decay)
@@ -212,8 +208,8 @@ def encoder_tune(pretrained, dataset: Dataset, config: RunConfig,
     model = ClassifierModel(config, "category", {"category": labels})
     if pretrained is not None:
         source = pretrained.audio_encoder if isinstance(pretrained, TriModalModel) else pretrained
-        weights = {name: t.values for name, t in source.params().items()}
-        model.store.split(len(model.encoder.params()))[0].load_values(weights, "pretrained encoder")
+        weights = {name: t.values for name, t in trainable(source).items()}
+        model.store.split(len(trainable(model.encoder)))[0].load_values(weights, "pretrained encoder")
     trace = train_classifier(model, dataset, config, freeze_encoder=freeze_encoder)
     return model, trace
 

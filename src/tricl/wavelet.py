@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError
+from .errors import ConfigError, EmptyInputError, KernelSupportError
 from .tensor import (
     Tensor,
     abs_pow,
@@ -42,6 +42,10 @@ from .tensor import (
 
 M_FLOOR = 1.01
 BAND_FLOOR = 1e-4
+# summed half widths over all scales that build_kernels accepts: 3.6x the
+# paper default (64 scales from 20 Hz, f_b = 0.5: 1.12 M taps). Widths grow
+# as 1/f_b, so f_b at BAND_FLOOR would ask for gigabytes of kernels.
+MAX_KERNEL_TAPS = 4_000_000
 # elements per block of the segment-by-kernel product (8 MB)
 _BLOCK_ELEMS = 1_000_000
 
@@ -67,9 +71,6 @@ class WaveletParams:
         np.maximum(self.m.values, M_FLOOR, out=self.m.values)
         np.maximum(self.f_b.values, BAND_FLOOR, out=self.f_b.values)
         np.maximum(self.f_c.values, BAND_FLOOR, out=self.f_c.values)
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"wavelet.m": self.m, "wavelet.f_b": self.f_b, "wavelet.f_c": self.f_c}
 
 
 def support_half_width(params: WaveletParams, scale: float, sample_rate_hz: int, truncation: float) -> int:
@@ -133,6 +134,12 @@ def build_kernels(
         raise ConfigError("scale grid must be positive and strictly ascending")
 
     half_widths = [support_half_width(params, a, sample_rate_hz, truncation) for a in scales]
+    taps = sum(half_widths)
+    if taps > MAX_KERNEL_TAPS:
+        raise KernelSupportError(
+            f"wavelet m={float(params.m.values):.6g}, f_b={float(params.f_b.values):.6g} needs {taps} kernel taps "
+            f"over {len(scales)} scales, more than the {MAX_KERNEL_TAPS} allowed"
+        )
     halves = _half_kernels(params, half_widths, scales, sample_rate_hz)
     return _fold(halves, half_widths, scales, hop, sample_rate_hz)
 

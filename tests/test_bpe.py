@@ -4,12 +4,14 @@ from hypothesis import strategies as st
 
 from tricl.bpe import EOS_ID, PAD_ID, SOS_ID, BpeTokenizer, TokenSequence, tokenize, train_bpe
 from tricl.errors import ConfigError, ContractError
-from tricl.templates import DEFAULT_TRAIN_TEMPLATE, AnnotationRecord, render_template
+from tricl.templates import AUX_TEMPLATE_TEXT, AnnotationRecord, parse_template, render_template
+
+AUX_TEMPLATE = parse_template(AUX_TEMPLATE_TEXT)
 
 CORPUS = [
-    render_template(DEFAULT_TRAIN_TEMPLATE, AnnotationRecord("Fishboat", "close", "shallow")),
-    render_template(DEFAULT_TRAIN_TEMPLATE, AnnotationRecord("RORO", "far", "deep", wind="windy")),
-    render_template(DEFAULT_TRAIN_TEMPLATE, AnnotationRecord("Musselboat", location="the harbour")),
+    render_template(AUX_TEMPLATE, AnnotationRecord("Fishboat", "close", "shallow")),
+    render_template(AUX_TEMPLATE, AnnotationRecord("RORO", "far", "deep", wind="windy")),
+    render_template(AUX_TEMPLATE, AnnotationRecord("Musselboat", location="the harbour")),
     "The sound belongs to Naturalnoise.",
 ]
 

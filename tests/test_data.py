@@ -18,7 +18,7 @@ from tricl.data import (
 )
 from tricl.dsp import write_wav
 from tricl.errors import ConfigError, DataError, ProtocolError
-from tricl.templates import DEFAULT_TRAIN_TEMPLATE
+from tricl.templates import AUX_TEMPLATE_TEXT, parse_template
 
 
 def test_segment_count_60s():
@@ -153,7 +153,7 @@ class TestManifestAndIngest:
         path = _write_dataset(tmp_path, [{"vessel_type": "Tug", "_stereo": True}])
         cfg = tiny_run_config()
         with pytest.raises(DataError, match="r0.wav"):
-            ingest(path, DEFAULT_TRAIN_TEMPLATE, cfg.preprocess)
+            ingest(path, parse_template(AUX_TEMPLATE_TEXT), cfg.preprocess)
 
     def test_missing_wind_still_yields_sentence(self, tmp_path):
         path = _write_dataset(
@@ -161,7 +161,7 @@ class TestManifestAndIngest:
             [{"vessel_type": "Tug", "distance": "close"}, {"vessel_type": "RORO", "wind": "windy"}],
         )
         cfg = tiny_run_config()
-        dataset, _ = ingest(path, DEFAULT_TRAIN_TEMPLATE, cfg.preprocess)
+        dataset, _ = ingest(path, parse_template(AUX_TEMPLATE_TEXT), cfg.preprocess)
         tug = [s for s in dataset.samples if s.vessel_type == "Tug"]
         assert tug and all("wind" not in s.sentence for s in tug)
         assert all(s.sentence.endswith(".") for s in dataset.samples)
@@ -169,13 +169,13 @@ class TestManifestAndIngest:
     def test_resampling_path(self, tmp_path):
         path = _write_dataset(tmp_path, [{"vessel_type": "Tug", "_rate": 32000, "_seconds": 0.2}])
         cfg = tiny_run_config()
-        dataset, _ = ingest(path, DEFAULT_TRAIN_TEMPLATE, cfg.preprocess)
+        dataset, _ = ingest(path, parse_template(AUX_TEMPLATE_TEXT), cfg.preprocess)
         assert all(s.segment.sample_rate_hz == 16000 for s in dataset.samples)
 
     def test_spectrogram_cached_per_sample(self, tmp_path):
         path = _write_dataset(tmp_path, [{"vessel_type": "Tug"}])
         cfg = tiny_run_config()
-        dataset, _ = ingest(path, DEFAULT_TRAIN_TEMPLATE, cfg.preprocess)
+        dataset, _ = ingest(path, parse_template(AUX_TEMPLATE_TEXT), cfg.preprocess)
         first = dataset.spectrogram(dataset.samples[0])
         assert first.kind == "stft" and first.grid.ndim == 2
         assert dataset.spectrogram(dataset.samples[0]) is first
@@ -185,7 +185,7 @@ def test_split_by_fold_disjoint(tmp_path):
     rows = [{"vessel_type": "Tug" if i % 2 else "RORO"} for i in range(8)]
     path = _write_dataset(tmp_path, rows)
     cfg = tiny_run_config()
-    dataset, manifest = ingest(path, DEFAULT_TRAIN_TEMPLATE, cfg.preprocess)
+    dataset, manifest = ingest(path, parse_template(AUX_TEMPLATE_TEXT), cfg.preprocess)
     folds = make_folds(manifest, 4, 0)
     train, test = dataset.split_by_fold(folds, 2)
     assert train.source_ids().isdisjoint(test.source_ids())
@@ -205,7 +205,7 @@ def test_stratified_subset_keeps_every_class(tmp_path):
     rows = [{"vessel_type": t} for t in ["A"] * 6 + ["B"] * 6 + ["C"] * 2]
     path = _write_dataset(tmp_path, rows)
     cfg = tiny_run_config()
-    dataset, _ = ingest(path, DEFAULT_TRAIN_TEMPLATE, cfg.preprocess)
+    dataset, _ = ingest(path, parse_template(AUX_TEMPLATE_TEXT), cfg.preprocess)
     sub = stratified_source_subset(dataset, 0.34, seed=1)
     assert set(sub.vessel_types()) == {"A", "B", "C"}
     assert len(sub.source_ids()) == 2 + 2 + 1

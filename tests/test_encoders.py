@@ -9,6 +9,7 @@ from tricl.bpe import tokenize, train_bpe
 from tricl.dsp import AudioSegment, stft_spectrogram
 from tricl.encoders import AudioEncoder, SpecEncoder, TextEncoder
 from tricl.errors import ContractError, ShapeError
+from tricl.store import trainable
 from tricl.tensor import Tensor, mul, tsum
 
 CFG = tiny_run_config()
@@ -177,7 +178,7 @@ class TestGradientFlow:
             return tsum(mul(enc.encode(segments), self.readout))
 
         # h below the relu-kink scale: zero-init biases leave pre-activations near 0
-        params = list(enc.params().values())
+        params = list(trainable(enc).values())
         worst = check_grad(build, params, h=1e-6, rtol=1e-3, probe_per_param=3, rng=np.random.default_rng(0))
         assert worst <= 1e-3
 
@@ -188,7 +189,7 @@ class TestGradientFlow:
         def build():
             return tsum(mul(enc.encode(specs), self.readout))
 
-        check_grad(build, list(enc.params().values()), h=1e-6, rtol=1e-3, probe_per_param=3,
+        check_grad(build, list(trainable(enc).values()), h=1e-6, rtol=1e-3, probe_per_param=3,
                    rng=np.random.default_rng(1))
 
     def test_text_encoder_end_to_end(self):
@@ -198,7 +199,7 @@ class TestGradientFlow:
         def build():
             return tsum(mul(enc.encode(seqs), self.readout))
 
-        check_grad(build, list(enc.params().values()), h=1e-6, rtol=1e-3, probe_per_param=3,
+        check_grad(build, list(trainable(enc).values()), h=1e-6, rtol=1e-3, probe_per_param=3,
                    rng=np.random.default_rng(2))
 
     def test_text_key_bias_zero_gradients(self):

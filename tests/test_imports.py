@@ -1,7 +1,11 @@
-"""Every import in the package and the experiment drivers is used.
+"""Every import in the package and the experiment drivers is used, and
+every module-level name the package defines is read by the program.
 
 Standard-library ``ast`` only. A name an import binds must be read somewhere
 in its module, or its line must carry ``# noqa`` (a deliberate re-export).
+A function, class or constant defined at the top of a ``src/tricl`` module
+must be referenced somewhere in ``src/``, ``scripts/`` or ``perfbench/``:
+code only tests reach is dead code.
 """
 
 import ast
@@ -10,7 +14,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "tricl").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "tricl").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
+PROGRAM = sorted([*FILES, *(ROOT / "perfbench").glob("*.py")])
+# defined in the package but read by no program file, each kept on purpose
+UNREFERENCED_ALLOWED = {
+    "PAD_ID": "fixes the token-id layout: [PAD] holds id 258, so merges start at 259",
+    "multilabel_baseline": "ROADMAP item 1 wires it into run_auxiliary_comparison.py and the acceptance gate",
+    "multitask_baseline": "ROADMAP item 1 wires it into run_auxiliary_comparison.py and the acceptance gate",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,3 +66,64 @@ def test_checker_flags_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_level_names(source: str) -> list[str]:
+    """Functions, classes and assigned names at the top of a module, dunders excepted."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def references(source: str) -> set[str]:
+    """Names read, attributes accessed, and string constants (a patch or a
+    quoted annotation names its target as a string)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unreferenced(defining: dict[str, str], searched: list[str]) -> list[str]:
+    """`module:name` for each module-level name of `defining` that no source in `searched` reads."""
+    used = set().union(*(references(source) for source in searched))
+    return sorted(f"{module}:{name}" for module, source in defining.items()
+                  for name in module_level_names(source) if name not in used)
+
+
+def test_dead_code_checker_flags_unread_definitions():
+    lib = (
+        "LIMIT = 3\n"
+        "_STEP: int = 1\n"
+        "__version__ = '1'\n"
+        "class Used:\n"
+        "    pass\n"
+        "class Patched:\n"
+        "    pass\n"
+        "def helper(x):\n"
+        "    return x + _STEP\n"
+        "def orphan():\n"
+        "    return helper(LIMIT)\n"
+    )
+    user = "import lib\nlib.Used()\nsetattr(lib, 'Patched', None)\n"
+    assert unreferenced({"lib": lib}, [lib, user]) == ["lib:orphan"]
+
+
+def test_every_module_level_name_is_read_by_the_program():
+    defining = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    searched = [path.read_text(encoding="utf-8") for path in PROGRAM]
+    flagged = {entry.split(":")[1]: entry for entry in unreferenced(defining, searched)}
+    assert sorted(set(flagged) - set(UNREFERENCED_ALLOWED)) == []
+    # an allowed name that gains a reader leaves the list
+    assert sorted(set(UNREFERENCED_ALLOWED) - set(flagged)) == []

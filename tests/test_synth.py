@@ -17,7 +17,7 @@ from tricl.synth import (
     three_class_spec,
     wind_annotated_spec,
 )
-from tricl.templates import DEFAULT_TRAIN_TEMPLATE
+from tricl.templates import AUX_TEMPLATE_TEXT, parse_template
 
 
 def small_spec(**kw):
@@ -112,7 +112,7 @@ def test_linear_probe_separates_classes(tmp_path):
     cfg = tiny_run_config()
     cfg.preprocess.segment_seconds = 0.5
     cfg.preprocess.overlap_seconds = 0.25
-    dataset, manifest = ingest(manifest_path, DEFAULT_TRAIN_TEMPLATE, cfg.preprocess)
+    dataset, manifest = ingest(manifest_path, parse_template(AUX_TEMPLATE_TEXT), cfg.preprocess)
     folds = make_folds(manifest, 4, 0)
     train, test = dataset.split_by_fold(folds, 0)
 

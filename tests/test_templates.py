@@ -5,8 +5,8 @@ import pytest
 from tricl.errors import ConfigError
 from tricl.templates import (
     AUX_FIELDS,
-    DEFAULT_TEST_TEMPLATE,
-    DEFAULT_TRAIN_TEMPLATE,
+    AUX_TEMPLATE_TEXT,
+    LABEL_TEMPLATE_TEXT,
     AnnotationRecord,
     Clause,
     TemplateSpec,
@@ -15,24 +15,27 @@ from tricl.templates import (
     render_template,
 )
 
+AUX_TEMPLATE = parse_template(AUX_TEMPLATE_TEXT)
+LABEL_TEMPLATE = parse_template(LABEL_TEMPLATE_TEXT)
+
 
 def test_full_record_renders_reference_sentence():
     record = AnnotationRecord(vessel_type="Fishboat", distance="close", depth="shallow")
     assert (
-        render_template(DEFAULT_TRAIN_TEMPLATE, record)
+        render_template(AUX_TEMPLATE, record)
         == "The sound belongs to Fishboat, which is in close distance, and the channel depth is shallow."
     )
 
 
 def test_missing_field_equals_template_without_that_clause():
     record = AnnotationRecord(vessel_type="Fishboat", distance="close", depth="shallow")
-    with_wind_clause = render_template(DEFAULT_TRAIN_TEMPLATE, record)
-    trimmed = TemplateSpec(tuple(c for c in DEFAULT_TRAIN_TEMPLATE.clauses if c.slot != "wind"))
+    with_wind_clause = render_template(AUX_TEMPLATE, record)
+    trimmed = TemplateSpec(tuple(c for c in AUX_TEMPLATE.clauses if c.slot != "wind"))
     assert with_wind_clause == render_template(trimmed, record)
 
 
 def test_label_only_degenerate_case():
-    assert render_template(DEFAULT_TRAIN_TEMPLATE, AnnotationRecord(vessel_type="Fishboat")) == "The sound belongs to Fishboat."
+    assert render_template(AUX_TEMPLATE, AnnotationRecord(vessel_type="Fishboat")) == "The sound belongs to Fishboat."
 
 
 def test_clause_deletion_equivalence_over_power_set():
@@ -42,14 +45,14 @@ def test_clause_deletion_equivalence_over_power_set():
         itertools.combinations(AUX_FIELDS, k) for k in range(len(AUX_FIELDS) + 1)
     ):
         record = AnnotationRecord("RORO", **{f: values[f] for f in present})
-        kept = tuple(c for c in DEFAULT_TRAIN_TEMPLATE.clauses if c.slot is None or c.slot == "label" or c.slot in present)
+        kept = tuple(c for c in AUX_TEMPLATE.clauses if c.slot is None or c.slot == "label" or c.slot in present)
         full_record = AnnotationRecord("RORO", **values)
-        assert render_template(DEFAULT_TRAIN_TEMPLATE, record) == render_template(TemplateSpec(kept), full_record)
+        assert render_template(AUX_TEMPLATE, record) == render_template(TemplateSpec(kept), full_record)
 
 
 def test_rendered_sentence_contains_vessel_type_and_period():
     for vt in ("Dredger", "Oceanliner", "Naturalnoise"):
-        out = render_template(DEFAULT_TRAIN_TEMPLATE, AnnotationRecord(vessel_type=vt, wind="calm"))
+        out = render_template(AUX_TEMPLATE, AnnotationRecord(vessel_type=vt, wind="calm"))
         assert vt in out and out.endswith(".") and out
 
 
@@ -64,23 +67,23 @@ def test_clause_single_slot_limit():
 
 
 def test_candidate_queue_order_and_content():
-    out = candidate_queue(DEFAULT_TEST_TEMPLATE, ["Fishboat", "RORO"])
+    out = candidate_queue(LABEL_TEMPLATE, ["Fishboat", "RORO"])
     assert out == ["The sound belongs to Fishboat.", "The sound belongs to RORO."]
 
 
 def test_candidate_queue_single_label():
-    assert candidate_queue(DEFAULT_TEST_TEMPLATE, ["Tug"]) == ["The sound belongs to Tug."]
+    assert candidate_queue(LABEL_TEMPLATE, ["Tug"]) == ["The sound belongs to Tug."]
 
 
 def test_candidate_queue_nine_shipsear_types():
     types = ["Dredger", "Fishboat", "Motorboat", "Musselboat", "Naturalnoise",
              "Oceanliner", "Passengers", "RORO", "Sailboat"]
-    assert len(candidate_queue(DEFAULT_TEST_TEMPLATE, types)) == 9
+    assert len(candidate_queue(LABEL_TEMPLATE, types)) == 9
 
 
 def test_candidate_queue_rejects_duplicates():
     with pytest.raises(ConfigError, match="duplicate"):
-        candidate_queue(DEFAULT_TEST_TEMPLATE, ["Tug", "Tug"])
+        candidate_queue(LABEL_TEMPLATE, ["Tug", "Tug"])
 
 
 def test_empty_vessel_type_rejected():

@@ -95,7 +95,7 @@ class TestLogits:
         rng = np.random.default_rng(1)
         xs = rng.standard_normal((3, 5))
         ys = rng.standard_normal((3, 5))
-        logits = compute_logits(Tensor(xs), Tensor(ys), 0.0)
+        logits = compute_logits(Tensor(xs), Tensor(ys), Tensor(0.0))
         for i in range(3):
             for j in range(3):
                 cosine = xs[i] @ ys[j] / (np.linalg.norm(xs[i]) * np.linalg.norm(ys[j]))
@@ -108,12 +108,12 @@ class TestLogits:
     def test_bounded_by_exp_scale(self):
         rng = np.random.default_rng(2)
         s = 1.3
-        logits = compute_logits(Tensor(rng.standard_normal((5, 6))), Tensor(rng.standard_normal((5, 6))), s)
+        logits = compute_logits(Tensor(rng.standard_normal((5, 6))), Tensor(rng.standard_normal((5, 6))), Tensor(s))
         assert np.abs(logits.values).max() <= math.exp(s) + 1e-12
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            compute_logits(rows([1.0, 0.0]), rows([1.0, 0.0], [0.0, 1.0]), 0.0)
+            compute_logits(rows([1.0, 0.0]), rows([1.0, 0.0], [0.0, 1.0]), Tensor(0.0))
 
 
 class TestLossIdentities:
@@ -160,9 +160,9 @@ class TestLossIdentities:
         rng = np.random.default_rng(5)
         for b in (4, 8, 16):
             xs, ys, zs = (Tensor(rng.standard_normal((b, 16))) for _ in range(3))
-            at = compute_logits(xs, ys, 0.0)
-            ts = compute_logits(ys, zs, 0.0)
-            a_s = compute_logits(xs, zs, 0.0)
+            at = compute_logits(xs, ys, Tensor(0.0))
+            ts = compute_logits(ys, zs, Tensor(0.0))
+            a_s = compute_logits(xs, zs, Tensor(0.0))
             val = float(contrastive_loss(at, ts, a_s).values)
             assert 0.5 * math.log(b) <= val <= 1.5 * math.log(b)
 
@@ -257,7 +257,7 @@ class TestTrainEpoch:
         dataset = make_dataset(n_sources=4)
         model = make_model(config, dataset)
         model.scales.scale_at.values[...] = np.nan
-        params = list(model.parameters().values())
+        params = list(model.store.tensors.values())
         optimizer = AdamW(model.store, lr=config.train.lr)
         with pytest.raises(NonFiniteLossError, match=r"non-finite loss nan in batch 0"):
             train_epoch(dataset, model, optimizer, config, np.random.default_rng(0))
@@ -268,7 +268,7 @@ class TestTrainEpoch:
         dataset = make_dataset(n_sources=4)
         model = make_model(config, dataset)
         assert model.spec_encoder is None
-        names = set(model.parameters())
+        names = set(model.store.tensors)
         assert "scale.ts" not in names and "scale.as" not in names
         loss = batch_loss(dataset, [0, 1, 2, 3], model)
         backward(loss)

@@ -11,6 +11,7 @@ from tricl.dsp import AudioSegment
 from tricl.encoders import AudioEncoder
 from tricl.errors import ConfigError, NonFiniteLossError
 from tricl.model import TriModalModel
+from tricl.store import trainable
 from tricl.templates import AnnotationRecord
 from tricl.tuning import (
     ClassifierModel,
@@ -78,20 +79,20 @@ class TestUartTune:
         dataset = build_dataset()
         config = tiny_run_config(epochs=0)
         model = fresh_model(dataset, config)
-        before = {k: v.values.copy() for k, v in model.parameters().items()}
+        before = {k: v.values.copy() for k, v in model.store.tensors.items()}
         uart_tune(model, dataset, config)
-        after = model.parameters()
+        after = model.store.tensors
         assert all(np.array_equal(before[k], after[k].values) for k in before)
 
     def test_template_change_keeps_model_shapes(self):
         dataset = build_dataset()
         config = tiny_run_config(epochs=1)
         model = fresh_model(dataset, config)
-        shapes = {k: v.values.shape for k, v in model.parameters().items()}
+        shapes = {k: v.values.shape for k, v in model.store.tensors.items()}
         for s in dataset.samples:  # new auxiliary clause in every sentence
             s.sentence = s.sentence[:-1] + ", and the channel depth is shallow."
         uart_tune(model, dataset, config)
-        assert {k: v.values.shape for k, v in model.parameters().items()} == shapes
+        assert {k: v.values.shape for k, v in model.store.tensors.items()} == shapes
 
     def test_dim_mismatch_rejected(self):
         dataset = build_dataset()
@@ -131,9 +132,9 @@ class TestEncoderTune:
         dataset = build_dataset()
         config = tiny_run_config(epochs=2, lr=1e-3)
         pre = fresh_model(dataset, config)
-        before = {k: v.values.copy() for k, v in pre.audio_encoder.params().items()}
+        before = {k: v.values.copy() for k, v in trainable(pre.audio_encoder).items()}
         model, _ = encoder_tune(pre, dataset, config, freeze_encoder=True)
-        for k, v in model.encoder.params().items():
+        for k, v in trainable(model.encoder).items():
             assert np.array_equal(v.values, before[k])
 
     def test_pretrained_weights_are_transplanted(self):
@@ -141,8 +142,8 @@ class TestEncoderTune:
         config = tiny_run_config(epochs=0)
         pre = fresh_model(dataset, config)
         model, _ = encoder_tune(pre, dataset, config)
-        for k, v in model.encoder.params().items():
-            assert np.array_equal(v.values, pre.audio_encoder.params()[k].values)
+        for k, v in trainable(model.encoder).items():
+            assert np.array_equal(v.values, trainable(pre.audio_encoder)[k].values)
 
     def test_nan_parameter_raises_before_backward(self):
         dataset = build_dataset()
@@ -152,7 +153,7 @@ class TestEncoderTune:
         head.values[...] = np.nan
         with pytest.raises(NonFiniteLossError, match=r"non-finite loss nan in batch 0"):
             train_classifier(model, dataset, config)
-        assert all(p.grad is None for p in model.parameters().values())
+        assert all(p.grad is None for p in model.store.tensors.values())
 
     def test_training_reduces_loss(self):
         dataset = build_dataset()
@@ -219,8 +220,8 @@ class TestBaselines:
             term = softmax_ce(model.head_logits([s.segment for s in annotated], task, kernels), targets)
             reference = term if reference is None else add(reference, term)
         backward(reference)
-        expect_grads = {k: v.grad.copy() for k, v in model.parameters().items()}
-        for p in model.parameters().values():
+        expect_grads = {k: v.grad.copy() for k, v in model.store.tensors.items()}
+        for p in model.store.tensors.values():
             p.grad = None
 
         calls = []
@@ -230,7 +231,7 @@ class TestBaselines:
         assert len(calls) == 1
         assert float(loss.values) == pytest.approx(float(reference.values), rel=0, abs=1e-12)
         backward(loss)
-        for k, v in model.parameters().items():
+        for k, v in model.store.tensors.items():
             np.testing.assert_allclose(v.grad, expect_grads[k], rtol=1e-12, atol=1e-12)
 
     def test_predict_labels_encodes_in_chunks_of_batch_size(self, monkeypatch):
@@ -267,8 +268,8 @@ class TestCheckpointRoundTrip:
         save_checkpoint(model, path)
         again = load_checkpoint(path)
         assert isinstance(again, TriModalModel)
-        for k, v in model.parameters().items():
-            assert np.array_equal(v.values, again.parameters()[k].values)
+        for k, v in model.store.tensors.items():
+            assert np.array_equal(v.values, again.store.tensors[k].values)
         assert again.tokenizer.merges == model.tokenizer.merges
         assert again.class_labels == model.class_labels
         assert again.train_source_ids == model.train_source_ids
@@ -281,8 +282,8 @@ class TestCheckpointRoundTrip:
         save_checkpoint(model, path)
         again = load_checkpoint(path)
         assert isinstance(again, ClassifierModel)
-        for k, v in model.parameters().items():
-            assert np.array_equal(v.values, again.parameters()[k].values)
+        for k, v in model.store.tensors.items():
+            assert np.array_equal(v.values, again.store.tensors[k].values)
         assert again.task_classes == model.task_classes
 
     def test_audio_text_bit_exact(self, tmp_path):
@@ -296,15 +297,15 @@ class TestCheckpointRoundTrip:
         save_checkpoint(model, path)
         again = load_checkpoint(path)
         assert again.spec_encoder is None
-        assert list(again.parameters()) == list(model.parameters())
-        for k, v in model.parameters().items():
-            assert np.array_equal(v.values, again.parameters()[k].values)
+        assert list(again.store.tensors) == list(model.store.tensors)
+        for k, v in model.store.tensors.items():
+            assert np.array_equal(v.values, again.store.tensors[k].values)
         assert np.array_equal(again.store.buffer, model.store.buffer)
 
     def test_classifier_malformed_array_rejected(self):
         dataset = build_dataset()
         model = ClassifierModel(tiny_run_config(), "category", {"category": dataset.vessel_types()})
-        arrays = {k: v.values.copy() for k, v in model.parameters().items()}
+        arrays = {k: v.values.copy() for k, v in model.store.tensors.items()}
         arrays["head.category.w"] = np.zeros((3, 3))
         with pytest.raises(ConfigError, match=r"head\.category\.w has shape \(3, 3\), expected \(8, 2\)"):
             model.store.load_values(arrays)
@@ -319,12 +320,12 @@ class TestCheckpointRoundTrip:
 
 
 def views_its_store(model) -> bool:
-    return all(np.shares_memory(t.values, model.store.buffer) for t in model.parameters().values())
+    return all(np.shares_memory(t.values, model.store.buffer) for t in model.store.tensors.values())
 
 
 def encoder_slice(model) -> np.ndarray:
     encoder = model.encoder if isinstance(model, ClassifierModel) else model.audio_encoder
-    return model.store.split(len(encoder.params()))[0].buffer
+    return model.store.split(len(trainable(encoder)))[0].buffer
 
 
 class TestParameterStore:
@@ -348,7 +349,7 @@ class TestParameterStore:
         assert float(wavelet.f_b.values) == float(wavelet.f_c.values) == BAND_FLOOR
         assert float(model.scales.scale_at.values) == np.log(MAX_EXP_SCALE)
         assert views_its_store(model)
-        # back to the initial values: kernels at the band floor run to millions of taps
+        # back to the initial values: build_kernels refuses kernels at the band floor
         for t, value in ((wavelet.m, 2.0), (wavelet.f_b, 0.5), (wavelet.f_c, 1.0), (model.scales.scale_at, 0.0)):
             t.values[...] = value
 

@@ -7,13 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import check_grad, fbsp_kernel
+from helpers import check_grad, fbsp_kernel, tiny_run_config
 from tricl.config import EncoderConfig, PreprocessConfig
 from tricl.dsp import TARGET_RATE, AudioSegment
 from tricl.encoders import AudioEncoder
-from tricl.errors import ConfigError
+from tricl.errors import ConfigError, KernelSupportError
+from tricl.store import trainable
 from tricl.tensor import Tensor, mul, no_grad, tsum
 from tricl.wavelet import (
+    BAND_FLOOR,
     WaveletParams,
     build_kernels,
     default_scale_grid,
@@ -77,7 +79,7 @@ def test_gradients_match_finite_differences_hop_wider_than_kernels():
     def build():
         return tsum(mul(transform_with_kernels(samples, build_kernels(params, scales, hop, truncation=5e-2), hop), weights))
 
-    worst = check_grad(build, list(params.tensors().values()), h=1e-4, rtol=1e-3)
+    worst = check_grad(build, list(trainable(params).values()), h=1e-4, rtol=1e-3)
     assert worst <= 1e-3
 
 
@@ -126,3 +128,21 @@ def test_paper_default_encode_memory_and_frames():
             window = np.pad(samples, h)[f * hop : f * hop + 2 * h + 1]
             direct.append(abs(window @ kernel))
         assert np.abs(grid[f] - direct).max() <= 1e-12 * max(direct)
+
+
+def test_band_floor_kernels_refused_before_allocation():
+    """f_b clamped to its floor asks for 38 M taps on the tiny grid (gigabytes
+    of kernels); the build names the parameters and allocates nothing."""
+    config = tiny_run_config()
+    encoder = AudioEncoder(config.encoder, config.preprocess, np.random.default_rng(0))
+    encoder.wavelet.f_b.values[...] = 0.0
+    encoder.wavelet.clamp()
+    assert float(encoder.wavelet.f_b.values) == BAND_FLOOR
+    tracemalloc.start()
+    try:
+        with pytest.raises(KernelSupportError, match=r"m=2, f_b=0\.0001 needs 38197189 kernel taps over 4 scales"):
+            encoder.build_kernels()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
