@@ -131,7 +131,7 @@ def segment_audio(
         return []
     count = (n - seg_len) // step + 1
     return [
-        AudioSegment(samples[k * step : k * step + seg_len], sample_rate_hz, source_id, k)
+        AudioSegment(samples[k * step : k * step + seg_len], sample_rate_hz, source_id)
         for k in range(count)
     ]
 

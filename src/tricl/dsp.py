@@ -28,21 +28,15 @@ class AudioSegment:
     samples: np.ndarray
     sample_rate_hz: int = TARGET_RATE
     source_id: str = ""
-    segment_index: int = 0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-
-    @property
-    def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
 
 @dataclass
 class Spectrogram:
     grid: np.ndarray  # frames x bins
     kind: str  # stft | mel
-    bin_frequencies: np.ndarray | None = None
 
     @property
     def n_bins(self) -> int:
@@ -89,8 +83,7 @@ def stft_spectrogram(
     grid = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1))
     if log_magnitude:
         grid = np.log1p(grid)
-    freqs = np.fft.rfftfreq(nfft, d=1.0 / segment.sample_rate_hz)
-    return Spectrogram(grid, "stft", freqs)
+    return Spectrogram(grid, "stft")
 
 
 def _hz_to_mel(f):
@@ -136,8 +129,7 @@ def mel_spectrogram(
     grid = (stft.grid**2) @ fb.T
     if log_magnitude:
         grid = np.log1p(grid)
-    centers = _mel_to_hz(np.linspace(0.0, _hz_to_mel(segment.sample_rate_hz / 2.0), n_mels + 2))[1:-1]
-    return Spectrogram(grid, "mel", centers)
+    return Spectrogram(grid, "mel")
 
 
 def resample_to_16k(samples: np.ndarray, src_rate_hz: int) -> np.ndarray:

@@ -64,10 +64,6 @@ class TriModalModel:
         self.scales = ScaleCoefficients(config.train.modalities)
         self.store = ParameterStore(trainable(self.audio_encoder, self.spec_encoder, self.text_encoder, self.scales))
 
-    @property
-    def modalities(self) -> str:
-        return self.config.train.modalities
-
     def clamp(self) -> None:
         self.audio_encoder.wavelet.clamp()
         self.scales.clamp()

@@ -1,6 +1,12 @@
-"""Contrastive training loop: batched embedding, anomaly filtering, scaled
+"""Contrastive training and the one batch loop every training path runs.
+
+`train_epoch` is that loop: shuffle, batch loss, backward, AdamW step,
+clamp. It takes the batch-loss function `(dataset, indices, model) -> Tensor
+| None`, and a `None` loss means skip the batch and count it. Contrastive
+training passes `batch_loss`: batched embedding, anomaly filtering, scaled
 similarity logits, and the symmetric cross-entropy loss averaged over all
-modality pairs (six terms tri-modal, two terms audio+text).
+modality pairs (six terms tri-modal, two terms audio+text). Classifier
+tuning (`tuning.train_classifier`) passes its own loss.
 """
 
 from __future__ import annotations
@@ -99,9 +105,15 @@ class EpochMetrics:
     skipped_batches: int
 
 
-def batch_loss(dataset, indices, model: TriModalModel) -> Tensor:
+def batch_loss(dataset, indices, model: TriModalModel) -> Tensor | None:
     """Embed one batch (each distinct sentence once), filter anomalies, and
-    build the pairwise CE loss."""
+    build the pairwise CE loss.
+
+    None for a batch that cannot form contrastive pairs: a single sample, or
+    fewer than two samples left after anomaly filtering.
+    """
+    if len(indices) < 2:
+        return None
     kernels = model.audio_encoder.build_kernels()
     samples = [dataset.samples[i] for i in indices]
     sentences = list(dict.fromkeys(s.sentence for s in samples))
@@ -113,7 +125,11 @@ def batch_loss(dataset, indices, model: TriModalModel) -> Tensor:
     if model.spec_encoder is not None:
         embeddings["spec"] = model.spec_encoder.encode([dataset.spectrogram(s) for s in samples])
 
-    emb, _ = anomaly_filter(embeddings)
+    try:
+        emb, _ = anomaly_filter(embeddings)
+    except DegenerateBatchError as exc:
+        log.warning("skipping degenerate batch: %s", exc)
+        return None
     logits_at = compute_logits(emb["audio"], emb["text"], model.scales.scale_at)
     if model.spec_encoder is None:
         return contrastive_loss(logits_at)
@@ -122,12 +138,14 @@ def batch_loss(dataset, indices, model: TriModalModel) -> Tensor:
     return contrastive_loss(logits_at, logits_ts, logits_as)
 
 
-def train_epoch(dataset, model: TriModalModel, optimizer: AdamW, config: RunConfig, rng: np.random.Generator) -> EpochMetrics:
-    """One pass over the dataset: shuffle, batch, loss, backward, Adam step.
+def train_epoch(dataset, model, optimizer: AdamW, config: RunConfig, rng: np.random.Generator,
+                loss_fn) -> EpochMetrics:
+    """One pass over the dataset: shuffle, batch, loss, backward, Adam step, clamp.
 
-    Encoders, wavelet parameters, and scale coefficients update together in
-    the same step; degenerate batches are skipped and counted. A non-finite
-    batch loss raises NonFiniteLossError before any gradient is computed.
+    `loss_fn(dataset, indices, model)` gives the batch loss; a None loss skips
+    the batch and counts it. Every parameter the optimizer holds updates in
+    the same step. A non-finite batch loss raises NonFiniteLossError before
+    any gradient is computed.
     """
     n = len(dataset.samples)
     if n == 0:
@@ -138,14 +156,8 @@ def train_epoch(dataset, model: TriModalModel, optimizer: AdamW, config: RunConf
     skipped = 0
     for start in range(0, n, bs):
         indices = order[start : start + bs].tolist()
-        if len(indices) < 2:
-            # a trailing singleton cannot form contrastive pairs
-            skipped += 1
-            continue
-        try:
-            loss = batch_loss(dataset, indices, model)
-        except DegenerateBatchError as exc:
-            log.warning("skipping degenerate batch: %s", exc)
+        loss = loss_fn(dataset, indices, model)
+        if loss is None:
             skipped += 1
             continue
         check_finite_loss(loss, start // bs, indices)
@@ -194,7 +206,7 @@ def continue_training(dataset, model: TriModalModel, config: RunConfig, log_path
     rng = np.random.default_rng(config.train.seed)
     lines = []
     for epoch in range(1, config.train.epochs + 1):
-        metrics = train_epoch(dataset, model, optimizer, config, rng)
+        metrics = train_epoch(dataset, model, optimizer, config, rng, batch_loss)
         lines.append(format_log_line(epoch, metrics, model))
     model.train_source_ids = tuple(sorted(set(model.train_source_ids) | {s.source_id for s in dataset.samples}))
     if log_path is not None:

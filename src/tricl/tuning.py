@@ -1,11 +1,12 @@
 """Downstream adaptation: template-based tuning of the full tri-modal model,
 encoder-only tuning with a classifier head, and the multi-label / multi-task
 baselines that fuse auxiliary annotations into discrete targets.
+
+Classifier training runs the trainer's one batch loop, `trainer.train_epoch`,
+with `_classifier_batch_loss`; that loss never skips a batch.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .tensor import (
     Tensor,
     absval,
     add,
-    backward,
+    backward,  # noqa: F401  (perfbench wraps tuning.backward)
     log_softmax_rows,
     mean,
     mul,
@@ -35,7 +36,7 @@ from .tensor import (
     take_rows,
     tsum,
 )
-from .trainer import check_finite_loss, continue_training
+from .trainer import continue_training, train_epoch
 
 
 def softmax_ce(logits: Tensor, targets: list[int]) -> Tensor:
@@ -103,6 +104,9 @@ class ClassifierModel:
     def head_logits(self, segments: list[AudioSegment], task: str, kernels=None) -> Tensor:
         return self.heads[task](self.encoder.encode(segments, kernels))
 
+    def clamp(self) -> None:
+        self.encoder.wavelet.clamp()
+
     def predict_labels(self, segments: list[AudioSegment]) -> list[str]:
         task = "multilabel" if self.kind == "multilabel" else "category"
         chunk = self.config.train.batch_size  # bounds memory on a large fold
@@ -130,32 +134,18 @@ def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig
     optimizer = AdamW(heads if freeze_encoder else model.store, lr=config.train.lr,
                       weight_decay=config.train.weight_decay)
     rng = np.random.default_rng(config.train.seed)
-    n = len(dataset.samples)
-    trace: list[float] = []
-    for _ in range(config.train.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, config.train.batch_size):
-            idx = order[start : start + config.train.batch_size].tolist()
-            batch = [dataset.samples[i] for i in idx]
-            kernels = model.encoder.build_kernels()
-            loss = _classifier_batch_loss(model, batch, kernels)
-            if loss is None:
-                continue
-            check_finite_loss(loss, start // config.train.batch_size, idx)
-            backward(loss)
-            optimizer.step()
-            model.encoder.wavelet.clamp()
-            losses.append(float(loss.values))
-        trace.append(math.fsum(losses) / len(losses) if losses else float("nan"))
+    trace = [train_epoch(dataset, model, optimizer, config, rng, _classifier_batch_loss).mean_loss
+             for _ in range(config.train.epochs)]
     model.train_source_ids = tuple(sorted(set(model.train_source_ids) | dataset.source_ids()))
     if freeze_encoder and not np.array_equal(encoder.buffer, frozen_before):
         raise ContractError("frozen encoder parameters changed during head-only tuning")
     return trace
 
 
-def _classifier_batch_loss(model: ClassifierModel, batch, kernels) -> Tensor | None:
-    embeddings = model.encoder.encode([s.segment for s in batch], kernels)
+def _classifier_batch_loss(dataset: Dataset, indices: list[int], model: ClassifierModel) -> Tensor:
+    """Never None: the category task is mandatory and every sample has a vessel type."""
+    batch = [dataset.samples[i] for i in indices]
+    embeddings = model.encoder.encode([s.segment for s in batch], model.encoder.build_kernels())
     if model.kind == "multilabel":
         dictionary = model.task_classes["multilabel"]
         dim_index = {entry: i for i, entry in enumerate(dictionary)}

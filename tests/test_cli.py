@@ -262,6 +262,29 @@ def test_tune_encoder_produces_classifier(workspace, capsys):
     assert isinstance(load_checkpoint(out), ClassifierModel)
 
 
+def test_tune_encoder_freeze_encoder_trains_head_only(workspace, tmp_path):
+    from tricl.checkpoint import load_checkpoint
+    from tricl.store import trainable
+    from tricl.tuning import ClassifierModel
+
+    ckpt = workspace / "model.ckpt"
+    out = tmp_path / "frozen.ckpt"
+    assert main([
+        "tune", "encoder", "--ckpt", str(ckpt), "--manifest", str(workspace / "data" / "manifest.jsonl"),
+        "--config", str(workspace / "config.json"), "--out", str(out), "--holdout-fold", "0", "--freeze-encoder",
+    ]) == 0
+    source = load_checkpoint(ckpt)
+    tuned = load_checkpoint(out)
+    n_encoder = len(trainable(tuned.encoder))
+    encoder, heads = tuned.store.split(n_encoder)
+    source_encoder = source.store.split(len(trainable(source.audio_encoder)))[0]
+    assert encoder.index() == source_encoder.index()
+    assert encoder.buffer.tobytes() == source_encoder.buffer.tobytes()
+    untrained = ClassifierModel(tuned.config, tuned.kind, tuned.task_classes).store.split(n_encoder)[1]
+    assert heads.index() == untrained.index()
+    assert not np.array_equal(heads.buffer, untrained.buffer)
+
+
 def test_tune_encoder_rejects_template(workspace, tmp_path, capsys):
     # the encoder strategy trains on the checkpoint's template; a --template it would ignore is a usage error
     ckpt = workspace / "model.ckpt"

@@ -22,9 +22,10 @@ from tricl.templates import AUX_TEMPLATE_TEXT, parse_template
 
 
 def test_segment_count_60s():
-    segs = segment_audio(np.zeros(60 * 16000), "a")
+    segs = segment_audio(np.arange(60 * 16000, dtype=np.float64), "a")
     assert len(segs) == 3
-    assert [s.segment_index for s in segs] == [0, 1, 2]
+    # window k starts k hops of 15 s into the recording
+    assert [int(s.samples[0]) // (15 * 16000) for s in segs] == [0, 1, 2]
 
 
 def test_segment_count_exact_30s():

@@ -18,7 +18,7 @@ TOKENIZER = train_bpe(["The sound belongs to Alpha.", "The sound belongs to Brav
 
 def make_segment(seed=0, n=800):
     rng = np.random.default_rng(seed)
-    return AudioSegment(rng.uniform(-0.5, 0.5, n), 16000, f"s{seed}", 0)
+    return AudioSegment(rng.uniform(-0.5, 0.5, n), 16000, f"s{seed}")
 
 
 def make_audio_encoder(seed=0):
@@ -106,7 +106,7 @@ def test_deterministic_forward():
 def test_audio_encoder_rejects_wrong_rate():
     enc = make_audio_encoder()
     with pytest.raises(ContractError, match="16000"):
-        enc.encode([make_segment(0), AudioSegment(np.zeros(800), 8000, "s", 0)])
+        enc.encode([make_segment(0), AudioSegment(np.zeros(800), 8000, "s")])
 
 
 def test_spec_encoder_rejects_wrong_kind():

@@ -1,11 +1,18 @@
 """Every import in the package and the experiment drivers is used, and
-every module-level name the package defines is read by the program.
+every module-level name and class member the package defines is read by the
+program.
 
 Standard-library ``ast`` only. A name an import binds must be read somewhere
 in its module, or its line must carry ``# noqa`` (a deliberate re-export).
-A function, class or constant defined at the top of a ``src/tricl`` module
-must be referenced somewhere in ``src/``, ``scripts/`` or ``perfbench/``:
-code only tests reach is dead code.
+A function, class or constant defined at the top of a ``src/tricl`` module,
+and a method, property, class-level or dataclass field or ``self.x``
+attribute of one of its classes, must be read somewhere in ``src/``,
+``scripts/`` or ``perfbench/``: code only tests reach is dead code.
+
+Both checks match by name alone, so a member is missed when anything else of
+the same name is read. An unread ``AudioSegment.duration_seconds`` and
+``TriModalModel.modalities`` both passed the member check: the program reads
+``SynthSpec.duration_seconds`` and ``config.train.modalities``.
 """
 
 import ast
@@ -81,25 +88,47 @@ def module_level_names(source: str) -> list[str]:
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
+def class_members(source: str) -> list[str]:
+    """`Class.name` for the methods, properties, class-level and dataclass
+    fields and `self.x` attributes of every class in a module, dunders excepted."""
+    members = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = set()
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+        names |= {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        members |= {f"{cls.name}.{name}" for name in names if not (name.startswith("__") and name.endswith("__"))}
+    return sorted(members)
+
+
 def references(source: str) -> set[str]:
-    """Names read, attributes accessed, and string constants (a patch or a
+    """Names read, attributes read, and string constants (a patch or a
     quoted annotation names its target as a string)."""
     out = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
     return out
 
 
-def unreferenced(defining: dict[str, str], searched: list[str]) -> list[str]:
-    """`module:name` for each module-level name of `defining` that no source in `searched` reads."""
+def unreferenced(defining: dict[str, str], searched: list[str], definitions=module_level_names) -> list[str]:
+    """`module:name` for each definition of `defining` whose name no source in
+    `searched` reads; a `Class.member` is matched by its member name."""
     used = set().union(*(references(source) for source in searched))
     return sorted(f"{module}:{name}" for module, source in defining.items()
-                  for name in module_level_names(source) if name not in used)
+                  for name in definitions(source) if name.rsplit(".", 1)[-1] not in used)
 
 
 def test_dead_code_checker_flags_unread_definitions():
@@ -127,3 +156,31 @@ def test_every_module_level_name_is_read_by_the_program():
     assert sorted(set(flagged) - set(UNREFERENCED_ALLOWED)) == []
     # an allowed name that gains a reader leaves the list
     assert sorted(set(UNREFERENCED_ALLOWED) - set(flagged)) == []
+
+
+def test_dead_code_checker_flags_unread_members():
+    lib = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    kept: int\n"
+        "    stale: int = 0\n"
+        "    LIMIT = 3\n"
+        "    def __post_init__(self):\n"
+        "        self.cache = self.kept + self.LIMIT\n"
+        "        self.scratch = None\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.cache\n"
+        "    def orphan(self):\n"
+        "        return self.size\n"
+    )
+    user = "import lib\nr = lib.Record(1)\nr.scratch = r.size\n"
+    assert unreferenced({"lib": lib}, [lib, user], class_members) == [
+        "lib:Record.orphan", "lib:Record.scratch", "lib:Record.stale"]
+
+
+def test_every_class_member_is_read_by_the_program():
+    defining = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    searched = [path.read_text(encoding="utf-8") for path in PROGRAM]
+    assert unreferenced(defining, searched, class_members) == []

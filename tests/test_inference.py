@@ -30,7 +30,7 @@ from tricl.trainer import cosine_matrix
 def tone_segment(freq, seed=0, n=800, source="s"):
     rng = np.random.default_rng(seed)
     t = np.arange(n) / 16000
-    return AudioSegment(0.4 * np.sin(2 * np.pi * freq * t) + 0.01 * rng.standard_normal(n), 16000, source, 0)
+    return AudioSegment(0.4 * np.sin(2 * np.pi * freq * t) + 0.01 * rng.standard_normal(n), 16000, source)
 
 
 def build_model(labels=("Alpha", "Bravo"), sources=()):
@@ -85,7 +85,7 @@ class TestPromptInfer:
         candidates = candidate_queue(parse_template(model.test_template_text), list(model.class_labels))
         seg = tone_segment(900.0, seed=3)
         idx1, sims1 = prompt_infer(seg, candidates, model)
-        scaled = AudioSegment(seg.samples * 0.2, 16000, "s", 0)
+        scaled = AudioSegment(seg.samples * 0.2, 16000, "s")
         idx2, sims2 = prompt_infer(scaled, candidates, model)
         # cosine is scale-invariant in each embedding; scaling audio input is
         # nonlinear, so check invariance on the embedding directly instead

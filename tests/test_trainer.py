@@ -191,7 +191,7 @@ def make_dataset(n_sources=8, seed=0, n=800):
         tone = 500.0 if label == "Alpha" else 1500.0
         t = np.arange(n) / 16000
         wave = 0.4 * np.sin(2 * np.pi * tone * t + rng.uniform(0, 6.28)) + 0.02 * rng.standard_normal(n)
-        segment = AudioSegment(wave, 16000, f"src{i}", 0)
+        segment = AudioSegment(wave, 16000, f"src{i}")
         samples.append(
             TrainSample(
                 segment=segment,
@@ -210,6 +210,13 @@ def make_model(config: RunConfig, dataset) -> TriModalModel:
                          dataset.vessel_types())
 
 
+def count_steps(monkeypatch) -> list[int]:
+    calls = []
+    step = AdamW.step
+    monkeypatch.setattr(AdamW, "step", lambda self: calls.append(1) or step(self))
+    return calls
+
+
 class TestTrainEpoch:
     def test_loss_decreases_over_epochs(self):
         config = tiny_run_config(epochs=10, lr=3e-3)
@@ -217,7 +224,7 @@ class TestTrainEpoch:
         model = make_model(config, dataset)
         optimizer = AdamW(model.store, lr=config.train.lr, weight_decay=config.train.weight_decay)
         rng = np.random.default_rng(0)
-        losses = [train_epoch(dataset, model, optimizer, config, rng).mean_loss for _ in range(10)]
+        losses = [train_epoch(dataset, model, optimizer, config, rng, batch_loss).mean_loss for _ in range(10)]
         assert losses[-1] < losses[0]
 
     def test_identical_seed_identical_trace(self):
@@ -227,7 +234,7 @@ class TestTrainEpoch:
             model = make_model(config, dataset)
             optimizer = AdamW(model.store, lr=config.train.lr)
             rng = np.random.default_rng(config.train.seed)
-            return [train_epoch(dataset, model, optimizer, config, rng).mean_loss for _ in range(3)]
+            return [train_epoch(dataset, model, optimizer, config, rng, batch_loss).mean_loss for _ in range(3)]
 
         assert trace() == trace()
 
@@ -235,10 +242,38 @@ class TestTrainEpoch:
         # an all-zero segment embeds to zero in every conv path at init (zero biases)
         config = tiny_run_config(epochs=1, batch_size=4)
         dataset = make_dataset(n_sources=4)
-        dataset.samples[1].segment = AudioSegment(np.zeros(800), 16000, "src1", 0)
+        dataset.samples[1].segment = AudioSegment(np.zeros(800), 16000, "src1")
         model = make_model(config, dataset)
         loss = batch_loss(dataset, [0, 1, 2, 3], model)
         assert np.isfinite(float(loss.values))
+
+    def test_trailing_singleton_batch_skipped_and_counted(self, monkeypatch, caplog):
+        config = tiny_run_config(epochs=1, batch_size=4)
+        dataset = make_dataset(n_sources=5)  # batches of 4 and 1
+        model = make_model(config, dataset)
+        steps = count_steps(monkeypatch)
+        with caplog.at_level("WARNING"):
+            metrics = train_epoch(dataset, model, AdamW(model.store, lr=config.train.lr), config,
+                                  np.random.default_rng(0), batch_loss)
+        assert metrics.skipped_batches == 1
+        assert len(steps) == 1
+        assert np.isfinite(metrics.mean_loss)
+        assert caplog.text == ""  # skipped before encoding, not by the anomaly filter
+
+    def test_degenerate_batch_skipped_and_counted(self, monkeypatch, caplog):
+        # three all-zero segments leave one row of the first batch after anomaly_filter
+        config = tiny_run_config(epochs=1, batch_size=4)
+        dataset = make_dataset(n_sources=8)
+        for i in np.random.default_rng(0).permutation(8)[1:4]:
+            dataset.samples[i].segment = AudioSegment(np.zeros(800), 16000, f"src{i}")
+        model = make_model(config, dataset)
+        steps = count_steps(monkeypatch)
+        with caplog.at_level("WARNING"):
+            metrics = train_epoch(dataset, model, AdamW(model.store, lr=config.train.lr), config,
+                                  np.random.default_rng(0), batch_loss)
+        assert metrics.skipped_batches == 1
+        assert len(steps) == 1
+        assert "skipping degenerate batch: only 1 of 4 samples survived" in caplog.text
 
     def test_learnable_scales_move(self):
         config = tiny_run_config(epochs=6, lr=3e-3)
@@ -247,7 +282,7 @@ class TestTrainEpoch:
         optimizer = AdamW(model.store, lr=config.train.lr)
         rng = np.random.default_rng(0)
         for _ in range(6):
-            train_epoch(dataset, model, optimizer, config, rng)
+            train_epoch(dataset, model, optimizer, config, rng, batch_loss)
         multipliers = model.scales.multipliers()
         assert any(abs(v - 1.0) > 1e-4 for v in multipliers.values())
         assert all(v <= 100.0 for v in multipliers.values())
@@ -260,7 +295,7 @@ class TestTrainEpoch:
         params = list(model.store.tensors.values())
         optimizer = AdamW(model.store, lr=config.train.lr)
         with pytest.raises(NonFiniteLossError, match=r"non-finite loss nan in batch 0"):
-            train_epoch(dataset, model, optimizer, config, np.random.default_rng(0))
+            train_epoch(dataset, model, optimizer, config, np.random.default_rng(0), batch_loss)
         assert all(p.grad is None for p in params)
 
     def test_audio_text_mode_has_no_spec_encoder(self):

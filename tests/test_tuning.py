@@ -46,7 +46,7 @@ def build_dataset(per_label=4, with_aux=True, missing_wind_on=((0, 1))):
             sid = f"{label}-{k}"
             samples.append(
                 TrainSample(
-                    segment=AudioSegment(wave, 16000, sid, 0),
+                    segment=AudioSegment(wave, 16000, sid),
                     sentence=f"The sound belongs to {label}.",
                     vessel_type=label,
                     source_id=sid,
@@ -227,7 +227,7 @@ class TestBaselines:
         calls = []
         encode = AudioEncoder.encode
         monkeypatch.setattr(AudioEncoder, "encode", lambda self, *args: calls.append(1) or encode(self, *args))
-        loss = _classifier_batch_loss(model, batch, kernels)
+        loss = _classifier_batch_loss(dataset, [0, 1, 2, 3], model)
         assert len(calls) == 1
         assert float(loss.values) == pytest.approx(float(reference.values), rel=0, abs=1e-12)
         backward(loss)
