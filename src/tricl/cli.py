@@ -153,7 +153,7 @@ def _cmd_infer(args) -> int:
     samples, rate = read_wav(args.wav)
     if rate != TARGET_RATE:
         samples = resample_to_16k(samples, rate)
-    segment = AudioSegment(samples, TARGET_RATE, source_id=Path(args.wav).stem)
+    segment = AudioSegment(samples)
     candidates = candidate_queue(parse_template(model.test_template_text), labels)
     index, sims = prompt_infer(segment, candidates, model)
     print(

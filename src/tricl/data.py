@@ -52,18 +52,6 @@ class ManifestRecord:
 class DatasetManifest:
     records: list[ManifestRecord]
 
-    def source_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.source_id, None)
-        return list(seen)
-
-    def vessel_type_of(self, source_id: str) -> str:
-        for r in self.records:
-            if r.source_id == source_id:
-                return r.vessel_type
-        raise DataError(f"unknown source_id {source_id!r}")
-
 
 def load_manifest(path) -> DatasetManifest:
     """Parse a JSON-Lines manifest; paths are resolved relative to the file."""
@@ -117,12 +105,11 @@ def segment_audio(
     source_id: str,
     segment_seconds: float = 30.0,
     overlap_seconds: float = 15.0,
-    sample_rate_hz: int = TARGET_RATE,
 ) -> list[AudioSegment]:
-    """Cut into fixed windows at offsets 0, step, 2*step, ... where
-    step = segment - overlap; recordings shorter than one window yield none."""
-    seg_len = int(round(segment_seconds * sample_rate_hz))
-    step = int(round((segment_seconds - overlap_seconds) * sample_rate_hz))
+    """Cut 16 kHz samples into fixed windows at offsets 0, step, 2*step, ...
+    where step = segment - overlap; recordings shorter than one window yield none."""
+    seg_len = int(round(segment_seconds * TARGET_RATE))
+    step = int(round((segment_seconds - overlap_seconds) * TARGET_RATE))
     if step <= 0:
         raise DataError(f"segment step must be positive (segment={segment_seconds}s, overlap={overlap_seconds}s)")
     n = len(samples)
@@ -130,10 +117,7 @@ def segment_audio(
         log.warning("recording %s too short for one %.0fs segment; skipped", source_id, segment_seconds)
         return []
     count = (n - seg_len) // step + 1
-    return [
-        AudioSegment(samples[k * step : k * step + seg_len], sample_rate_hz, source_id)
-        for k in range(count)
-    ]
+    return [AudioSegment(samples[k * step : k * step + seg_len]) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -154,12 +138,12 @@ def make_folds(manifest: DatasetManifest, k: int = 4, seed: int = 0) -> FoldAssi
     """
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
-    sources = manifest.source_ids()
-    if len(sources) < k:
-        raise ProtocolError(f"need at least {k} sources for {k} folds, have {len(sources)}")
-    by_type: dict[str, list[str]] = {}
-    for s in sources:
-        by_type.setdefault(manifest.vessel_type_of(s), []).append(s)
+    by_type: dict[str, set[str]] = {}
+    for r in manifest.records:
+        by_type.setdefault(r.vessel_type, set()).add(r.source_id)
+    n_sources = sum(len(group) for group in by_type.values())
+    if n_sources < k:
+        raise ProtocolError(f"need at least {k} sources for {k} folds, have {n_sources}")
     rng = np.random.default_rng(seed)
     mapping: dict[str, int] = {}
     counter = 0

@@ -7,7 +7,6 @@ triangular filters. Inputs are mono float64 in [-1, 1] at 16 kHz.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,18 +15,14 @@ import scipy.signal
 
 from .errors import ConfigError, DataError, EmptyInputError, UnsupportedRateError
 
-log = logging.getLogger(__name__)
-
 TARGET_RATE = 16000
 
 
 @dataclass
 class AudioSegment:
-    """Fixed-rate mono sample window, the unit of training and inference."""
+    """Mono window of 16 kHz samples, the unit of training and inference."""
 
     samples: np.ndarray
-    sample_rate_hz: int = TARGET_RATE
-    source_id: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -45,9 +40,8 @@ class Spectrogram:
 
 def frame_signal(segment: AudioSegment, frame_length_ms: float, frame_shift_ms: float) -> np.ndarray:
     """Split into full frames (n_frames, frame_len); the tail is discarded."""
-    rate = segment.sample_rate_hz
-    frame_len = int(round(frame_length_ms * rate / 1000.0))
-    frame_shift = int(round(frame_shift_ms * rate / 1000.0))
+    frame_len = int(round(frame_length_ms * TARGET_RATE / 1000.0))
+    frame_shift = int(round(frame_shift_ms * TARGET_RATE / 1000.0))
     if frame_shift <= 0 or frame_len <= 0:
         raise ConfigError(f"frame length/shift must be positive, got {frame_len}/{frame_shift} samples")
     n = len(segment.samples)
@@ -94,15 +88,15 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, fft_size: int, sample_rate_hz: int = TARGET_RATE) -> np.ndarray:
+def mel_filterbank(n_mels: int, fft_size: int) -> np.ndarray:
     """Triangular filters (n_mels, fft_size//2 + 1) on the mel scale up to Nyquist."""
     n_bins = fft_size // 2 + 1
     if n_mels < 1:
         raise ConfigError("n_mels must be >= 1")
     if n_mels > n_bins:
         raise ConfigError(f"n_mels={n_mels} exceeds {n_bins} FFT bins")
-    edges_hz = _mel_to_hz(np.linspace(0.0, _hz_to_mel(sample_rate_hz / 2.0), n_mels + 2))
-    bin_hz = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate_hz)
+    edges_hz = _mel_to_hz(np.linspace(0.0, _hz_to_mel(TARGET_RATE / 2.0), n_mels + 2))
+    bin_hz = np.fft.rfftfreq(fft_size, d=1.0 / TARGET_RATE)
     fb = np.zeros((n_mels, n_bins))
     for i in range(n_mels):
         lo, mid, hi = edges_hz[i], edges_hz[i + 1], edges_hz[i + 2]
@@ -125,7 +119,7 @@ def mel_spectrogram(
 ) -> Spectrogram:
     stft = stft_spectrogram(segment, frame_length_ms, frame_shift_ms, fft_size)
     nfft = 2 * (stft.n_bins - 1)
-    fb = mel_filterbank(n_mels, nfft, segment.sample_rate_hz)
+    fb = mel_filterbank(n_mels, nfft)
     grid = (stft.grid**2) @ fb.T
     if log_magnitude:
         grid = np.log1p(grid)

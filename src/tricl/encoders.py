@@ -17,7 +17,7 @@ import numpy as np
 
 from .bpe import EOS_ID, TokenSequence
 from .config import EncoderConfig, PreprocessConfig
-from .dsp import TARGET_RATE, AudioSegment, Spectrogram
+from .dsp import AudioSegment, Spectrogram
 from .errors import ContractError, ShapeError
 from .layers import (
     AttentionPool,
@@ -46,16 +46,12 @@ class AudioEncoder:
             self.wavelet,
             self.scale_grid,
             self.preprocess.wavelet_hop,
-            TARGET_RATE,
             truncation=self.preprocess.wavelet_truncation,
         )
 
     def encode(self, segments: list[AudioSegment], kernels: WaveletKernels | None = None) -> Tensor:
         if not segments:
             raise ContractError("cannot encode an empty batch")
-        rates = {segment.sample_rate_hz for segment in segments}
-        if rates != {TARGET_RATE}:
-            raise ContractError(f"audio encoder expects {TARGET_RATE} Hz, got {sorted(rates)}")
         lengths = {len(segment.samples) for segment in segments}
         if len(lengths) > 1:
             raise ShapeError(f"audio segments in one batch need equal lengths, got {sorted(lengths)}")

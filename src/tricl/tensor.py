@@ -7,6 +7,10 @@ gradients for its parents (``None`` for a parent that needs none).
 into ``.grad`` of the leaves only: interior gradients live in a per-call
 table and are freed once consumed. Repeated backward calls accumulate;
 only the optimizer resets gradients.
+
+``cross_entropy`` is the one softmax cross-entropy op: contrastive training
+applies it to each similarity matrix against identity targets, classifier
+tuning to head logits against class indices.
 """
 
 from __future__ import annotations
@@ -216,10 +220,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.values)
     return _make(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.values), (a,), lambda g: (g / a.values,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -435,19 +435,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def log_softmax_rows(a: Tensor) -> Tensor:
-    _require_2d("log_softmax_rows", a)
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = shifted - lse
-
-    def bw(g):
-        soft = np.exp(out)
-        return (g - soft * g.sum(axis=1, keepdims=True),)
-
-    return _make(out, (a,), bw)
-
-
 def l2_normalize_rows(a: Tensor) -> Tensor:
     """Rows scaled to unit norm; all-zero rows pass through unchanged."""
     _require_2d("l2_normalize_rows", a)
@@ -468,28 +455,26 @@ def scalar_scale(a: Tensor, factor: float) -> Tensor:
     return _make(a.values * factor, (a,), lambda g: (g * factor,))
 
 
-def cross_entropy_identity(logits: Tensor) -> Tensor:
-    """Mean row-wise cross entropy of a square logits matrix against identity targets.
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean row-wise cross entropy of (N, K) logits against integer class targets.
 
-    Reductions use math.fsum so the result is bit-identical under any
-    simultaneous permutation of rows and columns.
+    Reductions use math.fsum, so the result is bit-identical under any
+    permutation of the rows that permutes the targets alike.
     """
-    _require_2d("cross_entropy_identity", logits)
-    b, b2 = logits.shape
-    if b != b2:
-        raise ShapeError(f"cross_entropy_identity: logits must be square, got {logits.shape}")
-    if b < 2:
-        raise ContractError("cross_entropy_identity: batch must contain at least 2 samples")
-    vals = logits.values
-    row_max = vals.max(axis=1)
-    shifted = vals - row_max[:, None]
+    _require_2d("cross_entropy", logits)
+    n = logits.shape[0]
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (n,):
+        raise ShapeError(f"cross_entropy: {targets.size} targets for {n} rows")
+    rows = np.arange(n)
+    shifted = logits.values - logits.values.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
-    ces = [math.log(math.fsum(exps[i])) - shifted[i, i] for i in range(b)]
-    out = np.asarray(math.fsum(ces) / b)
+    ces = [math.log(math.fsum(e)) - s for e, s in zip(exps, shifted[rows, targets])]
+    out = np.asarray(math.fsum(ces) / n)
 
     def bw(g):
-        soft = exps / exps.sum(axis=1, keepdims=True)
-        grad = (soft - np.eye(b)) * (float(g) / b)
-        return (grad,)
+        grad = exps / exps.sum(axis=1, keepdims=True)
+        grad[rows, targets] -= 1.0
+        return (grad * (float(g) / n),)
 
     return _make(out, (logits,), bw)

@@ -4,9 +4,11 @@
 clamp. It takes the batch-loss function `(dataset, indices, model) -> Tensor
 | None`, and a `None` loss means skip the batch and count it. Contrastive
 training passes `batch_loss`: batched embedding, anomaly filtering, scaled
-similarity logits, and the symmetric cross-entropy loss averaged over all
-modality pairs (six terms tri-modal, two terms audio+text). Classifier
-tuning (`tuning.train_classifier`) passes its own loss.
+similarity logits for each modality pair the model has a scale for, and the
+symmetric cross entropy (`tensor.cross_entropy` against identity targets,
+row-wise and column-wise) averaged over those pairs: six terms tri-modal,
+two audio+text. Classifier tuning (`tuning.train_classifier`) passes its own
+loss, built on the same `tensor.cross_entropy`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .tensor import (
     Tensor,
     add,
     backward,
-    cross_entropy_identity,
+    cross_entropy,
     exp,
     l2_normalize_rows,
     matmul,
@@ -78,14 +80,13 @@ def compute_logits(x: Tensor, y: Tensor, scale: Tensor) -> Tensor:
     return mul(cosine_matrix(x, y), exp(scale))
 
 
-def contrastive_loss(logits_at: Tensor, logits_ts: Tensor | None = None, logits_as: Tensor | None = None) -> Tensor:
+def contrastive_loss(*logits: Tensor) -> Tensor:
     """Row-wise and column-wise CE against identity targets, averaged over
-    all provided pair matrices (six terms tri-modal, two audio+text)."""
-    mats = [m for m in (logits_at, logits_ts, logits_as) if m is not None]
-    terms = []
-    for m in mats:
-        terms.append(cross_entropy_identity(m))
-        terms.append(cross_entropy_identity(transpose(m)))
+    the given pair matrices (six terms tri-modal, two audio+text)."""
+    b = len(logits[0])
+    if b < 2:
+        raise ContractError(f"contrastive loss needs a batch of at least 2 samples, got {b}")
+    terms = [cross_entropy(m, range(b)) for mat in logits for m in (mat, transpose(mat))]
     total = terms[0]
     for t in terms[1:]:
         total = add(total, t)
@@ -130,12 +131,9 @@ def batch_loss(dataset, indices, model: TriModalModel) -> Tensor | None:
     except DegenerateBatchError as exc:
         log.warning("skipping degenerate batch: %s", exc)
         return None
-    logits_at = compute_logits(emb["audio"], emb["text"], model.scales.scale_at)
-    if model.spec_encoder is None:
-        return contrastive_loss(logits_at)
-    logits_ts = compute_logits(emb["text"], emb["spec"], model.scales.scale_ts)
-    logits_as = compute_logits(emb["audio"], emb["spec"], model.scales.scale_as)
-    return contrastive_loss(logits_at, logits_ts, logits_as)
+    scales = model.scales  # the audio+text model has no ts and as scales
+    pairs = (("audio", "text", scales.scale_at), ("text", "spec", scales.scale_ts), ("audio", "spec", scales.scale_as))
+    return contrastive_loss(*[compute_logits(emb[x], emb[y], scale) for x, y, scale in pairs if scale is not None])
 
 
 def train_epoch(dataset, model, optimizer: AdamW, config: RunConfig, rng: np.random.Generator,
@@ -186,16 +184,7 @@ def train(
     """Train a fresh tri-modal model on the dataset; returns (model, log lines)."""
     sentences = [s.sentence for s in dataset.samples]
     tokenizer = train_bpe(sentences, config.train.vocab_size)
-    labels = sorted({s.vessel_type for s in dataset.samples})
-    sources = tuple(sorted({s.source_id for s in dataset.samples}))
-    model = TriModalModel(
-        config,
-        tokenizer,
-        train_template_text,
-        test_template_text,
-        class_labels=labels,
-        train_source_ids=sources,
-    )
+    model = TriModalModel(config, tokenizer, train_template_text, test_template_text, dataset.vessel_types())
     lines = continue_training(dataset, model, config, log_path=log_path)
     return model, lines
 
@@ -208,7 +197,7 @@ def continue_training(dataset, model: TriModalModel, config: RunConfig, log_path
     for epoch in range(1, config.train.epochs + 1):
         metrics = train_epoch(dataset, model, optimizer, config, rng, batch_loss)
         lines.append(format_log_line(epoch, metrics, model))
-    model.train_source_ids = tuple(sorted(set(model.train_source_ids) | {s.source_id for s in dataset.samples}))
+    model.train_source_ids = tuple(sorted(set(model.train_source_ids) | dataset.source_ids()))
     if log_path is not None:
         Path(log_path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return lines

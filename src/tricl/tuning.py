@@ -3,7 +3,8 @@ encoder-only tuning with a classifier head, and the multi-label / multi-task
 baselines that fuse auxiliary annotations into discrete targets.
 
 Classifier training runs the trainer's one batch loop, `trainer.train_epoch`,
-with `_classifier_batch_loss`; that loss never skips a batch.
+with `_classifier_batch_loss`; that loss never skips a batch. Its softmax
+heads use `tensor.cross_entropy`, the op contrastive training uses.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .tensor import (
     absval,
     add,
     backward,  # noqa: F401  (perfbench wraps tuning.backward)
-    log_softmax_rows,
+    cross_entropy,
     mean,
     mul,
     neg,
@@ -34,17 +35,8 @@ from .tensor import (
     softplus,
     sub,
     take_rows,
-    tsum,
 )
 from .trainer import continue_training, train_epoch
-
-
-def softmax_ce(logits: Tensor, targets: list[int]) -> Tensor:
-    """Mean cross entropy of row logits against integer class targets."""
-    n, k = logits.shape
-    picked = np.zeros((n, k))
-    picked[np.arange(n), targets] = -1.0 / n
-    return tsum(mul(log_softmax_rows(logits), Tensor(picked)))
 
 
 def binary_ce_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -171,7 +163,7 @@ def _classifier_batch_loss(dataset: Dataset, indices: list[int], model: Classifi
             targets.append(class_index[value])
         if not rows:
             continue
-        term = softmax_ce(model.heads[task](take_rows(embeddings, rows)), targets)
+        term = cross_entropy(model.heads[task](take_rows(embeddings, rows)), targets)
         total = term if total is None else add(total, term)
     return total
 
@@ -188,17 +180,17 @@ def uart_tune(model: TriModalModel, dataset: Dataset, config: RunConfig, log_pat
     return lines
 
 
-def encoder_tune(pretrained, dataset: Dataset, config: RunConfig,
+def encoder_tune(pretrained: TriModalModel | None, dataset: Dataset, config: RunConfig,
                  freeze_encoder: bool = False) -> tuple[ClassifierModel, list[float]]:
     """Drop the text and spectrogram encoders; attach a category head to the
-    (pretrained or fresh) audio encoder and train with softmax CE."""
+    audio encoder (the pretrained model's, or a fresh one for None) and train
+    with softmax CE."""
     labels = dataset.vessel_types()
     if len(labels) < 2:
         raise ConfigError(f"classification needs at least 2 classes, got {labels}")
     model = ClassifierModel(config, "category", {"category": labels})
     if pretrained is not None:
-        source = pretrained.audio_encoder if isinstance(pretrained, TriModalModel) else pretrained
-        weights = {name: t.values for name, t in trainable(source).items()}
+        weights = {name: t.values for name, t in trainable(pretrained.audio_encoder).items()}
         model.store.split(len(trainable(model.encoder)))[0].load_values(weights, "pretrained encoder")
     trace = train_classifier(model, dataset, config, freeze_encoder=freeze_encoder)
     return model, trace

@@ -6,6 +6,7 @@ coincides with the textbook sinc**m at the default integer order m=2 and
 stays real-valued and differentiable for the learnable real-valued order.
 
 The transform W(a, tau) = a**-0.5 * sum_n f(n) * conj(psi((n/fs - tau)/a)) / fs
+(fs = dsp.TARGET_RATE)
 is evaluated at tau = 0, hop, 2*hop, ... by folding. ``build_kernels`` lays
 each scale's scaled conjugate kernel, real and imaginary part, into rows of
 ``hop`` taps once per batch. ``transform_with_kernels`` cuts the zero-padded
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import TARGET_RATE
 from .errors import ConfigError, EmptyInputError, KernelSupportError
 from .tensor import (
     Tensor,
@@ -73,13 +75,13 @@ class WaveletParams:
         np.maximum(self.f_c.values, BAND_FLOOR, out=self.f_c.values)
 
 
-def support_half_width(params: WaveletParams, scale: float, sample_rate_hz: int, truncation: float) -> int:
+def support_half_width(params: WaveletParams, scale: float, truncation: float) -> int:
     """Samples until the envelope falls below `truncation` of its peak."""
     m = float(params.m.values)
     f_b = float(params.f_b.values)
     # |sinc(u)|**m <= (1/(pi*u))**m == truncation at u = truncation**(-1/m)/pi
     x_max = m * truncation ** (-1.0 / m) / (np.pi * f_b)
-    return max(1, int(np.ceil(x_max * scale * sample_rate_hz)))
+    return max(1, int(np.ceil(x_max * scale * TARGET_RATE)))
 
 
 @dataclass
@@ -121,7 +123,6 @@ def build_kernels(
     params: WaveletParams,
     scale_grid,
     hop: int,
-    sample_rate_hz: int = 16000,
     truncation: float = 1e-4,
 ) -> WaveletKernels:
     """Sampled conjugate kernels per scale, folded into rows of `hop` taps."""
@@ -133,25 +134,25 @@ def build_kernels(
     if np.any(scales <= 0) or np.any(np.diff(scales) <= 0):
         raise ConfigError("scale grid must be positive and strictly ascending")
 
-    half_widths = [support_half_width(params, a, sample_rate_hz, truncation) for a in scales]
+    half_widths = [support_half_width(params, a, truncation) for a in scales]
     taps = sum(half_widths)
     if taps > MAX_KERNEL_TAPS:
         raise KernelSupportError(
             f"wavelet m={float(params.m.values):.6g}, f_b={float(params.f_b.values):.6g} needs {taps} kernel taps "
             f"over {len(scales)} scales, more than the {MAX_KERNEL_TAPS} allowed"
         )
-    halves = _half_kernels(params, half_widths, scales, sample_rate_hz)
-    return _fold(halves, half_widths, scales, hop, sample_rate_hz)
+    halves = _half_kernels(params, half_widths, scales)
+    return _fold(halves, half_widths, scales, hop)
 
 
-def _half_kernels(params: WaveletParams, half_widths, scales, sample_rate_hz: int) -> Tensor:
+def _half_kernels(params: WaveletParams, half_widths, scales) -> Tensor:
     """psi at the positive-offset taps of every scale, re then im, then psi(0).
 
     One elementwise graph over all scales; its intermediates are freed on
     return, before the kernels are folded.
     """
     x_half = np.concatenate(
-        [np.arange(1, h + 1, dtype=np.float64) / (sample_rate_hz * a) for h, a in zip(half_widths, scales)]
+        [np.arange(1, h + 1, dtype=np.float64) / (TARGET_RATE * a) for h, a in zip(half_widths, scales)]
     )
     u = scalar_scale(div(mul(params.f_b, Tensor(x_half)), params.m), np.pi)
     tapers = []
@@ -165,7 +166,7 @@ def _half_kernels(params: WaveletParams, half_widths, scales, sample_rate_hz: in
     return concat([mul(env, cos(phase)), mul(env, sin(phase)), reshape(root_fb, (1,))])  # psi(0) = sqrt(f_b)
 
 
-def _fold(halves: Tensor, half_widths, scales, hop: int, sample_rate_hz: int) -> WaveletKernels:
+def _fold(halves: Tensor, half_widths, scales, hop: int) -> WaveletKernels:
     max_half = max(half_widths)
     total = (halves.size - 1) // 2  # H taps per part
     layout = []
@@ -173,7 +174,7 @@ def _fold(halves: Tensor, half_widths, scales, hop: int, sample_rate_hz: int) ->
     for half, a in zip(half_widths, scales):
         shift, lead = divmod(max_half - half, hop)
         rows = -(-(lead + 2 * half + 1) // hop)
-        layout.append(ScaleKernel(half, 1.0 / (sample_rate_hz * np.sqrt(a)), offset, start, rows, shift, lead))
+        layout.append(ScaleKernel(half, 1.0 / (TARGET_RATE * np.sqrt(a)), offset, start, rows, shift, lead))
         offset += half
         start += 2 * rows
 

@@ -18,6 +18,7 @@ from tricl.data import (
 )
 from tricl.dsp import write_wav
 from tricl.errors import ConfigError, DataError, ProtocolError
+from tricl.synth import synth_generate, three_class_spec
 from tricl.templates import AUX_TEMPLATE_TEXT, parse_template
 
 
@@ -96,6 +97,18 @@ class TestFolds:
                 union |= part
             assert union == {f"s{i}" for i in range(n)}
 
+    def test_three_class_mapping_pinned(self, tmp_path):
+        # fold of each of the 72 sources, in sorted source-id order, per fold seed
+        expected = {
+            0: "021112313130200313032220030223011212213301031320110332203131301002132022",
+            1: "102123220201313303030121110312033202330132110202121300111302233330220120",
+            2: "232013212203013301121003013321302032200321021311201331100220112303132320",
+        }
+        manifest = load_manifest(synth_generate(three_class_spec(seed=0), tmp_path))
+        for seed, folds in expected.items():
+            mapping = make_folds(manifest, 4, seed).mapping
+            assert "".join(str(mapping[s]) for s in sorted(mapping)) == folds
+
     def test_fewer_sources_than_folds(self):
         with pytest.raises(ProtocolError):
             make_folds(_manifest(["A", "B", "C"]), k=4, seed=0)
@@ -171,7 +184,8 @@ class TestManifestAndIngest:
         path = _write_dataset(tmp_path, [{"vessel_type": "Tug", "_rate": 32000, "_seconds": 0.2}])
         cfg = tiny_run_config()
         dataset, _ = ingest(path, parse_template(AUX_TEMPLATE_TEXT), cfg.preprocess)
-        assert all(s.segment.sample_rate_hz == 16000 for s in dataset.samples)
+        # 0.2 s at 32 kHz resamples to 3200 samples: four 0.05-s windows of 800
+        assert [len(s.segment.samples) for s in dataset.samples] == [800] * 4
 
     def test_spectrogram_cached_per_sample(self, tmp_path):
         path = _write_dataset(tmp_path, [{"vessel_type": "Tug"}])

@@ -16,8 +16,8 @@ from tricl.dsp import (
 from tricl.errors import ConfigError, DataError, EmptyInputError, UnsupportedRateError
 
 
-def seg(samples, rate=16000):
-    return AudioSegment(np.asarray(samples, dtype=np.float64), rate, "t")
+def seg(samples):
+    return AudioSegment(np.asarray(samples, dtype=np.float64))
 
 
 def test_frame_count_paper_configuration():
@@ -43,8 +43,8 @@ def test_frame_count_formula_holds(n, length, shift):
     if n < length:
         return
     windows = np.lib.stride_tricks.sliding_window_view(np.zeros(n), length)[::shift]
-    # at 1 kHz a frame of `length` ms is `length` samples
-    frames = frame_signal(seg(np.zeros(n), rate=1000), float(length), float(shift))
+    # at 16 kHz a frame of `length` / 16 ms is `length` samples
+    frames = frame_signal(seg(np.zeros(n)), length / 16.0, shift / 16.0)
     assert windows.shape[0] == frames.shape[0] == (n - length) // shift + 1
 
 
@@ -85,7 +85,7 @@ def test_mel_zero_signal():
 
 
 def test_mel_filters_positive_and_contiguous():
-    fb = mel_filterbank(300, 2048, 16000)
+    fb = mel_filterbank(300, 2048)
     assert fb.shape == (300, 1025)
     assert (fb.sum(axis=1) > 0).all()
     for row in fb:

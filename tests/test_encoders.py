@@ -18,7 +18,7 @@ TOKENIZER = train_bpe(["The sound belongs to Alpha.", "The sound belongs to Brav
 
 def make_segment(seed=0, n=800):
     rng = np.random.default_rng(seed)
-    return AudioSegment(rng.uniform(-0.5, 0.5, n), 16000, f"s{seed}")
+    return AudioSegment(rng.uniform(-0.5, 0.5, n))
 
 
 def make_audio_encoder(seed=0):
@@ -101,12 +101,6 @@ def test_deterministic_forward():
     v2 = enc2.encode(segments).values
     assert np.array_equal(v1, v2)
     assert np.array_equal(v1, enc1.encode(segments).values)
-
-
-def test_audio_encoder_rejects_wrong_rate():
-    enc = make_audio_encoder()
-    with pytest.raises(ContractError, match="16000"):
-        enc.encode([make_segment(0), AudioSegment(np.zeros(800), 8000, "s")])
 
 
 def test_spec_encoder_rejects_wrong_kind():

@@ -9,8 +9,12 @@ and a method, property, class-level or dataclass field or ``self.x``
 attribute of one of its classes, must be read somewhere in ``src/``,
 ``scripts/`` or ``perfbench/``: code only tests reach is dead code.
 
-Both checks match by name alone, so a member is missed when anything else of
-the same name is read. An unread ``AudioSegment.duration_seconds`` and
+A module-level name counts as read only through its own module: a plain read
+in that module, ``from .module import name``, or ``module.name``. Matching by
+bare name let the unread ``tensor.log`` op and ``dsp.log`` logger pass,
+because ``data.log`` and ``trainer.log`` are read. Class members are still
+matched by name alone, so a member is missed when anything else of the same
+name is read. An unread ``AudioSegment.duration_seconds`` and
 ``TriModalModel.modalities`` both passed the member check: the program reads
 ``SynthSpec.duration_seconds`` and ``config.train.modalities``.
 """
@@ -123,12 +127,46 @@ def references(source: str) -> set[str]:
     return out
 
 
-def unreferenced(defining: dict[str, str], searched: list[str], definitions=module_level_names) -> list[str]:
-    """`module:name` for each definition of `defining` whose name no source in
-    `searched` reads; a `Class.member` is matched by its member name."""
+def unread_members(defining: dict[str, str], searched: list[str]) -> list[str]:
+    """`module:Class.member` for each class member of `defining` whose member
+    name no source in `searched` reads."""
     used = set().union(*(references(source) for source in searched))
     return sorted(f"{module}:{name}" for module, source in defining.items()
-                  for name in definitions(source) if name.rsplit(".", 1)[-1] not in used)
+                  for name in class_members(source) if name.rsplit(".", 1)[-1] not in used)
+
+
+def _module_of(node) -> str | None:
+    """The last dotted part of `mod` or `pkg.mod` in an expression `mod.name`."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def module_reads(module: str, source: str, own: bool) -> set[str]:
+    """Names `source` reads from `module`: `from .module import name` and
+    `module.name` anywhere, and plain names and strings (quoted annotations)
+    only when `source` is the module itself."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.rsplit(".", 1)[-1] == module:
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store) and _module_of(node.value) == module:
+            out.add(node.attr)
+        elif own and isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif own and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unread_module_names(defining: dict[str, str], searched: list[str]) -> list[str]:
+    """`module:name` for each module-level name of `defining` that no source in
+    `searched` reads from that module."""
+    flagged = []
+    for module, source in defining.items():
+        used = set().union(*(module_reads(module, other, other == source) for other in searched))
+        flagged += [f"{module}:{name}" for name in module_level_names(source) if name not in used]
+    return sorted(flagged)
 
 
 def test_dead_code_checker_flags_unread_definitions():
@@ -138,24 +176,31 @@ def test_dead_code_checker_flags_unread_definitions():
         "__version__ = '1'\n"
         "class Used:\n"
         "    pass\n"
-        "class Patched:\n"
+        "class Imported:\n"
         "    pass\n"
-        "def helper(x):\n"
+        "def helper(x) -> 'Quoted':\n"
         "    return x + _STEP\n"
         "def orphan():\n"
         "    return helper(LIMIT)\n"
+        "class Quoted:\n"
+        "    pass\n"
+        "log = None\n"
+        "def shadowed():\n"
+        "    pass\n"
     )
-    user = "import lib\nlib.Used()\nsetattr(lib, 'Patched', None)\n"
-    assert unreferenced({"lib": lib}, [lib, user]) == ["lib:orphan"]
+    other = "log = None\ndef shadowed():\n    pass\nlog.warning(shadowed)\n"
+    user = "import pkg.lib\nfrom .lib import Imported\npkg.lib.Used()\n"
+    assert unread_module_names({"lib": lib, "other": other}, [lib, other, user]) == [
+        "lib:log", "lib:orphan", "lib:shadowed"]
 
 
 def test_every_module_level_name_is_read_by_the_program():
     defining = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     searched = [path.read_text(encoding="utf-8") for path in PROGRAM]
-    flagged = {entry.split(":")[1]: entry for entry in unreferenced(defining, searched)}
-    assert sorted(set(flagged) - set(UNREFERENCED_ALLOWED)) == []
+    flagged = unread_module_names(defining, searched)
+    assert [entry for entry in flagged if entry.split(":")[1] not in UNREFERENCED_ALLOWED] == []
     # an allowed name that gains a reader leaves the list
-    assert sorted(set(UNREFERENCED_ALLOWED) - set(flagged)) == []
+    assert sorted(set(UNREFERENCED_ALLOWED) - {entry.split(":")[1] for entry in flagged}) == []
 
 
 def test_dead_code_checker_flags_unread_members():
@@ -176,11 +221,11 @@ def test_dead_code_checker_flags_unread_members():
         "        return self.size\n"
     )
     user = "import lib\nr = lib.Record(1)\nr.scratch = r.size\n"
-    assert unreferenced({"lib": lib}, [lib, user], class_members) == [
+    assert unread_members({"lib": lib}, [lib, user]) == [
         "lib:Record.orphan", "lib:Record.scratch", "lib:Record.stale"]
 
 
 def test_every_class_member_is_read_by_the_program():
     defining = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     searched = [path.read_text(encoding="utf-8") for path in PROGRAM]
-    assert unreferenced(defining, searched, class_members) == []
+    assert unread_members(defining, searched) == []

@@ -117,7 +117,7 @@ def test_audio_text_stores_one_scale():
 # epochs and saved by the hand-listed layout, with the outputs they gave then.
 # Reductions may round differently with array alignment from one process to
 # the next, so outputs match to 1e-10; the stored parameters match bitwise.
-PROBE = AudioSegment(0.4 * np.sin(2 * np.pi * 700.0 * np.arange(800) / 16000), 16000, "probe")
+PROBE = AudioSegment(0.4 * np.sin(2 * np.pi * 700.0 * np.arange(800) / 16000))
 TRIMODAL_SIMS = [float.fromhex("0x1.766d67c51f174p-4"), float.fromhex("0x1.b4115ddf8c380p-7")]
 CLASSIFIER_LOGITS = [float.fromhex("-0x1.200d24eb570b9p-9"), float.fromhex("0x1.b6050e7ab40c0p-15")]
 

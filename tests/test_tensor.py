@@ -13,13 +13,11 @@ from tricl.tensor import (
     add,
     backward,
     concat,
-    cross_entropy_identity,
+    cross_entropy,
     div,
     exp,
     im2col,
     l2_normalize_rows,
-    log,
-    log_softmax_rows,
     matmul,
     mean,
     mul,
@@ -59,7 +57,6 @@ def test_required_ops_run_forward():
         "mul": lambda: mul(a, b),
         "matmul": lambda: matmul(a, b),
         "exp": lambda: exp(a),
-        "log": lambda: log(a),
         "sum": lambda: tsum(a),
         "mean": lambda: mean(a, axis=0),
         "concat": lambda: concat([a, b], axis=0),
@@ -215,18 +212,43 @@ def test_im2col_matches_naive_conv():
 
 def test_cross_entropy_identity_zero_logits():
     for b in (2, 4, 8):
-        out = cross_entropy_identity(Tensor(np.zeros((b, b))))
+        out = cross_entropy(Tensor(np.zeros((b, b))), range(b))
         assert abs(float(out.values) - np.log(b)) < 1e-12
 
 
 def test_cross_entropy_identity_permutation_bitwise():
     rng = np.random.default_rng(7)
     logits = rng.standard_normal((6, 6)) * 3
-    base = float(cross_entropy_identity(Tensor(logits)).values)
+    base = float(cross_entropy(Tensor(logits), range(6)).values)
     for seed in range(10):
         perm = np.random.default_rng(seed).permutation(6)
         permuted = logits[np.ix_(perm, perm)]
-        assert float(cross_entropy_identity(Tensor(permuted)).values) == base
+        assert float(cross_entropy(Tensor(permuted), range(6)).values) == base
+
+
+# (N, K) logits whose targets repeat class 1 and never name class 3
+CLASS_TARGETS = [1, 0, 1, 2, 1]
+
+
+def test_cross_entropy_row_permutation_bitwise():
+    rng = np.random.default_rng(8)
+    logits = rng.standard_normal((5, 4)) * 3
+    base = cross_entropy(Tensor(logits), CLASS_TARGETS)
+    backward_base = Tensor(logits, requires_grad=True)
+    backward(cross_entropy(backward_base, CLASS_TARGETS))
+    for seed in range(10):
+        perm = np.random.default_rng(seed).permutation(5)
+        permuted = Tensor(logits[perm], requires_grad=True)
+        out = cross_entropy(permuted, np.asarray(CLASS_TARGETS)[perm])
+        assert float(out.values) == float(base.values)
+        backward(out)
+        assert np.array_equal(permuted.grad, backward_base.grad[perm])
+
+
+def test_cross_entropy_rejects_target_count_mismatch():
+    for targets in ([0, 1], [0, 1, 2, 0], [[0, 1, 2]]):
+        with pytest.raises(ShapeError, match="cross_entropy"):
+            cross_entropy(Tensor(np.zeros((3, 4))), targets)
 
 
 class TestGradientOracle:
@@ -238,7 +260,7 @@ class TestGradientOracle:
 
         def build():
             h = exp(mul(x, Tensor(np.full((3, 4), 0.3))))
-            h = log(add(h, Tensor(np.ones((3, 4)))))
+            h = div(add(h, Tensor(np.ones((3, 4)))), x)
             return tsum(mul(h, h))
 
         assert check_grad(build, [x], rtol=1e-4) < 1e-4
@@ -264,9 +286,14 @@ class TestGradientOracle:
             m = concat([a, b], axis=0)
             m = l2_normalize_rows(m)
             s = matmul(m, transpose(m))
-            return tsum(log_softmax_rows(s))
+            return cross_entropy(s, [0, 1, 3, 3])
 
         check_grad(build, [a, b], rtol=1e-4)
+
+    def test_cross_entropy_class_targets(self):
+        rng = np.random.default_rng(9)
+        logits = Tensor(rng.standard_normal((5, 4)) * 2, requires_grad=True)
+        assert check_grad(lambda: cross_entropy(logits, CLASS_TARGETS), [logits], rtol=1e-6) < 1e-6
 
     def test_im2col_gradients(self):
         rng = np.random.default_rng(6)

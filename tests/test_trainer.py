@@ -191,7 +191,7 @@ def make_dataset(n_sources=8, seed=0, n=800):
         tone = 500.0 if label == "Alpha" else 1500.0
         t = np.arange(n) / 16000
         wave = 0.4 * np.sin(2 * np.pi * tone * t + rng.uniform(0, 6.28)) + 0.02 * rng.standard_normal(n)
-        segment = AudioSegment(wave, 16000, f"src{i}")
+        segment = AudioSegment(wave)
         samples.append(
             TrainSample(
                 segment=segment,
@@ -242,7 +242,7 @@ class TestTrainEpoch:
         # an all-zero segment embeds to zero in every conv path at init (zero biases)
         config = tiny_run_config(epochs=1, batch_size=4)
         dataset = make_dataset(n_sources=4)
-        dataset.samples[1].segment = AudioSegment(np.zeros(800), 16000, "src1")
+        dataset.samples[1].segment = AudioSegment(np.zeros(800))
         model = make_model(config, dataset)
         loss = batch_loss(dataset, [0, 1, 2, 3], model)
         assert np.isfinite(float(loss.values))
@@ -265,7 +265,7 @@ class TestTrainEpoch:
         config = tiny_run_config(epochs=1, batch_size=4)
         dataset = make_dataset(n_sources=8)
         for i in np.random.default_rng(0).permutation(8)[1:4]:
-            dataset.samples[i].segment = AudioSegment(np.zeros(800), 16000, f"src{i}")
+            dataset.samples[i].segment = AudioSegment(np.zeros(800))
         model = make_model(config, dataset)
         steps = count_steps(monkeypatch)
         with caplog.at_level("WARNING"):

@@ -26,7 +26,7 @@ from tricl.wavelet import (
 
 def conj_kernel(params, scale, truncation, fs=16000):
     """Tapered, scaled conjugate kernel over offsets -h..h, straight from fbsp_kernel."""
-    h = support_half_width(params, scale, fs, truncation)
+    h = support_half_width(params, scale, truncation)
     j = np.arange(-h, h + 1)
     taper = np.minimum(1.0, (h + 1 - np.abs(j)) / (max(1, h // 16) + 1))
     return np.conj(fbsp_kernel(j / (fs * scale), params)) * taper / (fs * np.sqrt(scale)), h
@@ -112,7 +112,7 @@ def test_paper_default_encode_memory_and_frames():
         tracemalloc.reset_peak()
         with no_grad():
             kernels = encoder.build_kernels()
-            encoder.encode([AudioSegment(samples, TARGET_RATE)], kernels)
+            encoder.encode([AudioSegment(samples)], kernels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
