@@ -171,11 +171,8 @@ def _cmd_infer(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
-    dataset, manifest = ingest(
-        args.manifest,
-        parse_template(getattr(model, "train_template_text", None) or AUX_TEMPLATE_TEXT),
-        model.config.preprocess,
-    )
+    # evaluation reads no sentences, so the label template serves any checkpoint
+    dataset, manifest = ingest(args.manifest, parse_template(LABEL_TEMPLATE_TEXT), model.config.preprocess)
     folds = make_folds(manifest, k=args.folds, seed=args.seed)
     labels = sorted(set(model.class_labels) | set(dataset.vessel_types()))
     if args.class_map == "shipsear" or (args.class_map == "auto" and all(l in SHIPSEAR_CLASS_MAP.mapping for l in labels)):

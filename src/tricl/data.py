@@ -129,6 +129,19 @@ class FoldAssignment:
         return self.mapping[source_id]
 
 
+def _shuffled_sources_by_type(records, seed: int) -> list[list[str]]:
+    """The distinct source ids of each vessel type, sorted and then shuffled,
+    in sorted type order; one generator seeded `seed` shuffles them all."""
+    by_type: dict[str, set[str]] = {}
+    for r in records:
+        by_type.setdefault(r.vessel_type, set()).add(r.source_id)
+    rng = np.random.default_rng(seed)
+    groups = [sorted(by_type[vessel_type]) for vessel_type in sorted(by_type)]
+    for group in groups:
+        rng.shuffle(group)
+    return groups
+
+
 def make_folds(manifest: DatasetManifest, k: int = 4, seed: int = 0) -> FoldAssignment:
     """Assign each source to one fold, stratified by vessel type.
 
@@ -138,22 +151,10 @@ def make_folds(manifest: DatasetManifest, k: int = 4, seed: int = 0) -> FoldAssi
     """
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
-    by_type: dict[str, set[str]] = {}
-    for r in manifest.records:
-        by_type.setdefault(r.vessel_type, set()).add(r.source_id)
-    n_sources = sum(len(group) for group in by_type.values())
-    if n_sources < k:
-        raise ProtocolError(f"need at least {k} sources for {k} folds, have {n_sources}")
-    rng = np.random.default_rng(seed)
-    mapping: dict[str, int] = {}
-    counter = 0
-    for vessel_type in sorted(by_type):
-        group = sorted(by_type[vessel_type])
-        rng.shuffle(group)
-        for s in group:
-            mapping[s] = counter % k
-            counter += 1
-    return FoldAssignment(mapping=mapping, k=k)
+    order = [s for group in _shuffled_sources_by_type(manifest.records, seed) for s in group]
+    if len(order) < k:
+        raise ProtocolError(f"need at least {k} sources for {k} folds, have {len(order)}")
+    return FoldAssignment(mapping={s: i % k for i, s in enumerate(order)}, k=k)
 
 
 @dataclass
@@ -212,17 +213,8 @@ def stratified_source_subset(dataset: Dataset, fraction: float, seed: int = 0) -
     """Keep a seeded per-class fraction of sources (at least one per class)."""
     if not 0.0 < fraction <= 1.0:
         raise DataError(f"fraction must be in (0, 1], got {fraction}")
-    by_type: dict[str, list[str]] = {}
-    for s in dataset.samples:
-        group = by_type.setdefault(s.vessel_type, [])
-        if s.source_id not in group:
-            group.append(s.source_id)
-    rng = np.random.default_rng(seed)
-    keep: set[str] = set()
-    for vessel_type in sorted(by_type):
-        sources = sorted(by_type[vessel_type])
-        rng.shuffle(sources)
-        keep.update(sources[: max(1, round(fraction * len(sources)))])
+    groups = _shuffled_sources_by_type(dataset.samples, seed)
+    keep = {s for group in groups for s in group[: max(1, round(fraction * len(group)))]}
     return dataset.select([i for i, s in enumerate(dataset.samples) if s.source_id in keep])
 
 

@@ -2,7 +2,8 @@
 into one shared d-dimensional embedding space.
 
 Each encoder takes a batch of N inputs (equal-length segments, equal-shape
-spectrograms, token sequences of any length) and returns an (N, d) tensor.
+spectrograms, token sequences of any length) and returns an (N, d) tensor;
+`AudioEncoder.embed` is the tape-free, chunked read-out both model types use.
 
 Audio: learnable Fbsp wavelet frontend -> residual conv stack with channel
 attention -> per-sample pooling -> linear projection. Spectrogram: residual
@@ -28,7 +29,7 @@ from .layers import (
     causal_mask,
     uniform_init,
 )
-from .tensor import Tensor, add, concat, matmul, mean, reshape, take_rows, transpose
+from .tensor import Tensor, add, concat, matmul, mean, no_grad, reshape, take_rows, transpose
 from .wavelet import WaveletKernels, WaveletParams, build_kernels, default_scale_grid, transform_with_kernels
 
 
@@ -61,6 +62,13 @@ class AudioEncoder:
         t, s = grids[0].shape
         h = self.conv(reshape(concat(grids, axis=0), (1, len(segments), t, s)))
         return self.proj(transpose(mean(h, axis=(2, 3))))
+
+    def embed(self, segments: list[AudioSegment], chunk: int) -> Tensor:
+        """Embeddings with no tape: kernels built once, `encode` on chunks of
+        `chunk` segments, which bounds memory on a large fold."""
+        with no_grad():
+            kernels = self.build_kernels()
+            return concat([self.encode(segments[i : i + chunk], kernels) for i in range(0, len(segments), chunk)])
 
 
 class SpecEncoder:

@@ -1,9 +1,9 @@
 """Prompt-style inference and fold-based evaluation with class merging.
 
-Prompt inference fills every candidate label into the test template, embeds
-the sentences once, and picks the candidate whose text embedding is most
-cosine-similar to the audio embedding. Only the audio is consumed; no
-annotations enter the inference path.
+Prompt inference picks the candidate sentence whose text embedding is most
+cosine-similar to the audio embedding; only the audio is consumed, and no
+annotations enter the inference path. Evaluation asks either model type for
+`predict_labels` on the held-out fold.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ import numpy as np
 from .data import Dataset, FoldAssignment
 from .dsp import AudioSegment
 from .errors import ConfigError, ContractError, ProtocolError
-from .templates import candidate_queue, parse_template
-from .tensor import no_grad
-from .trainer import cosine_matrix
 
 
 @dataclass(frozen=True)
@@ -55,28 +52,10 @@ def identity_class_map(labels) -> ClassMap:
     return ClassMap({label: label for label in labels})
 
 
-def _prompt_similarities(segments: list[AudioSegment], candidates: list[str], model) -> np.ndarray:
-    """Cosine similarity of each segment's audio embedding (rows) to each
-    candidate sentence's text embedding (columns). The wavelet kernels and
-    the candidate embeddings are computed once; the audio is encoded in
-    chunks of the training batch size, which bounds memory on a large fold."""
-    if not candidates:
-        raise ContractError("prompt inference needs at least one candidate sentence")
-    chunk = model.config.train.batch_size
-    with no_grad():
-        texts = model.encode_text(candidates)
-        kernels = model.audio_encoder.build_kernels()
-        rows = [
-            cosine_matrix(model.audio_encoder.encode(segments[i : i + chunk], kernels), texts).values
-            for i in range(0, len(segments), chunk)
-        ]
-    return np.concatenate(rows)
-
-
 def prompt_infer(segment: AudioSegment, candidates: list[str], model) -> tuple[int, np.ndarray]:
     """Index of the candidate sentence most similar to the audio, plus all
     similarities. Ties break toward the lowest index."""
-    sims = _prompt_similarities([segment], candidates, model)[0]
+    sims = model.similarities([segment], candidates)[0]
     return int(np.argmax(sims)), sims
 
 
@@ -98,8 +77,7 @@ def evaluate(model, dataset: Dataset, folds: FoldAssignment, test_fold: int, cla
     _, test = dataset.split_by_fold(folds, test_fold)
     if not test.samples:
         raise ProtocolError(f"fold {test_fold} contains no segments")
-    trained_on = set(getattr(model, "train_source_ids", ()))
-    leaked = trained_on & test.source_ids()
+    leaked = set(model.train_source_ids) & test.source_ids()
     if leaked:
         raise ProtocolError(f"test fold {test_fold} shares sources with the training set: {sorted(leaked)[:5]}")
 
@@ -109,15 +87,7 @@ def evaluate(model, dataset: Dataset, folds: FoldAssignment, test_fold: int, cla
     classes = class_map.classes()
     index = {c: i for i, c in enumerate(classes)}
 
-    segments = [s.segment for s in test.samples]
-    if hasattr(model, "predict_labels"):
-        predictions = model.predict_labels(segments)
-    else:
-        class_labels = list(model.class_labels)
-        candidates = candidate_queue(parse_template(model.test_template_text), class_labels)
-        sims = _prompt_similarities(segments, candidates, model)
-        predictions = [class_labels[int(i)] for i in np.argmax(sims, axis=1)]
-
+    predictions = model.predict_labels([s.segment for s in test.samples])
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     hits = 0
     for sample, pred in zip(test.samples, predictions):

@@ -1,6 +1,8 @@
 """The tri-modal model: three encoders, learnable logit scales, tokenizer,
 and the templates it was trained with. A model is self-contained: given raw
-audio it can run prompt-style inference without further assets.
+audio it can run prompt-style inference without further assets. Its read-out
+scores audio embeddings against sentence embeddings by cosine, so the
+sentences act as the weights of a linear classifier.
 """
 
 from __future__ import annotations
@@ -9,12 +11,25 @@ import numpy as np
 
 from .bpe import BpeTokenizer, tokenize
 from .config import RunConfig
+from .dsp import AudioSegment
 from .encoders import AudioEncoder, SpecEncoder, TextEncoder
+from .errors import ContractError
 from .store import ParameterStore, trainable
-from .tensor import Tensor
+from .templates import candidate_queue, parse_template
+from .tensor import Tensor, l2_normalize_rows, matmul, no_grad, transpose
 
 
 MAX_EXP_SCALE = 100.0
+
+
+def cosine_matrix(x: Tensor, y: Tensor) -> Tensor:
+    """Entry (i, j) is the cosine of rows x_i and y_j; a zero-norm row is a
+    contract violation."""
+    for side, mat in (("x", x), ("y", y)):
+        norms = np.sqrt((mat.values**2).sum(axis=1))
+        if np.any(norms == 0.0):
+            raise ContractError(f"zero-norm embedding in {side} batch; run anomaly_filter first")
+    return matmul(l2_normalize_rows(x), transpose(l2_normalize_rows(y)))
 
 
 class ScaleCoefficients:
@@ -71,3 +86,18 @@ class TriModalModel:
     def encode_text(self, sentences: list[str]) -> Tensor:
         max_len = self.config.train.max_tokens
         return self.text_encoder.encode([tokenize(s, self.tokenizer, max_len) for s in sentences])
+
+    def similarities(self, segments: list[AudioSegment], candidates: list[str]) -> np.ndarray:
+        """Cosine of each segment's audio embedding (rows) with each candidate
+        sentence's text embedding (columns)."""
+        if not candidates:
+            raise ContractError("prompt inference needs at least one candidate sentence")
+        audio = self.audio_encoder.embed(segments, self.config.train.batch_size)
+        with no_grad():
+            return cosine_matrix(audio, self.encode_text(candidates)).values
+
+    def predict_labels(self, segments: list[AudioSegment]) -> list[str]:
+        """The class label whose test-template sentence is most similar to each segment."""
+        candidates = candidate_queue(parse_template(self.test_template_text), self.class_labels)
+        sims = self.similarities(segments, candidates)
+        return [self.class_labels[int(i)] for i in np.argmax(sims, axis=1)]

@@ -15,6 +15,7 @@ and the auxiliary value / missing-annotation draws.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,16 +43,13 @@ DEFAULT_EFFECTS: dict[str, dict[str, float]] = {
 class ClassSpec:
     name: str
     f0_hz: float | dict[str, float]
-    harmonics: tuple[float, ...] | dict[str, tuple[float, ...]] = (1.0, 0.5, 0.25)
-    f0_field: str | None = None  # aux field conditioning the signature
+    harmonics: tuple[float, ...] = (1.0, 0.5, 0.25)
+    f0_field: str | None = None  # aux field conditioning the fundamental
 
     def __post_init__(self):
-        if isinstance(self.harmonics, dict):
-            if not self.f0_field:
-                raise ConfigError(f"class {self.name}: per-value harmonics need f0_field")
-            self.harmonics = {k: tuple(float(h) for h in v) for k, v in self.harmonics.items()}
-        else:
-            self.harmonics = tuple(float(h) for h in self.harmonics)
+        if not isinstance(self.harmonics, (list, tuple)) or not self.harmonics:
+            raise ConfigError(f"class {self.name}: harmonics must be a nonempty list of amplitudes")
+        self.harmonics = tuple(float(h) for h in self.harmonics)
         if isinstance(self.f0_hz, dict):
             if not self.f0_field:
                 raise ConfigError(f"class {self.name}: per-value f0_hz needs f0_field")
@@ -61,8 +59,7 @@ class ClassSpec:
 
     def signature(self):
         f0 = self.f0_hz if isinstance(self.f0_hz, float) else tuple(sorted(self.f0_hz.items()))
-        harm = self.harmonics if isinstance(self.harmonics, tuple) else tuple(sorted(self.harmonics.items()))
-        return (f0, harm)
+        return (f0, self.harmonics)
 
 
 @dataclass
@@ -72,9 +69,10 @@ class AuxFieldSpec:
     effects: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.values, str) or not self.values or not all(isinstance(v, str) for v in self.values):
+            raise ConfigError("aux field needs a nonempty list of string values")
         self.values = tuple(self.values)
-        if not self.values:
-            raise ConfigError("aux field needs at least one value")
+        self.effects = {v: {k: float(x) for k, x in e.items()} for v, e in self.effects.items()}
         if not 0.0 <= self.missing_rate < 1.0:
             raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
 
@@ -96,6 +94,10 @@ class SynthSpec:
     def __post_init__(self):
         if not self.classes:
             raise ConfigError("need at least one class")
+        self.samples_per_class, self.seed = operator.index(self.samples_per_class), operator.index(self.seed)
+        self.duration_seconds, self.noise_level = float(self.duration_seconds), float(self.noise_level)
+        if self.samples_per_class < 1 or self.duration_seconds <= 0.0 or self.noise_level < 0.0:
+            raise ConfigError("need samples_per_class >= 1, duration_seconds > 0 and noise_level >= 0")
         signatures = [c.signature() for c in self.classes]
         if len(set(signatures)) != len(signatures):
             raise ConfigError("class signatures must be pairwise distinct")
@@ -104,11 +106,17 @@ class SynthSpec:
                 raise ConfigError(f"class {c.name}: f0_field {c.f0_field!r} is not a configured aux field")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SynthSpec":
-        classes = [ClassSpec(**c) for c in data.get("classes", [])]
-        aux = {name: AuxFieldSpec(**spec) for name, spec in data.get("aux_fields", {}).items()}
-        kwargs = {k: data[k] for k in ("samples_per_class", "duration_seconds", "noise_level", "seed") if k in data}
-        return cls(classes=classes, aux_fields=aux, **kwargs)
+    def from_dict(cls, data) -> "SynthSpec":
+        """Build a spec from parsed JSON; any malformed part is a ConfigError."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"synth spec must be a JSON object, got {type(data).__name__}")
+        try:
+            classes = [ClassSpec(**c) for c in data.get("classes", [])]
+            aux = {name: AuxFieldSpec(**spec) for name, spec in data.get("aux_fields", {}).items()}
+            kwargs = {k: data[k] for k in ("samples_per_class", "duration_seconds", "noise_level", "seed") if k in data}
+            return cls(classes=classes, aux_fields=aux, **kwargs)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed synth spec: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "SynthSpec":
@@ -132,14 +140,7 @@ def _render_tone(spec: SynthSpec, class_idx: int, aux_values: dict[str, str]) ->
         f0 = cls.f0_hz[value]
     else:
         f0 = cls.f0_hz
-
-    if isinstance(cls.harmonics, dict):
-        value = aux_values.get(cls.f0_field)
-        if value not in cls.harmonics:
-            raise ConfigError(f"class {cls.name}: no harmonics for {cls.f0_field}={value!r}")
-        amps = np.array(cls.harmonics[value], dtype=np.float64)
-    else:
-        amps = np.array(cls.harmonics, dtype=np.float64)
+    amps = np.array(cls.harmonics, dtype=np.float64)
     gain = 1.0
     lowpass = None
     for fname in sorted(aux_values):

@@ -23,7 +23,7 @@ import numpy as np
 from .bpe import train_bpe
 from .config import RunConfig
 from .errors import ContractError, DegenerateBatchError, NonFiniteLossError
-from .model import TriModalModel
+from .model import TriModalModel, cosine_matrix
 from .optim import AdamW
 from .tensor import (
     Tensor,
@@ -31,8 +31,6 @@ from .tensor import (
     backward,
     cross_entropy,
     exp,
-    l2_normalize_rows,
-    matmul,
     mul,
     scalar_scale,
     take_rows,
@@ -57,16 +55,6 @@ def anomaly_filter(modal_embeddings: dict[str, Tensor]) -> tuple[dict[str, Tenso
     if len(kept) < 2:
         raise DegenerateBatchError(f"only {len(kept)} of {batch} samples survived anomaly filtering")
     return {k: take_rows(v, kept) for k, v in modal_embeddings.items()}, kept
-
-
-def cosine_matrix(x: Tensor, y: Tensor) -> Tensor:
-    """Entry (i, j) is the cosine of rows x_i and y_j; a zero-norm row is a
-    contract violation."""
-    for side, mat in (("x", x), ("y", y)):
-        norms = np.sqrt((mat.values**2).sum(axis=1))
-        if np.any(norms == 0.0):
-            raise ContractError(f"zero-norm embedding in {side} batch; run anomaly_filter first")
-    return matmul(l2_normalize_rows(x), transpose(l2_normalize_rows(y)))
 
 
 def compute_logits(x: Tensor, y: Tensor, scale: Tensor) -> Tensor:

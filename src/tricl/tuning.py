@@ -4,10 +4,15 @@ baselines that fuse auxiliary annotations into discrete targets.
 
 Classifier training runs the trainer's one batch loop, `trainer.train_epoch`,
 with `_classifier_batch_loss`; that loss never skips a batch. Its softmax
-heads use `tensor.cross_entropy`, the op contrastive training uses.
+heads use `tensor.cross_entropy`, the op contrastive training uses, and
+`ClassifierModel.head_logits` is the one place a head is applied. A tuning
+config may differ from its checkpoint only in the train section and in the
+encoder seed, which seeds new heads.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import numpy as np
 
@@ -93,24 +98,18 @@ class ClassifierModel:
             return self.task_classes["multilabel"][: self.n_categories]
         return self.task_classes["category"]
 
-    def head_logits(self, segments: list[AudioSegment], task: str, kernels=None) -> Tensor:
-        return self.heads[task](self.encoder.encode(segments, kernels))
+    def head_logits(self, embeddings: Tensor, task: str) -> Tensor:
+        return self.heads[task](embeddings)
 
     def clamp(self) -> None:
         self.encoder.wavelet.clamp()
 
     def predict_labels(self, segments: list[AudioSegment]) -> list[str]:
         task = "multilabel" if self.kind == "multilabel" else "category"
-        chunk = self.config.train.batch_size  # bounds memory on a large fold
+        embeddings = self.encoder.embed(segments, self.config.train.batch_size)
         with no_grad():
-            kernels = self.encoder.build_kernels()
-            logits = np.concatenate(
-                [self.head_logits(segments[i : i + chunk], task, kernels).values for i in range(0, len(segments), chunk)]
-            )
-        if self.kind == "multilabel":
-            logits = logits[:, : self.n_categories]  # never return an auxiliary index
-        labels = self.class_labels
-        return [labels[int(i)] for i in np.argmax(logits, axis=1)]
+            logits = self.head_logits(embeddings, task).values[:, : self.n_categories]  # never an auxiliary index
+        return [self.class_labels[int(i)] for i in np.argmax(logits, axis=1)]
 
 
 def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig,
@@ -148,7 +147,7 @@ def _classifier_batch_loss(dataset: Dataset, indices: list[int], model: Classifi
                 v = getattr(sample.record, f)
                 if v is not None and f"{f}={v}" in dim_index:
                     targets[r, dim_index[f"{f}={v}"]] = 1.0
-        return binary_ce_logits(model.heads["multilabel"](embeddings), targets)
+        return binary_ce_logits(model.head_logits(embeddings, "multilabel"), targets)
 
     total = None
     for task in sorted(model.heads):
@@ -163,18 +162,23 @@ def _classifier_batch_loss(dataset: Dataset, indices: list[int], model: Classifi
             targets.append(class_index[value])
         if not rows:
             continue
-        term = cross_entropy(model.heads[task](take_rows(embeddings, rows)), targets)
+        term = cross_entropy(model.head_logits(take_rows(embeddings, rows), task), targets)
         total = term if total is None else add(total, term)
     return total
+
+
+def _check_tuning_config(config: RunConfig, checkpoint: RunConfig) -> None:
+    for section in ("preprocess", "encoder"):
+        ours, theirs = asdict(getattr(config, section)), asdict(getattr(checkpoint, section))
+        for key in ours:
+            if key != "seed" and ours[key] != theirs[key]:
+                raise ConfigError(f"tuning config sets {section}.{key}={ours[key]!r}, the checkpoint has {theirs[key]!r}")
 
 
 def uart_tune(model: TriModalModel, dataset: Dataset, config: RunConfig, log_path=None) -> list[str]:
     """Continue contrastive training on a new dataset without touching the
     model structure; templates may differ, the tokenizer is kept."""
-    if config.encoder.d != model.config.encoder.d:
-        raise ConfigError(
-            f"embedding dim mismatch: checkpoint d={model.config.encoder.d}, config d={config.encoder.d}"
-        )
+    _check_tuning_config(config, model.config)
     lines = continue_training(dataset, model, config, log_path=log_path)
     model.class_labels = dataset.vessel_types()
     return lines
@@ -190,6 +194,7 @@ def encoder_tune(pretrained: TriModalModel | None, dataset: Dataset, config: Run
         raise ConfigError(f"classification needs at least 2 classes, got {labels}")
     model = ClassifierModel(config, "category", {"category": labels})
     if pretrained is not None:
+        _check_tuning_config(config, pretrained.config)
         weights = {name: t.values for name, t in trainable(pretrained.audio_encoder).items()}
         model.store.split(len(trainable(model.encoder)))[0].load_values(weights, "pretrained encoder")
     trace = train_classifier(model, dataset, config, freeze_encoder=freeze_encoder)

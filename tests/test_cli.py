@@ -330,6 +330,59 @@ def test_tune_uart_round_trip(workspace, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "strategy, section, key, value, stored",
+    [("uart", "preprocess", "spec_input", "mel", "stft"), ("encoder", "preprocess", "n_scales", 9, 4)],
+)
+def test_tune_config_contradicting_checkpoint_is_config_error(workspace, tmp_path, capsys,
+                                                              strategy, section, key, value, stored):
+    config = tmp_path / "tune.json"
+    config.write_text(json.dumps({**CONFIG, section: {**CONFIG[section], key: value}}))
+    out = tmp_path / "tuned.ckpt"
+    assert main([
+        "tune", strategy, "--ckpt", str(workspace / "model.ckpt"), "--manifest", str(workspace / "data" / "manifest.jsonl"),
+        "--config", str(config), "--out", str(out), "--holdout-fold", "0",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"{section}.{key}={value!r}" in err and repr(stored) in err
+    assert not out.exists()
+
+
+def test_tune_encoder_seed_may_differ_from_checkpoint(workspace, tmp_path):
+    # the encoder seed only seeds the new head
+    config = tmp_path / "tune.json"
+    config.write_text(json.dumps({**CONFIG, "encoder": {**CONFIG["encoder"], "seed": 5}}))
+    assert main([
+        "tune", "encoder", "--ckpt", str(workspace / "model.ckpt"), "--manifest", str(workspace / "data" / "manifest.jsonl"),
+        "--config", str(config), "--out", str(tmp_path / "clf.ckpt"), "--holdout-fold", "0",
+    ]) == 0
+
+
+def _with_class(**changes):
+    return {**SPEC, "classes": [{**SPEC["classes"][0], **changes}, SPEC["classes"][1]]}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(_with_class(harmonics=["x"]), id="harmonic-not-a-number"),
+        pytest.param(_with_class(f0_hz="loud"), id="f0-not-a-number"),
+        pytest.param(_with_class(colour="red"), id="unknown-class-key"),
+        pytest.param(_with_class(harmonics={"close": [1.0], "far": [0.5]}, f0_field="distance"), id="per-value-harmonics"),
+        pytest.param([SPEC], id="spec-not-an-object"),
+        pytest.param({**SPEC, "aux_fields": []}, id="aux-fields-not-an-object"),
+        pytest.param({**SPEC, "aux_fields": {"distance": {"values": "close"}}}, id="aux-values-not-a-list"),
+        pytest.param({**SPEC, "samples_per_class": "many"}, id="count-not-an-integer"),
+    ],
+)
+def test_malformed_synth_spec_is_config_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_infer_rejects_bad_labels_file(workspace, tmp_path, capsys):
     ckpt = workspace / "model.ckpt"
     bad = tmp_path / "labels.json"

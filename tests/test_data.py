@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 from helpers import tiny_run_config
 from tricl.data import (
+    Dataset,
     DatasetManifest,
+    TrainSample,
     ingest,
     load_manifest,
     make_folds,
     segment_audio,
     stratified_source_subset,
 )
-from tricl.dsp import write_wav
+from tricl.dsp import AudioSegment, write_wav
 from tricl.errors import ConfigError, DataError, ProtocolError
 from tricl.synth import synth_generate, three_class_spec
 from tricl.templates import AUX_TEMPLATE_TEXT, parse_template
@@ -224,3 +226,23 @@ def test_stratified_subset_keeps_every_class(tmp_path):
     sub = stratified_source_subset(dataset, 0.34, seed=1)
     assert set(sub.vessel_types()) == {"A", "B", "C"}
     assert len(sub.source_ids()) == 2 + 2 + 1
+
+
+def test_stratified_subset_pinned(tmp_path):
+    # which of the 72 sources are kept, in sorted source-id order, per (fraction, seed)
+    expected = {
+        (0.1, 0): "000010000000000000100000001000000000010000000000100000000000000100000000",
+        (0.1, 1): "010000000000000000000100000000000010000000100000100000000000000001000000",
+        (0.1, 2): "000000000000000000001010010000010000000000000000001000010000000000000000",
+        (0.5, 0): "001110101011000000101111011010010001011000111011110011011010001110001010",
+        (0.5, 1): "011000010001100111001111100100110110010101101001100101010001100111001110",
+        (0.5, 2): "001000110001101010111011011101111001110001100000001100011010011110111000",
+    }
+    manifest = load_manifest(synth_generate(three_class_spec(seed=0), tmp_path))
+    samples = [TrainSample(AudioSegment(np.zeros(1)), "", r.vessel_type, r.source_id, r.annotation())
+               for r in manifest.records]
+    dataset = Dataset(samples, tiny_run_config().preprocess)
+    sources = sorted(dataset.source_ids())
+    for (fraction, seed), kept in expected.items():
+        chosen = stratified_source_subset(dataset, fraction, seed).source_ids()
+        assert "".join(str(int(s in chosen)) for s in sources) == kept

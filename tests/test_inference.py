@@ -15,7 +15,6 @@ from tricl.errors import ContractError, ProtocolError
 from tricl.inference import (
     SHIPSEAR_CLASS_MAP,
     EvalResult,
-    _prompt_similarities,
     evaluate,
     identity_class_map,
     prompt_infer,
@@ -122,7 +121,7 @@ def test_encodes_in_chunks_of_batch_size(monkeypatch):
         return encode(self, batch, kernels)
 
     monkeypatch.setattr(AudioEncoder, "encode", recording)
-    sims = _prompt_similarities(segments, candidates, model)
+    sims = model.similarities(segments, candidates)
     assert sizes == [batch_size] * 3
     texts = model.encode_text(candidates).values
     expect = (whole / np.linalg.norm(whole, axis=1, keepdims=True)) @ (texts / np.linalg.norm(texts, axis=1, keepdims=True)).T

@@ -98,7 +98,7 @@ class TestUartTune:
         model = fresh_model(dataset, tiny_run_config())
         other = tiny_run_config()
         other.encoder.d = 16
-        with pytest.raises(ConfigError, match="dim"):
+        with pytest.raises(ConfigError, match=r"encoder\.d=16"):
             uart_tune(model, dataset, other)
 
     def test_tuning_on_same_data_does_not_hurt(self):
@@ -216,7 +216,7 @@ class TestBaselines:
             annotated = [s for s in batch if (s.vessel_type if task == "category" else getattr(s.record, task))]
             targets = [model.task_classes[task].index(s.vessel_type if task == "category" else getattr(s.record, task))
                        for s in annotated]
-            term = cross_entropy(model.head_logits([s.segment for s in annotated], task, kernels), targets)
+            term = cross_entropy(model.head_logits(model.encoder.encode([s.segment for s in annotated], kernels), task), targets)
             reference = term if reference is None else add(reference, term)
         backward(reference)
         expect_grads = {k: v.grad.copy() for k, v in model.store.tensors.items()}
