@@ -112,9 +112,13 @@ def load_checkpoint(path):
     sources = tuple(field("train_source_ids"))
     model_type = field("model_type")
     if model_type == "trimodal":
+        try:
+            tokenizer = BpeTokenizer.from_text(field("tokenizer"))
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed tokenizer: {exc}") from exc
         model = TriModalModel(
             config,
-            BpeTokenizer.from_text(field("tokenizer")),
+            tokenizer,
             field("train_template"),
             field("test_template"),
             class_labels=field("class_labels"),

@@ -74,7 +74,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--folds", type=int, default=4)
     p.add_argument("--fold", type=int, default=None, help="evaluate a single fold")
-    p.add_argument("--seed", type=int, default=0, help="fold assignment seed")
     p.add_argument("--class-map", choices=("auto", "shipsear", "identity"), default="auto")
     p.add_argument("--report", help="write the report here as well as stdout")
     return parser
@@ -173,7 +172,7 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     # evaluation reads no sentences, so the label template serves any checkpoint
     dataset, manifest = ingest(args.manifest, parse_template(LABEL_TEMPLATE_TEXT), model.config.preprocess)
-    folds = make_folds(manifest, k=args.folds, seed=args.seed)
+    folds = make_folds(manifest, k=args.folds)
     labels = sorted(set(model.class_labels) | set(dataset.vessel_types()))
     if args.class_map == "shipsear" or (args.class_map == "auto" and all(l in SHIPSEAR_CLASS_MAP.mapping for l in labels)):
         class_map = SHIPSEAR_CLASS_MAP

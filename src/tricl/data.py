@@ -1,5 +1,7 @@
 """Dataset ingestion: JSONL manifests, WAV loading, 30 s / 15 s segmentation,
-and the source-grouped stratified 4-fold protocol.
+and the source-grouped stratified 4-fold protocol. Each manifest row becomes
+one AnnotationRecord, rendered into the sentence every segment of its
+recording shares; a malformed row is a DataError naming the row.
 """
 
 from __future__ import annotations
@@ -31,26 +33,28 @@ log = logging.getLogger(__name__)
 class ManifestRecord:
     audio_path: Path
     source_id: str
-    vessel_type: str
     sample_rate_hz: int
-    distance: str | None = None
-    depth: str | None = None
-    location: str | None = None
-    wind: str | None = None
+    annotation: AnnotationRecord
 
-    def annotation(self) -> AnnotationRecord:
-        return AnnotationRecord(
-            vessel_type=self.vessel_type,
-            distance=self.distance,
-            depth=self.depth,
-            location=self.location,
-            wind=self.wind,
-        )
+    @property
+    def vessel_type(self) -> str:
+        return self.annotation.vessel_type
 
 
 @dataclass
 class DatasetManifest:
     records: list[ManifestRecord]
+
+
+def _sample_rate(value, where: str) -> int:
+    """An int, a float with no fraction, or a string that int() reads."""
+    try:
+        rate = int(value)
+        if isinstance(value, str) or rate == value:
+            return rate
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DataError(f"{where}: sample_rate_hz must be an integer, got {value!r}")
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -87,9 +91,8 @@ def load_manifest(path) -> DatasetManifest:
         rec = ManifestRecord(
             audio_path=audio_path,
             source_id=str(row["source_id"]),
-            vessel_type=str(row["vessel_type"]),
-            sample_rate_hz=int(row["sample_rate_hz"]),
-            **aux,
+            sample_rate_hz=_sample_rate(row["sample_rate_hz"], f"{path} row {lineno}"),
+            annotation=AnnotationRecord(vessel_type=str(row["vessel_type"]), **aux),
         )
         prev = source_types.setdefault(rec.source_id, rec.vessel_type)
         if prev != rec.vessel_type:
@@ -172,9 +175,6 @@ class Dataset:
     samples: list[TrainSample]
     preprocess: PreprocessConfig
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
     def spectrogram(self, sample: TrainSample) -> Spectrogram:
         if sample.spec is None:
             p = self.preprocess
@@ -232,8 +232,7 @@ def ingest(manifest_path, template: TemplateSpec, preprocess: PreprocessConfig) 
             raise DataError(f"{rec.audio_path}: header rate {rate} != manifest rate {rec.sample_rate_hz}")
         if rate != TARGET_RATE:
             raw = resample_to_16k(raw, rate)
-        annotation = rec.annotation()
-        sentence = render_template(template, annotation)
+        sentence = render_template(template, rec.annotation)
         for segment in segment_audio(raw, rec.source_id, preprocess.segment_seconds, preprocess.overlap_seconds):
             samples.append(
                 TrainSample(
@@ -241,7 +240,7 @@ def ingest(manifest_path, template: TemplateSpec, preprocess: PreprocessConfig) 
                     sentence=sentence,
                     vessel_type=rec.vessel_type,
                     source_id=rec.source_id,
-                    record=annotation,
+                    record=rec.annotation,
                 )
             )
     if not samples:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bpe import EOS_ID, TokenSequence
+from .bpe import EOS_ID, SOS_ID
 from .config import EncoderConfig, PreprocessConfig
 from .dsp import AudioSegment, Spectrogram
 from .errors import ContractError, ShapeError
@@ -110,19 +110,18 @@ class TextEncoder:
         self.ln_final = LayerNorm(w, "text.ln_final")
         self.proj = uniform_init(rng, (w, config.d), w, "text.proj")
 
-    def encode(self, sequences: list[TokenSequence]) -> Tensor:
+    def encode(self, sequences: list[list[int]]) -> Tensor:
         if not sequences:
             raise ContractError("cannot encode an empty batch")
-        for tokens in sequences:
-            ids = tokens.ids
-            if ids[-1] != EOS_ID:
-                raise ContractError("token sequence does not end with [EOS]")
+        for ids in sequences:
+            if len(ids) < 2 or ids[0] != SOS_ID or ids[-1] != EOS_ID:
+                raise ContractError("token sequence must start with [SOS] and end with [EOS]")
             if len(ids) > self.max_len:
                 raise ContractError(f"sequence of {len(ids)} tokens exceeds max length {self.max_len}")
-            if any(i >= self.vocab_size for i in ids):
+            if any(not 0 <= i < self.vocab_size for i in ids):
                 raise ContractError("token id outside the encoder vocabulary")
-        lengths = [len(tokens.ids) for tokens in sequences]
-        ids = [i for tokens in sequences for i in tokens.ids]
+        lengths = [len(ids) for ids in sequences]
+        ids = [i for seq in sequences for i in seq]
         positions = [p for n in lengths for p in range(n)]
         x = add(take_rows(self.tok_emb, ids), take_rows(self.pos_emb, positions))
         mask = causal_mask(lengths)  # packed without padding: each sequence attends only to itself

@@ -1,7 +1,8 @@
 """Clause templates that turn annotation records into descriptive sentences.
 
 A template is an ordered list of clauses; each clause is literal text with at
-most one ``{slot}``. Rendering fills slots from the record and deletes every
+most one slot, ``{label}`` or one of the ``AUX_FIELDS``; any other braced name
+is a config error. Rendering inserts each value verbatim and deletes every
 clause whose slot has no value, so incomplete annotations still produce a
 complete sentence. The clause carrying the ``label`` slot is mandatory.
 """
@@ -16,7 +17,7 @@ from .errors import ConfigError
 LABEL_SLOT = "label"
 AUX_FIELDS = ("distance", "depth", "location", "wind")
 
-_SLOT_RE = re.compile(r"\{\s*([a-z_]*)\s*\}")
+_SLOT_RE = re.compile(r"\{([^{}]*)\}")
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,7 @@ class AnnotationRecord:
                 raise ConfigError(f"annotation field {f!r} must be absent or nonempty")
 
     def value_for(self, slot: str) -> str | None:
-        if slot == LABEL_SLOT:
-            return self.vessel_type
-        if slot in AUX_FIELDS:
-            return getattr(self, slot)
-        return None
+        return self.vessel_type if slot == LABEL_SLOT else getattr(self, slot)
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,8 @@ class TemplateSpec:
 
 
 def parse_template(text: str) -> TemplateSpec:
-    """One clause per line; slot syntax ``{name}``; blank lines ignored."""
+    """One clause per line; slot syntax ``{name}``, and ``{ name }`` is stored
+    as ``{name}``; blank lines ignored."""
     clauses = []
     for line in text.splitlines():
         line = line.strip()
@@ -71,7 +69,10 @@ def parse_template(text: str) -> TemplateSpec:
         slots = _SLOT_RE.findall(line)
         if len(slots) > 1:
             raise ConfigError(f"clause has more than one slot: {line!r}")
-        clauses.append(Clause(text=line, slot=slots[0] if slots else None))
+        slot = slots[0].strip() if slots else None
+        if slot not in (None, LABEL_SLOT, *AUX_FIELDS):
+            raise ConfigError(f"unknown slot {{{slot}}} in clause {line!r}; known: {LABEL_SLOT}, {', '.join(AUX_FIELDS)}")
+        clauses.append(Clause(text=_SLOT_RE.sub(f"{{{slot}}}", line) if slot else line, slot=slot))
     if not clauses:
         raise ConfigError("template has no clauses")
     return TemplateSpec(tuple(clauses))
@@ -87,7 +88,7 @@ def render_template(template: TemplateSpec, record: AnnotationRecord) -> str:
         value = record.value_for(clause.slot)
         if value is None:
             continue
-        parts.append(_SLOT_RE.sub(value, clause.text))
+        parts.append(clause.text.replace(f"{{{clause.slot}}}", value))
     sentence = " ".join(parts).rstrip(" ,")
     if not sentence.endswith("."):
         sentence += "."

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricl.bpe import EOS_ID, PAD_ID, SOS_ID, BpeTokenizer, TokenSequence, tokenize, train_bpe
+from helpers import tiny_run_config
+from tricl.bpe import EOS_ID, PAD_ID, SOS_ID, BpeTokenizer, tokenize, train_bpe
+from tricl.encoders import TextEncoder
 from tricl.errors import ConfigError, ContractError
 from tricl.templates import AUX_TEMPLATE_TEXT, AnnotationRecord, parse_template, render_template
 
@@ -16,6 +19,14 @@ CORPUS = [
 ]
 
 
+def expand(tok, ids):
+    """The text behind token ids, rebuilt from the merge table."""
+    pieces = {i: bytes([i]) for i in range(256)}
+    for (a, b), idx in tok.merges.items():
+        pieces[idx] = pieces[a] + pieces[b]
+    return b"".join(pieces[i] for i in ids).decode("utf-8")
+
+
 def test_most_frequent_pair_merged_first():
     tok = train_bpe(["aaaa", "aaaa"], 260)
     assert list(tok.merges) == [(ord("a"), ord("a"))]
@@ -24,14 +35,14 @@ def test_most_frequent_pair_merged_first():
 def test_round_trip_over_corpus():
     tok = train_bpe(CORPUS, 400)
     for sentence in CORPUS:
-        assert tok.decode(tok.encode(sentence)) == sentence
+        assert expand(tok, tok.encode(sentence)) == sentence
 
 
 @given(st.text(max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_byte_fallback_handles_any_unicode(text):
     tok = train_bpe(CORPUS, 300)
-    assert tok.decode(tok.encode(text)) == text
+    assert expand(tok, tok.encode(text)) == text
 
 
 def test_vocab_size_too_small():
@@ -56,18 +67,18 @@ def test_serialization_round_trip(tmp_path):
     path.write_text(tok.to_text(), encoding="utf-8")
     again = BpeTokenizer.from_text(path.read_text(encoding="utf-8"))
     assert again.merges == tok.merges
-    assert again.vocab == tok.vocab
+    assert again.to_text() == tok.to_text()
 
 
 def test_tokenize_brackets_with_specials():
     tok = train_bpe(CORPUS, 300)
-    seq = tokenize(CORPUS[0], tok)
-    assert seq.ids[0] == SOS_ID and seq.ids[-1] == EOS_ID
+    seq = tokenize(CORPUS[0], tok, 77)
+    assert seq[0] == SOS_ID and seq[-1] == EOS_ID
 
 
 def test_tokenize_empty_sentence():
     tok = train_bpe(CORPUS, 300)
-    assert tokenize("", tok).ids == [SOS_ID, EOS_ID]
+    assert tokenize("", tok, 77) == [SOS_ID, EOS_ID]
 
 
 def test_truncation_keeps_eos():
@@ -75,7 +86,7 @@ def test_truncation_keeps_eos():
     long_sentence = " ".join(CORPUS) * 3
     assert len(tok.encode(long_sentence)) + 2 > 77
     seq = tokenize(long_sentence, tok, max_len=77)
-    assert len(seq) == 77 and seq.ids[-1] == EOS_ID and seq.ids[0] == SOS_ID
+    assert len(seq) == 77 and seq[-1] == EOS_ID and seq[0] == SOS_ID
 
 
 def test_specials_reserved_and_distinct():
@@ -86,7 +97,8 @@ def test_specials_reserved_and_distinct():
 
 
 def test_token_sequence_contract():
-    with pytest.raises(ContractError):
-        TokenSequence([SOS_ID, 65])
-    with pytest.raises(ContractError):
-        TokenSequence([65, EOS_ID])
+    # the text encoder is where a token sequence is checked
+    encoder = TextEncoder(tiny_run_config().encoder, 300, 8, np.random.default_rng(0))
+    for ids in ([SOS_ID, 65], [65, EOS_ID], [EOS_ID], []):
+        with pytest.raises(ContractError, match=r"\[SOS\]"):
+            encoder.encode([ids])

@@ -193,6 +193,29 @@ def test_malformed_checkpoint_metadata_is_data_error(workspace, tmp_path, capsys
     assert field in capsys.readouterr().err
 
 
+def _infer(ckpt, workspace, tmp_path):
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(["Alpha", "Bravo"]))
+    wav = sorted((workspace / "data").glob("*.wav"))[0]
+    return main(["infer", "--ckpt", str(ckpt), "--wav", str(wav), "--labels", str(labels_path)])
+
+
+def test_malformed_tokenizer_line_is_data_error(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_meta(workspace / "model.ckpt", bad,
+                  lambda meta: {**meta, "tokenizer": meta["tokenizer"].replace("\n", "\nx y\n", 1)})
+    assert _infer(bad, workspace, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "line 2 is not a merge of two token ids: 'x y'" in err
+
+
+def test_unrecognized_tokenizer_header_is_config_error(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_meta(workspace / "model.ckpt", bad, lambda meta: {**meta, "tokenizer": "bpe\n" + meta["tokenizer"]})
+    assert _infer(bad, workspace, tmp_path) == 1
+    assert "tokenizer serialization header" in capsys.readouterr().err
+
+
 def test_infer_empty_wav_is_data_error(workspace, tmp_path, capsys):
     wav = tmp_path / "empty.wav"
     write_wav(wav, np.zeros(0))
@@ -397,6 +420,49 @@ def test_data_error_exit_code(workspace, tmp_path):
                                     "vessel_type": "Tug", "sample_rate_hz": 16000}))
     ckpt = workspace / "model.ckpt"
     assert main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest)]) == 2
+
+
+def _manifest_with(workspace, tmp_path, **fields):
+    """The workspace manifest with `fields` set on every row."""
+    data = workspace / "data"
+    rows = [json.loads(line) for line in (data / "manifest.jsonl").read_text().splitlines() if line.strip()]
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("".join(json.dumps({**row, "audio": str(data / row["audio"]), **fields}) + "\n" for row in rows))
+    return path
+
+
+def test_backslash_annotation_value_trains(workspace, tmp_path):
+    # a value used to be a regex replacement template: "\\d" raised re.error
+    manifest = _manifest_with(workspace, tmp_path, location="C:\\data\\x")
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--manifest", str(manifest), "--config", str(workspace / "config.json"),
+                 "--out", str(ckpt)]) == 0
+
+
+@pytest.mark.parametrize("slot", ["{distnace}", "{}", "{Label}"])
+def test_unknown_template_slot_is_config_error(workspace, tmp_path, capsys, slot):
+    # an unknown slot used to parse, and its clause was dropped from every sentence
+    template = tmp_path / "template.txt"
+    template.write_text(f"The sound belongs to {{label}},\nwhich is in {slot} distance\n")
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--manifest", str(workspace / "data" / "manifest.jsonl"), "--config",
+                 str(workspace / "config.json"), "--template", str(template), "--out", str(ckpt)]) == 1
+    assert f"unknown slot {slot}" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("rate", ["16k", 16000.5])
+def test_non_integer_sample_rate_is_data_error(workspace, tmp_path, capsys, rate):
+    manifest = _manifest_with(workspace, tmp_path, sample_rate_hz=rate)
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--manifest", str(manifest), "--fold", "0"]) == 2
+    assert "row 1: sample_rate_hz must be an integer" in capsys.readouterr().err
+
+
+def test_eval_has_no_seed_option(workspace, capsys):
+    # folds are always assigned with seed 0, the assignment training holds out from
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--manifest",
+                 str(workspace / "data" / "manifest.jsonl"), "--fold", "0", "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_determinism_of_log_and_report(workspace, tmp_path, capsys):

@@ -21,7 +21,7 @@ from tricl.data import (
 from tricl.dsp import AudioSegment, write_wav
 from tricl.errors import ConfigError, DataError, ProtocolError
 from tricl.synth import synth_generate, three_class_spec
-from tricl.templates import AUX_TEMPLATE_TEXT, parse_template
+from tricl.templates import AUX_TEMPLATE_TEXT, AnnotationRecord, parse_template
 
 
 def test_segment_count_60s():
@@ -159,6 +159,23 @@ class TestManifestAndIngest:
         with pytest.raises(DataError, match="r0.wav"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("rate", ["16k", 16000.5, "16000.0", [16000], float("inf")])
+    def test_non_integer_sample_rate_names_the_row(self, tmp_path, rate):
+        path = _write_dataset(tmp_path, [{"vessel_type": "Tug"}, {"vessel_type": "Tug", "sample_rate_hz": rate}])
+        with pytest.raises(DataError, match="row 2: sample_rate_hz must be an integer"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("rate", [16000, 16000.0, "16000", " 16000 "])
+    def test_integral_sample_rate_accepted(self, tmp_path, rate):
+        path = _write_dataset(tmp_path, [{"vessel_type": "Tug", "sample_rate_hz": rate}])
+        assert load_manifest(path).records[0].sample_rate_hz == 16000
+
+    def test_row_becomes_one_annotation(self, tmp_path):
+        path = _write_dataset(tmp_path, [{"vessel_type": "Tug", "location": "C:\\data\\x", "wind": "calm"}])
+        record = load_manifest(path).records[0]
+        assert record.annotation == AnnotationRecord("Tug", location="C:\\data\\x", wind="calm")
+        assert record.vessel_type == "Tug"
+
     def test_conflicting_types_for_one_source(self, tmp_path):
         path = _write_dataset(tmp_path, [{"vessel_type": "Tug", "source_id": "x"},
                                          {"vessel_type": "RORO", "source_id": "x"}])
@@ -239,7 +256,7 @@ def test_stratified_subset_pinned(tmp_path):
         (0.5, 2): "001000110001101010111011011101111001110001100000001100011010011110111000",
     }
     manifest = load_manifest(synth_generate(three_class_spec(seed=0), tmp_path))
-    samples = [TrainSample(AudioSegment(np.zeros(1)), "", r.vessel_type, r.source_id, r.annotation())
+    samples = [TrainSample(AudioSegment(np.zeros(1)), "", r.vessel_type, r.source_id, r.annotation)
                for r in manifest.records]
     dataset = Dataset(samples, tiny_run_config().preprocess)
     sources = sorted(dataset.source_ids())

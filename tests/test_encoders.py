@@ -14,6 +14,7 @@ from tricl.tensor import Tensor, mul, tsum
 
 CFG = tiny_run_config()
 TOKENIZER = train_bpe(["The sound belongs to Alpha.", "The sound belongs to Bravo."], 280)
+MAX_LEN = 32
 
 
 def make_segment(seed=0, n=800):
@@ -30,7 +31,7 @@ def make_spec_encoder(seed=0):
 
 
 def make_text_encoder(seed=0):
-    return TextEncoder(CFG.encoder, TOKENIZER.vocab_size, 32, np.random.default_rng(seed))
+    return TextEncoder(CFG.encoder, TOKENIZER.vocab_size, MAX_LEN, np.random.default_rng(seed))
 
 
 def spec_of(segment):
@@ -46,7 +47,7 @@ def test_shared_embedding_dimension():
     d = CFG.encoder.d
     audio = make_audio_encoder().encode(segments)
     spec = make_spec_encoder().encode([spec_of(s) for s in segments])
-    text = make_text_encoder().encode([tokenize(s, TOKENIZER) for s in SENTENCES[:3]])
+    text = make_text_encoder().encode([tokenize(s, TOKENIZER, MAX_LEN) for s in SENTENCES[:3]])
     assert audio.shape == spec.shape == text.shape == (3, d)
     for e in (audio, spec, text):
         assert np.isfinite(e.values).all()
@@ -70,7 +71,7 @@ class TestBatchRowsMatchSingleEncodes:
         self.check(enc.encode, [spec_of(make_segment(i)) for i in range(4)])
 
     def test_text_sequences_of_different_lengths(self):
-        seqs = [tokenize(s, TOKENIZER) for s in SENTENCES]
+        seqs = [tokenize(s, TOKENIZER, MAX_LEN) for s in SENTENCES]
         assert len({len(s) for s in seqs}) == 4
         self.check(make_text_encoder(1).encode, seqs)
 
@@ -137,8 +138,8 @@ def test_frame_permutation_changes_spec_embedding():
 
 def test_text_appending_token_changes_embedding():
     enc = make_text_encoder()
-    short = tokenize("The sound belongs to Alpha", TOKENIZER)
-    longer = tokenize("The sound belongs to Alpha.", TOKENIZER)
+    short = tokenize("The sound belongs to Alpha", TOKENIZER, MAX_LEN)
+    longer = tokenize("The sound belongs to Alpha.", TOKENIZER, MAX_LEN)
     assert len(longer) > len(short)
     a, b = enc.encode([short, longer]).values
     assert not np.allclose(a, b)
@@ -146,7 +147,7 @@ def test_text_appending_token_changes_embedding():
 
 def test_text_identical_sequences_identical_embedding():
     enc = make_text_encoder()
-    seq = tokenize("The sound belongs to Bravo.", TOKENIZER)
+    seq = tokenize("The sound belongs to Bravo.", TOKENIZER, MAX_LEN)
     rows = enc.encode([seq, seq]).values
     assert np.array_equal(rows, enc.encode([seq, seq]).values)
     # packed at different offsets, the two copies differ by summation order only
@@ -156,7 +157,7 @@ def test_text_identical_sequences_identical_embedding():
 def test_text_rejects_overlong_sequence():
     enc = TextEncoder(CFG.encoder, TOKENIZER.vocab_size, 4, np.random.default_rng(0))
     with pytest.raises(ContractError):
-        enc.encode([tokenize("The", TOKENIZER, max_len=32), tokenize("The sound belongs to Alpha.", TOKENIZER, max_len=32)])
+        enc.encode([tokenize("The", TOKENIZER, MAX_LEN), tokenize("The sound belongs to Alpha.", TOKENIZER, MAX_LEN)])
 
 
 class TestGradientFlow:
@@ -188,7 +189,7 @@ class TestGradientFlow:
 
     def test_text_encoder_end_to_end(self):
         enc = make_text_encoder(4)
-        seqs = [tokenize(s, TOKENIZER) for s in SENTENCES[:3]]
+        seqs = [tokenize(s, TOKENIZER, MAX_LEN) for s in SENTENCES[:3]]
 
         def build():
             return tsum(mul(enc.encode(seqs), self.readout))
@@ -200,7 +201,7 @@ class TestGradientFlow:
         # softmax is shift-invariant, so every attention key bias has a zero
         # gradient, which FD rounding at h = 1e-6 reads as up to ~2e-9
         enc = make_text_encoder(4)
-        seqs = [tokenize(s, TOKENIZER) for s in SENTENCES[:3]]
+        seqs = [tokenize(s, TOKENIZER, MAX_LEN) for s in SENTENCES[:3]]
 
         def build():
             return tsum(mul(enc.encode(seqs), self.readout))

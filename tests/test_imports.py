@@ -16,7 +16,9 @@ because ``data.log`` and ``trainer.log`` are read. Class members are still
 matched by name alone, so a member is missed when anything else of the same
 name is read. An unread ``AudioSegment.duration_seconds`` and
 ``TriModalModel.modalities`` both passed the member check: the program reads
-``SynthSpec.duration_seconds`` and ``config.train.modalities``.
+``SynthSpec.duration_seconds`` and ``config.train.modalities``. A method's
+reads of its own name inside its own body do not count: an unread
+``BpeTokenizer.decode`` passed on the ``bytes.decode`` call in its body.
 """
 
 import ast
@@ -115,15 +117,27 @@ def class_members(source: str) -> list[str]:
 
 def references(source: str) -> set[str]:
     """Names read, attributes read, and string constants (a patch or a
-    quoted annotation names its target as a string)."""
+    quoted annotation names its target as a string), except a method's reads
+    of its own name inside its own body."""
+    tree = ast.parse(source)
+    owner = {}  # id(node) -> name of the innermost method whose body holds it
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update({id(node): fn.name for node in ast.walk(fn)})
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            out.add(node.attr)
+            name = node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+            name = node.value
+        else:
+            continue
+        if owner.get(id(node)) != name:
+            out.add(name)
     return out
 
 
@@ -223,6 +237,18 @@ def test_dead_code_checker_flags_unread_members():
     user = "import lib\nr = lib.Record(1)\nr.scratch = r.size\n"
     assert unread_members({"lib": lib}, [lib, user]) == [
         "lib:Record.orphan", "lib:Record.scratch", "lib:Record.stale"]
+
+
+def test_dead_code_checker_ignores_a_methods_reads_of_itself():
+    lib = (
+        "class Codec:\n"
+        "    def decode(self, raw):\n"
+        "        return raw.decode('utf-8')\n"
+        "    def walk(self, n):\n"
+        "        return self.walk(n - 1) if n else 0\n"
+    )
+    user = "import lib\nlib.Codec().walk(3)\n"
+    assert unread_members({"lib": lib}, [lib, user]) == ["lib:Codec.decode"]
 
 
 def test_every_class_member_is_read_by_the_program():

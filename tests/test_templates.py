@@ -99,3 +99,21 @@ def test_empty_aux_string_rejected():
 def test_literal_clause_kept():
     spec = TemplateSpec((Clause("A recording.", None), Clause("It is {label}", "label")))
     assert render_template(spec, AnnotationRecord("Tug")) == "A recording. It is Tug."
+
+
+@pytest.mark.parametrize("value", ["C:\\data\\x", "Ria\\tde Vigo", "\\g<0>", "\\1", "{label}", "50 % & more"])
+def test_value_inserted_verbatim(value):
+    # values are text, never replacement templates: "\\d" used to raise re.error
+    sentence = render_template(AUX_TEMPLATE, AnnotationRecord("Tug", location=value))
+    assert sentence == f"The sound belongs to Tug, and it is recorded near {value}."
+
+
+@pytest.mark.parametrize("slot", ["distnace", "", "Label", "label_", "vessel type"])
+def test_unknown_slot_is_config_error(slot):
+    with pytest.raises(ConfigError, match=f"unknown slot {{{slot}}}"):
+        parse_template(f"The sound belongs to {{label}},\nwhich is in {{{slot}}} distance")
+
+
+def test_slot_stored_canonically():
+    spec = parse_template("The sound belongs to { label },\nwhich is in {distance } distance")
+    assert spec.clauses == (Clause("The sound belongs to {label},", "label"), Clause("which is in {distance} distance", "distance"))
