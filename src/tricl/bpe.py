@@ -8,6 +8,7 @@ tokenized sentence is a plain list of ids; the text encoder checks it.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 from .errors import ConfigError
@@ -59,7 +60,8 @@ class BpeTokenizer:
     @classmethod
     def from_text(cls, text: str) -> "BpeTokenizer":
         lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-        if not lines or not lines[0][1].startswith("tricl-bpe v1"):
+        header = re.fullmatch(r"tricl-bpe v1 merges=(\d+)", lines[0][1].strip()) if lines else None
+        if header is None:
             raise ConfigError("unrecognized tokenizer serialization header")
         merges = []
         for n, ln in lines[1:]:
@@ -68,6 +70,8 @@ class BpeTokenizer:
             except ValueError:
                 raise ValueError(f"line {n} is not a merge of two token ids: {ln!r}") from None
             merges.append((a, b))
+        if len(merges) != int(header[1]):
+            raise ValueError(f"the header counts {header[1]} merges, {len(merges)} merge lines follow it")
         return cls(merges)
 
 

@@ -50,17 +50,12 @@ class AudioEncoder:
             truncation=self.preprocess.wavelet_truncation,
         )
 
-    def encode(self, segments: list[AudioSegment], kernels: WaveletKernels | None = None) -> Tensor:
+    def encode(self, segments: list[AudioSegment], kernels: WaveletKernels) -> Tensor:
         if not segments:
             raise ContractError("cannot encode an empty batch")
-        lengths = {len(segment.samples) for segment in segments}
-        if len(lengths) > 1:
-            raise ShapeError(f"audio segments in one batch need equal lengths, got {sorted(lengths)}")
-        if kernels is None:
-            kernels = self.build_kernels()
-        grids = [transform_with_kernels(seg.samples, kernels, self.preprocess.wavelet_hop) for seg in segments]
-        t, s = grids[0].shape
-        h = self.conv(reshape(concat(grids, axis=0), (1, len(segments), t, s)))
+        samples = [segment.samples for segment in segments]
+        grid = transform_with_kernels(samples, kernels, self.preprocess.wavelet_hop)  # (N, frames, scales)
+        h = self.conv(reshape(grid, (1, *grid.shape)))
         return self.proj(transpose(mean(h, axis=(2, 3))))
 
     def embed(self, segments: list[AudioSegment], chunk: int) -> Tensor:

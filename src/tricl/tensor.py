@@ -71,9 +71,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
 
+def records(parents) -> bool:
+    """Whether an op on `parents` goes on the tape: grad mode is on and some
+    parent requires grad. An op that keeps intermediates only for its
+    backward asks this before computing them."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(values: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(values)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -231,14 +238,6 @@ def absval(a: Tensor) -> Tensor:
     return _make(np.abs(a.values), (a,), lambda g: (g * np.sign(a.values),))
 
 
-def sin(a: Tensor) -> Tensor:
-    return _make(np.sin(a.values), (a,), lambda g: (g * np.cos(a.values),))
-
-
-def cos(a: Tensor) -> Tensor:
-    return _make(np.cos(a.values), (a,), lambda g: (-g * np.sin(a.values),))
-
-
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.values, 0.0)
     return _make(out, (a,), lambda g: (g * (a.values > 0.0),))
@@ -261,31 +260,6 @@ def sigmoid(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.values)
     return _make(out, (a,), lambda g: (g * _stable_sigmoid(a.values),))
-
-
-def abs_pow(base: Tensor, exponent: Tensor) -> Tensor:
-    """|base| ** exponent with a scalar exponent > 1; 0 ** e defined as 0.
-
-    d/d(base) = e * |b|^(e-1) * sign(b)        (0 at b == 0)
-    d/d(exponent) = |b|^e * log|b|             (0 at b == 0, the continuous limit)
-    """
-    if exponent.size != 1:
-        raise ShapeError(f"abs_pow: exponent must be scalar, got shape {exponent.shape}")
-    b = base.values
-    e = float(exponent.values.reshape(-1)[0])
-    ab = np.abs(b)
-    out = np.power(ab, e)
-
-    def bw(g):
-        nonzero = ab > 0.0
-        gb = np.zeros_like(b)
-        gb[nonzero] = g[nonzero] * e * np.power(ab[nonzero], e - 1.0) * np.sign(b[nonzero])
-        ge_terms = np.zeros_like(b)
-        ge_terms[nonzero] = g[nonzero] * out[nonzero] * np.log(ab[nonzero])
-        ge = np.array(ge_terms.sum()).reshape(exponent.shape)
-        return gb, ge
-
-    return _make(out, (base, exponent), bw)
 
 
 # ---------------------------------------------------------------------------

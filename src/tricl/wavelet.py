@@ -7,12 +7,15 @@ stays real-valued and differentiable for the learnable real-valued order.
 
 The transform W(a, tau) = a**-0.5 * sum_n f(n) * conj(psi((n/fs - tau)/a)) / fs
 (fs = dsp.TARGET_RATE)
-is evaluated at tau = 0, hop, 2*hop, ... by folding. ``build_kernels`` lays
-each scale's scaled conjugate kernel, real and imaginary part, into rows of
-``hop`` taps once per batch. ``transform_with_kernels`` cuts the zero-padded
-segment into rows of ``hop`` samples, multiplies them with every folded
-kernel row in one matrix product, and reads each frame as a sum down a
-diagonal of that product. The kernel gradient is the transposed product.
+is evaluated at tau = 0, hop, 2*hop, ... by folding. Once per batch,
+``build_kernels`` samples psi at every scale's taps in one tape op on m, f_b
+and f_c, whose backward is closed form, and lays each scale's scaled
+conjugate kernel, real and imaginary part, into rows of ``hop`` taps.
+``transform_with_kernels`` takes a batch of N equal-length segments, cuts
+each zero-padded segment into rows of ``hop`` samples, multiplies the
+rows of all N segments with the folded kernel rows in one matrix product per
+block of scales, and reads each frame as a sum down a diagonal of that
+product. The kernel gradient is one transposed product over the whole batch.
 The transform is a single tape op whose parent is the vector of half kernels,
 so gradients flow to m, f_b and f_c through the kernel samples only. Kernels
 are truncated where the envelope drops below `truncation` of its peak and
@@ -27,20 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import TARGET_RATE
-from .errors import ConfigError, EmptyInputError, KernelSupportError
-from .tensor import (
-    Tensor,
-    abs_pow,
-    concat,
-    cos,
-    custom_op,
-    div,
-    mul,
-    reshape,
-    scalar_scale,
-    sin,
-    sqrt,
-)
+from .errors import ConfigError, EmptyInputError, KernelSupportError, ShapeError
+from .tensor import Tensor, custom_op, records
 
 M_FLOOR = 1.01
 BAND_FLOOR = 1e-4
@@ -48,7 +39,7 @@ BAND_FLOOR = 1e-4
 # paper default (64 scales from 20 Hz, f_b = 0.5: 1.12 M taps). Widths grow
 # as 1/f_b, so f_b at BAND_FLOOR would ask for gigabytes of kernels.
 MAX_KERNEL_TAPS = 4_000_000
-# elements per block of the segment-by-kernel product (8 MB)
+# elements per block of the batch's segment-by-kernel product (8 MB)
 _BLOCK_ELEMS = 1_000_000
 
 
@@ -148,22 +139,65 @@ def build_kernels(
 def _half_kernels(params: WaveletParams, half_widths, scales) -> Tensor:
     """psi at the positive-offset taps of every scale, re then im, then psi(0).
 
-    One elementwise graph over all scales; its intermediates are freed on
-    return, before the kernels are folded.
+    One tape op whose parents are m, f_b and f_c. With u = pi * f_b * x / m,
+    the tapered envelope env = sqrt(f_b) * |sinc u|**m * taper and the phase
+    phi = 2 * pi * f_c * x, the halves are env * cos(phi) and env * sin(phi).
+    The backward sums closed-form per-tap derivatives of log env
+    (d log|sinc u| / d log u = u * cot(u) - 1) and of phi (2 * pi * x); a tap
+    with sinc u = 0 contributes no gradient. Under no_grad none of the
+    backward's per-tap factors are computed, and the forward works in place
+    and writes the output buffer directly.
     """
-    x_half = np.concatenate(
-        [np.arange(1, h + 1, dtype=np.float64) / (TARGET_RATE * a) for h, a in zip(half_widths, scales)]
-    )
-    u = scalar_scale(div(mul(params.f_b, Tensor(x_half)), params.m), np.pi)
-    tapers = []
-    for h in half_widths:
+    m, f_b, f_c = params.m, params.f_b, params.f_c
+    order = float(m.values)
+    offsets = np.cumsum([0, *half_widths])
+    x = np.empty(offsets[-1])
+    for h, a, o in zip(half_widths, scales, offsets):
+        x[o : o + h] = np.arange(1, h + 1, dtype=np.float64) / (TARGET_RATE * a)
+    u = f_b.values * x
+    u /= m.values
+    u *= np.pi
+    env = np.sin(u)
+    env /= u
+    np.abs(env, out=env)  # |sinc u|
+    record = records((m, f_b, f_c))
+    if record:
+        with np.errstate(divide="ignore", invalid="ignore"):  # taps with sinc u = 0 are zeroed below
+            dlog = u / np.tan(u) - 1.0
+            d_m = np.log(env) - dlog  # d log env / d m
+            d_fb = (0.5 + order * dlog) / f_b.values  # d log env / d f_b
+        zero = env == 0.0
+        d_m[zero] = 0.0
+        d_fb[zero] = 0.0
+    np.power(env, order, out=env)
+    for h, o in zip(half_widths, offsets):
         k = np.arange(1, h + 1, dtype=np.float64)
-        tapers.append(np.minimum(1.0, (h + 1 - k) / (max(1, h // 16) + 1)))
-    body = mul(abs_pow(div(sin(u), u), params.m), Tensor(np.concatenate(tapers)))
-    root_fb = sqrt(params.f_b)
-    env = mul(root_fb, body)
-    phase = scalar_scale(mul(params.f_c, Tensor(x_half)), 2.0 * np.pi)
-    return concat([mul(env, cos(phase)), mul(env, sin(phase)), reshape(root_fb, (1,))])  # psi(0) = sqrt(f_b)
+        env[o : o + h] *= np.minimum(1.0, (h + 1 - k) / (max(1, h // 16) + 1))
+    root_fb = np.sqrt(f_b.values)
+    env *= root_fb
+    phase = np.multiply(f_c.values, x, out=u)
+    phase *= 2.0 * np.pi
+    total = len(x)
+    halves = np.empty(2 * total + 1)
+    re, im = halves[:total], halves[total:-1]
+    np.cos(phase, out=re)
+    re *= env
+    np.sin(phase, out=im)
+    im *= env
+    halves[-1] = root_fb  # psi(0) = sqrt(f_b)
+    if not record:
+        return Tensor(halves)
+
+    def bw(g):
+        g_re, g_im = g[:total], g[total:-1]
+        g_log_env = g_re * re + g_im * im  # d loss / d log env per tap
+        return (
+            np.array(np.sum(g_log_env * d_m)),
+            np.array(np.sum(g_log_env * d_fb) + 0.5 * g[-1] / root_fb),
+            np.array(np.sum((g_im * re - g_re * im) * x) * (2.0 * np.pi)),
+        )
+
+    return custom_op(halves, (m, f_b, f_c), bw)
 
 
 def _fold(halves: Tensor, half_widths, scales, hop: int) -> WaveletKernels:
@@ -197,14 +231,17 @@ def _fold(halves: Tensor, half_widths, scales, hop: int) -> WaveletKernels:
 
 
 def _diagonals(product: np.ndarray, row: int, col: int, width: int, frames: int) -> np.ndarray:
-    """View (frames, width) of product[f + row + q, col + q]; frame f sums its row."""
-    base = product[row:, col:]
-    step_row, step_col = product.strides
-    return np.lib.stride_tricks.as_strided(base, (frames, width), (step_row, step_row + step_col))
+    """View (N, frames, width) of product[i, f + row + q, col + q]; frame f of segment i sums its row."""
+    base = product[:, row:, col:]
+    step_seg, step_row, step_col = product.strides
+    return np.lib.stride_tricks.as_strided(
+        base, (len(product), frames, width), (step_seg, step_row, step_row + step_col)
+    )
 
 
-def _blocks(kernels: WaveletKernels, frames: int):
-    """Consecutive scale groups whose product block stays under _BLOCK_ELEMS.
+def _blocks(kernels: WaveletKernels, frames: int, batch: int):
+    """Consecutive scale groups whose product block over the batch stays
+    under _BLOCK_ELEMS; a single scale may exceed it.
 
     Yields (first segment row, last segment row + 1, first folded row,
     last folded row + 1, [(column, scale kernel), ...]) per group.
@@ -218,36 +255,41 @@ def _blocks(kernels: WaveletKernels, frames: int):
     group: list[tuple[int, ScaleKernel]] = []
     for j, k in enumerate(kernels):
         lo, hi, k0, k1 = span(group + [(j, k)])
-        if group and (hi - lo) * (k1 - k0) > _BLOCK_ELEMS:
+        if group and batch * (hi - lo) * (k1 - k0) > _BLOCK_ELEMS:
             yield (*span(group), group)
             group = []
         group.append((j, k))
     yield (*span(group), group)
 
 
-def transform_with_kernels(samples: np.ndarray, kernels: WaveletKernels, hop: int) -> Tensor:
-    """Wavelet magnitude grid (frames x scales) as one tape op per segment."""
+def transform_with_kernels(samples, kernels: WaveletKernels, hop: int) -> Tensor:
+    """Wavelet magnitude grids (N x frames x scales) of N equal-length
+    segments, as one tape op. `samples` is an (N, n) array or a sequence of
+    N 1-D arrays; each segment is copied once, straight into its padded rows."""
     if hop != kernels.hop:
         raise ConfigError(f"hop {hop} differs from the hop {kernels.hop} the kernels were folded for")
-    samples = np.asarray(samples, dtype=np.float64)
-    n = len(samples)
+    shapes = {np.shape(segment) for segment in samples}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise ShapeError(f"segments in one batch need one dimension and equal lengths, got shapes {sorted(shapes)}")
+    batch, (n,) = len(samples), shapes.pop()
     if n == 0:
         raise EmptyInputError("cannot transform an empty segment: it has no samples")
     frames = (n - 1) // hop + 1  # tau = 0, hop, 2*hop, ...
     pad = kernels.max_half
     n_rows = max(max(k.shift + k.rows for k in kernels) + frames - 1, -(-(pad + n) // hop))
-    x = np.zeros(n_rows * hop)
-    x[pad : pad + n] = samples
-    x = x.reshape(n_rows, hop)
-    blocks = list(_blocks(kernels, frames))
+    x = np.zeros((batch, n_rows * hop))
+    for row, segment in zip(x, samples):
+        row[pad : pad + n] = segment
+    x = x.reshape(batch, n_rows, hop)
+    blocks = list(_blocks(kernels, frames, batch))
 
-    re = np.empty((frames, len(kernels)))
-    im = np.empty((frames, len(kernels)))
+    re = np.empty((batch, frames, len(kernels)))
+    im = np.empty((batch, frames, len(kernels)))
     for lo, hi, k0, k1, group in blocks:
-        product = x[lo:hi] @ kernels.folded[k0:k1].T
+        product = (x[:, lo:hi].reshape(-1, hop) @ kernels.folded[k0:k1].T).reshape(batch, hi - lo, k1 - k0)
         for j, k in group:
-            re[:, j] = _diagonals(product, k.shift - lo, k.start - k0, k.rows, frames).sum(axis=1)
-            im[:, j] = _diagonals(product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames).sum(axis=1)
+            re[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0, k.rows, frames).sum(axis=2)
+            im[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames).sum(axis=2)
     mag = np.hypot(re, im)
 
     def bw(g):
@@ -257,11 +299,11 @@ def transform_with_kernels(samples: np.ndarray, kernels: WaveletKernels, hop: in
         g_re, g_im = scale * re, scale * im
         grad = np.zeros(kernels.halves.shape)
         for lo, hi, k0, k1, group in blocks:
-            d_product = np.zeros((hi - lo, k1 - k0))
+            d_product = np.zeros((batch, hi - lo, k1 - k0))
             for j, k in group:
-                _diagonals(d_product, k.shift - lo, k.start - k0, k.rows, frames)[...] = g_re[:, j, None]
-                _diagonals(d_product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames)[...] = g_im[:, j, None]
-            d_folded = d_product.T @ x[lo:hi]
+                _diagonals(d_product, k.shift - lo, k.start - k0, k.rows, frames)[...] = g_re[:, :, j, None]
+                _diagonals(d_product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames)[...] = g_im[:, :, j, None]
+            d_folded = d_product.reshape(-1, k1 - k0).T @ x[:, lo:hi].reshape(-1, hop)
             for _, k in group:
                 h = k.half_width
                 taps = slice(k.lead, k.lead + 2 * h + 1)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from tricl.cli import main
 from tricl.dsp import write_wav
 
+DATA = Path(__file__).parent / "data"
 
 SPEC = {
     "seed": 0,
@@ -207,6 +209,15 @@ def test_malformed_tokenizer_line_is_data_error(workspace, tmp_path, capsys):
     assert _infer(bad, workspace, tmp_path) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and "line 2 is not a merge of two token ids: 'x y'" in err
+
+
+def test_truncated_tokenizer_is_data_error(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_meta(DATA / "trimodal_v2.ckpt", bad,
+                  lambda meta: {**meta, "tokenizer": "\n".join(meta["tokenizer"].splitlines()[:-5]) + "\n"})
+    assert _infer(bad, workspace, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "the header counts 21 merges, 16 merge lines follow it" in err
 
 
 def test_unrecognized_tokenizer_header_is_config_error(workspace, tmp_path, capsys):

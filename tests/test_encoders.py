@@ -45,7 +45,8 @@ SENTENCES = ["The sound belongs to Alpha.", "Bravo", "The sound belongs to Bravo
 def test_shared_embedding_dimension():
     segments = [make_segment(i) for i in range(3)]
     d = CFG.encoder.d
-    audio = make_audio_encoder().encode(segments)
+    enc = make_audio_encoder()
+    audio = enc.encode(segments, enc.build_kernels())
     spec = make_spec_encoder().encode([spec_of(s) for s in segments])
     text = make_text_encoder().encode([tokenize(s, TOKENIZER, MAX_LEN) for s in SENTENCES[:3]])
     assert audio.shape == spec.shape == text.shape == (3, d)
@@ -78,7 +79,8 @@ class TestBatchRowsMatchSingleEncodes:
 
 def test_empty_batch_rejected():
     with pytest.raises(ContractError, match="empty batch"):
-        make_audio_encoder().encode([])
+        enc = make_audio_encoder()
+        enc.encode([], enc.build_kernels())
     with pytest.raises(ContractError, match="empty batch"):
         make_spec_encoder().encode([])
     with pytest.raises(ContractError, match="empty batch"):
@@ -87,7 +89,8 @@ def test_empty_batch_rejected():
 
 def test_unequal_audio_lengths_rejected():
     with pytest.raises(ShapeError, match="equal lengths"):
-        make_audio_encoder().encode([make_segment(0, n=800), make_segment(1, n=640)])
+        enc = make_audio_encoder()
+        enc.encode([make_segment(0, n=800), make_segment(1, n=640)], enc.build_kernels())
 
 
 def test_unequal_spectrogram_shapes_rejected():
@@ -98,10 +101,10 @@ def test_unequal_spectrogram_shapes_rejected():
 def test_deterministic_forward():
     segments = [make_segment(3), make_segment(4)]
     enc1, enc2 = make_audio_encoder(1), make_audio_encoder(1)
-    v1 = enc1.encode(segments).values
-    v2 = enc2.encode(segments).values
+    v1 = enc1.encode(segments, enc1.build_kernels()).values
+    v2 = enc2.encode(segments, enc2.build_kernels()).values
     assert np.array_equal(v1, v2)
-    assert np.array_equal(v1, enc1.encode(segments).values)
+    assert np.array_equal(v1, enc1.encode(segments, enc1.build_kernels()).values)
 
 
 def test_spec_encoder_rejects_wrong_kind():
@@ -170,7 +173,7 @@ class TestGradientFlow:
         segments = [make_segment(7 + i, n=400) for i in range(3)]
 
         def build():
-            return tsum(mul(enc.encode(segments), self.readout))
+            return tsum(mul(enc.encode(segments, enc.build_kernels()), self.readout))
 
         # h below the relu-kink scale: zero-init biases leave pre-activations near 0
         params = list(trainable(enc).values())

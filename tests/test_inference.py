@@ -88,7 +88,7 @@ class TestPromptInfer:
         idx2, sims2 = prompt_infer(scaled, candidates, model)
         # cosine is scale-invariant in each embedding; scaling audio input is
         # nonlinear, so check invariance on the embedding directly instead
-        audio = model.audio_encoder.encode([seg])
+        audio = model.audio_encoder.encode([seg], model.audio_encoder.build_kernels())
         texts = model.encode_text(candidates)
         for c in (0.5, 3.0):
             sims = cosine_matrix(Tensor(audio.values * c), texts).values[0]
@@ -112,11 +112,11 @@ def test_encodes_in_chunks_of_batch_size(monkeypatch):
     segments = [tone_segment(300.0 + 50.0 * i, seed=i) for i in range(3 * batch_size)]
     candidates = candidate_queue(parse_template(model.test_template_text), list(model.class_labels))
     with no_grad():
-        whole = model.audio_encoder.encode(segments).values
+        whole = model.audio_encoder.encode(segments, model.audio_encoder.build_kernels()).values
     sizes = []
     encode = AudioEncoder.encode
 
-    def recording(self, batch, kernels=None):
+    def recording(self, batch, kernels):
         sizes.append(len(batch))
         return encode(self, batch, kernels)
 

@@ -143,7 +143,7 @@ def test_earlier_classifier_checkpoint_predicts_identically(tmp_path):
     path = DATA / "classifier_v2.ckpt"
     model = load_checkpoint(path)
     with no_grad():
-        logits = model.head_logits(model.encoder.encode([PROBE]), "category").values
+        logits = model.head_logits(model.encoder.encode([PROBE], model.encoder.build_kernels()), "category").values
     np.testing.assert_allclose(logits.ravel(), CLASSIFIER_LOGITS, rtol=1e-10, atol=0)
     assert model.predict_labels([PROBE]) == ["Bravo"]
     assert resaved_matches(path, model, tmp_path)

@@ -9,7 +9,6 @@ from helpers import check_grad
 from tricl.errors import ContractError, ShapeError
 from tricl.tensor import (
     Tensor,
-    abs_pow,
     add,
     backward,
     concat,
@@ -304,17 +303,6 @@ class TestGradientOracle:
             return tsum(mul(im2col(x, 3, 3, stride=2, pad=1), weights))
 
         check_grad(build, [x], rtol=1e-4)
-
-    def test_abs_pow_gradients(self):
-        rng = np.random.default_rng(5)
-        base = Tensor(rng.uniform(-1.0, 1.0, size=12), requires_grad=True)
-        expo = Tensor(2.3, requires_grad=True)
-        weights = Tensor(rng.standard_normal(12), requires_grad=True)
-
-        def build():
-            return tsum(mul(abs_pow(base, expo), weights))
-
-        check_grad(build, [base, expo, weights], rtol=1e-4)
 
     def test_randomized_small_graphs(self):
         # randomized compositions under 200 scalars, as the module contract asks

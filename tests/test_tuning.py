@@ -240,7 +240,7 @@ class TestBaselines:
         segments = [s.segment for s in dataset.samples]
         assert len(segments) == 3 * config.train.batch_size
         with no_grad():
-            whole = model.heads["category"](model.encoder.encode(segments)).values
+            whole = model.heads["category"](model.encoder.encode(segments, model.encoder.build_kernels())).values
         sizes = []
         encode = AudioEncoder.encode
         monkeypatch.setattr(AudioEncoder, "encode", lambda self, batch, *args: sizes.append(len(batch)) or encode(self, batch, *args))

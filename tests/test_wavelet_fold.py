@@ -1,19 +1,23 @@
 """Folded wavelet transform against a direct per-scale reference: hops from
-1 to 1600, kernel gradients by finite differences, and the memory and
-accuracy of one paper-default 30-s encode."""
+1 to 1600, batches against single-segment calls, kernel gradients by finite
+differences, and the memory and accuracy of the paper-default kernels and of
+one 30-s encode."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import check_grad, fbsp_kernel, tiny_run_config
+from tricl import wavelet
 from tricl.config import EncoderConfig, PreprocessConfig
 from tricl.dsp import TARGET_RATE, AudioSegment
 from tricl.encoders import AudioEncoder
-from tricl.errors import ConfigError, KernelSupportError
+from tricl.errors import ConfigError, KernelSupportError, ShapeError
+from tricl.presets import experiment_run_config
 from tricl.store import trainable
-from tricl.tensor import Tensor, mul, no_grad, tsum
+from tricl.tensor import Tensor, backward, mul, no_grad, tsum
 from tricl.wavelet import (
     BAND_FLOOR,
     WaveletParams,
@@ -60,10 +64,83 @@ def test_fold_matches_direct_reference(hop, n, fmin, fmax, n_scales, truncation)
     params = WaveletParams.create(2.5, 0.7, 1.2)
     scales = default_scale_grid(n_scales, fmin, fmax)
     kernels = build_kernels(params, scales, hop, truncation=truncation)
-    grid = transform_with_kernels(samples, kernels, hop).values
+    grid = transform_with_kernels(samples[None], kernels, hop).values[0]
     ref = direct_transform(samples, params, scales, hop, truncation)
     assert grid.shape == ref.shape == ((n - 1) // hop + 1, n_scales)
     assert np.abs(grid - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("block_elems", [wavelet._BLOCK_ELEMS, 3000], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("hop, n, fmin, fmax, n_scales, truncation", CASES)
+def test_batch_rows_match_single_segment_calls(monkeypatch, block_elems, hop, n, fmin, fmax, n_scales, truncation):
+    monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
+    segments = np.random.default_rng(hop + n + 1).standard_normal((3, n))
+    kernels = build_kernels(WaveletParams.create(2.5, 0.7, 1.2), default_scale_grid(n_scales, fmin, fmax), hop,
+                            truncation=truncation)
+    grid = transform_with_kernels(segments, kernels, hop).values
+    assert grid.shape == (3, (n - 1) // hop + 1, n_scales)
+    for row, segment in zip(grid, segments):
+        np.testing.assert_allclose(row, transform_with_kernels(segment[None], kernels, hop).values[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block_elems", [wavelet._BLOCK_ELEMS, 3000], ids=["default-blocks", "small-blocks"])
+def test_batch_kernel_gradient_is_the_sum_over_segments(monkeypatch, block_elems):
+    monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
+    hop, n = 100, 2050
+    rng = np.random.default_rng(6)
+    segments = rng.standard_normal((3, n))
+    weights = rng.standard_normal((3, (n - 1) // hop + 1, 5))
+    kernels = build_kernels(WaveletParams.create(2.5, 0.7, 1.2), default_scale_grid(5, 400.0, 4000.0), hop,
+                            truncation=5e-2)
+
+    def halves_grad(batch, w):
+        leaf = Tensor(kernels.halves.values, requires_grad=True)
+        backward(tsum(mul(transform_with_kernels(batch, dataclasses.replace(kernels, halves=leaf), hop), Tensor(w))))
+        return leaf.grad
+
+    batched = halves_grad(segments, weights)
+    summed = sum(halves_grad(segment[None], w[None]) for segment, w in zip(segments, weights))
+    assert np.abs(batched - summed).max() <= 1e-12 * np.abs(summed).max()
+
+
+@pytest.mark.parametrize("hop, n, fmin, fmax, n_scales, truncation", CASES)
+def test_blocks_bound_the_batch_product(monkeypatch, hop, n, fmin, fmax, n_scales, truncation):
+    kernels = build_kernels(WaveletParams.create(2.5, 0.7, 1.2), default_scale_grid(n_scales, fmin, fmax), hop,
+                            truncation=truncation)
+    frames = (n - 1) // hop + 1
+    for block_elems in (wavelet._BLOCK_ELEMS, 20_000, 3000):
+        monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
+        for batch in (1, 3, 8):
+            columns = []
+            for lo, hi, k0, k1, group in wavelet._blocks(kernels, frames, batch):
+                assert len(group) == 1 or batch * (hi - lo) * (k1 - k0) <= block_elems
+                columns += [j for j, _ in group]
+            assert columns == list(range(n_scales))
+
+
+PRESET = experiment_run_config().preprocess
+
+
+@pytest.mark.parametrize("m, f_b, f_c", [(2.0, 0.5, 1.0), (2.7, 0.8, 1.3)])
+@pytest.mark.parametrize(
+    "scales, truncation",
+    [
+        (default_scale_grid(PRESET.n_scales, PRESET.fmin_hz, PRESET.fmax_hz), PRESET.wavelet_truncation),
+        (default_scale_grid(3, 600.0, 3000.0), 5e-2),  # the kernels of the hop-400 check below
+    ],
+    ids=["preset-grid", "narrow-kernels"],
+)
+def test_half_kernel_gradients_match_finite_differences(m, f_b, f_c, scales, truncation):
+    """The fused op's closed-form m, f_b and f_c gradients, with the tap
+    counts held where the starting parameters put them."""
+    params = WaveletParams.create(m, f_b, f_c)
+    widths = [support_half_width(params, a, truncation) for a in scales]
+    weights = Tensor(np.random.default_rng(sum(widths)).standard_normal(2 * sum(widths) + 1))
+
+    def build():
+        return tsum(mul(wavelet._half_kernels(params, widths, scales), weights))
+
+    assert check_grad(build, list(trainable(params).values()), h=1e-5, rtol=1e-6) <= 1e-6
 
 
 def test_gradients_match_finite_differences_hop_wider_than_kernels():
@@ -77,7 +154,7 @@ def test_gradients_match_finite_differences_hop_wider_than_kernels():
     weights = Tensor(rng.standard_normal((4, 3)))
 
     def build():
-        return tsum(mul(transform_with_kernels(samples, build_kernels(params, scales, hop, truncation=5e-2), hop), weights))
+        return tsum(mul(transform_with_kernels(samples[None], build_kernels(params, scales, hop, truncation=5e-2), hop), weights))
 
     worst = check_grad(build, list(trainable(params).values()), h=1e-4, rtol=1e-3)
     assert worst <= 1e-3
@@ -86,7 +163,15 @@ def test_gradients_match_finite_differences_hop_wider_than_kernels():
 def test_hop_mismatch_rejected():
     kernels = build_kernels(WaveletParams.create(), default_scale_grid(3, 600.0, 3000.0), 100)
     with pytest.raises(ConfigError, match="hop"):
-        transform_with_kernels(np.ones(500), kernels, 50)
+        transform_with_kernels(np.ones(500)[None], kernels, 50)
+
+
+def test_unbatched_or_ragged_samples_rejected():
+    kernels = build_kernels(WaveletParams.create(), default_scale_grid(3, 600.0, 3000.0), 100)
+    with pytest.raises(ShapeError, match="one dimension"):
+        transform_with_kernels(np.ones(500), kernels, 100)
+    with pytest.raises(ShapeError, match="equal lengths"):
+        transform_with_kernels([np.ones(500), np.ones(400)], kernels, 100)
 
 
 def test_no_grad_build_keeps_no_half_kernels():
@@ -95,12 +180,34 @@ def test_no_grad_build_keeps_no_half_kernels():
     samples = np.random.default_rng(5).standard_normal(900)
     with no_grad():
         kernels = build_kernels(params, scales, 160)
-        fast = transform_with_kernels(samples, kernels, 160).values
+        fast = transform_with_kernels(samples[None], kernels, 160).values
     assert kernels.halves is None
     taped = build_kernels(params, scales, 160)
     assert taped.halves is not None  # the transform's backward reads them
     np.testing.assert_array_equal(taped.folded, kernels.folded)
-    np.testing.assert_array_equal(transform_with_kernels(samples, taped, 160).values, fast)
+    np.testing.assert_array_equal(transform_with_kernels(samples[None], taped, 160).values, fast)
+
+
+def test_paper_default_kernel_memory():
+    """The no_grad build keeps nothing for a backward and reuses its arrays;
+    a recording build keeps the halves, the folded rows and three per-tap
+    arrays for its backward."""
+    pre = PreprocessConfig()
+    params = WaveletParams.create()
+    scales = default_scale_grid(pre.n_scales, pre.fmin_hz, pre.fmax_hz)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            build_kernels(params, scales, pre.wavelet_hop, truncation=pre.wavelet_truncation)
+        no_grad_peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        kernels = build_kernels(params, scales, pre.wavelet_hop, truncation=pre.wavelet_truncation)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kernels.halves is not None
+    assert no_grad_peak <= 60 * 2**20
+    assert kept <= 120 * 2**20
 
 
 def test_paper_default_encode_memory_and_frames():
@@ -119,7 +226,7 @@ def test_paper_default_encode_memory_and_frames():
     assert peak <= 100 * 2**20
 
     with no_grad():
-        grid = transform_with_kernels(samples, kernels, pre.wavelet_hop).values
+        grid = transform_with_kernels(samples[None], kernels, pre.wavelet_hop).values[0]
     hop = pre.wavelet_hop
     for f in (0, 317, grid.shape[0] - 1):
         direct = []
