@@ -79,16 +79,22 @@ def train_bpe(corpus: list[str], vocab_size: int) -> BpeTokenizer:
     """Learn merges from byte-pair frequencies over the corpus sentences.
 
     Merges never cross sentence boundaries. Ties break toward the smaller
-    pair so the merge table is deterministic for a given corpus.
+    pair so the merge table is deterministic for a given corpus. Each
+    distinct sentence is merged and counted once, weighted by how often the
+    corpus holds it.
     """
     if not corpus:
         raise ConfigError("tokenizer corpus is empty")
     if vocab_size <= _FIRST_MERGE_ID:
         raise ConfigError(f"vocab_size must exceed {_FIRST_MERGE_ID} (bytes + specials), got {vocab_size}")
-    sequences = [list(s.encode("utf-8")) for s in corpus]
+    occurrences = Counter(corpus)
+    sequences = [list(s.encode("utf-8")) for s in occurrences]
     tok = BpeTokenizer()
     for _ in range(vocab_size - _FIRST_MERGE_ID):
-        counts = Counter(pair for ids in sequences for pair in zip(ids, ids[1:]))
+        counts = Counter()
+        for ids, weight in zip(sequences, occurrences.values()):
+            for pair in zip(ids, ids[1:]):
+                counts[pair] += weight
         if not counts:
             break
         pair = min(counts, key=lambda p: (-counts[p], p))

@@ -16,6 +16,7 @@ import numpy as np
 from .bpe import BpeTokenizer
 from .config import RunConfig
 from .errors import ConfigError, DataError
+from .layers import no_init
 from .model import TriModalModel
 from .tuning import ClassifierModel
 
@@ -111,22 +112,23 @@ def load_checkpoint(path):
     config = RunConfig.from_dict(field("config"))
     sources = tuple(field("train_source_ids"))
     model_type = field("model_type")
-    if model_type == "trimodal":
-        try:
-            tokenizer = BpeTokenizer.from_text(field("tokenizer"))
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed tokenizer: {exc}") from exc
-        model = TriModalModel(
-            config,
-            tokenizer,
-            field("train_template"),
-            field("test_template"),
-            class_labels=field("class_labels"),
-            train_source_ids=sources,
-        )
-    elif model_type == "classifier":
-        model = ClassifierModel(config, field("kind"), field("task_classes"), sources)
-    else:
-        raise ConfigError(f"{path}: unknown model_type {model_type!r}")
+    with no_init():  # load_values overwrites every parameter: draw no random init
+        if model_type == "trimodal":
+            try:
+                tokenizer = BpeTokenizer.from_text(field("tokenizer"))
+            except ValueError as exc:
+                raise DataError(f"{path}: malformed tokenizer: {exc}") from exc
+            model = TriModalModel(
+                config,
+                tokenizer,
+                field("train_template"),
+                field("test_template"),
+                class_labels=field("class_labels"),
+                train_source_ids=sources,
+            )
+        elif model_type == "classifier":
+            model = ClassifierModel(config, field("kind"), field("task_classes"), sources)
+        else:
+            raise ConfigError(f"{path}: unknown model_type {model_type!r}")
     model.store.load_values(_split(flat, field("params"), path))
     return model

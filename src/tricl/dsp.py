@@ -7,9 +7,11 @@ triangular filters. Inputs are mono float64 in [-1, 1] at 16 kHz.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.io.wavfile
 import scipy.signal
 
@@ -74,7 +76,7 @@ def stft_spectrogram(
     frame_len = frames.shape[1]
     nfft = _fft_size_for(frame_len, fft_size)
     window = np.hanning(frame_len)
-    grid = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1))
+    grid = np.abs(scipy.fft.rfft(frames * window, n=nfft, axis=1))
     if log_magnitude:
         grid = np.log1p(grid)
     return Spectrogram(grid, "stft")
@@ -88,8 +90,12 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int, fft_size: int) -> np.ndarray:
-    """Triangular filters (n_mels, fft_size//2 + 1) on the mel scale up to Nyquist."""
+    """Triangular filters (n_mels, fft_size//2 + 1) on the mel scale up to Nyquist.
+
+    Built once per (n_mels, fft_size) and shared: the array is read-only.
+    """
     n_bins = fft_size // 2 + 1
     if n_mels < 1:
         raise ConfigError("n_mels must be >= 1")
@@ -106,6 +112,7 @@ def mel_filterbank(n_mels: int, fft_size: int) -> np.ndarray:
         if fb[i].sum() <= 0.0:
             # very narrow filter between bin centers: anchor it at the nearest bin
             fb[i, int(np.argmin(np.abs(bin_hz - mid)))] = 1.0
+    fb.flags.writeable = False
     return fb
 
 

@@ -3,10 +3,13 @@
 A layer's trainable tensors are its attributes: ``store.trainable`` finds
 them (and those of nested layers) in the order they are assigned in
 ``__init__``, and that order is the checkpoint layout. Each carries an
-explicit dotted name, which is its checkpoint key.
+explicit dotted name, which is its checkpoint key. ``Conv2d`` is one
+``tensor.conv2d`` tape op over the whole (C, N, H, W) batch.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -15,8 +18,8 @@ from .tensor import (
     Tensor,
     add,
     concat,
+    conv2d,
     div,
-    im2col,
     matmul,
     mean,
     mul,
@@ -33,7 +36,26 @@ from .tensor import (
 )
 
 
+_DRAW_INIT = True
+
+
+@contextmanager
+def no_init():
+    """Inside the block, `uniform_init` draws nothing and returns zeros: for
+    building a model whose every value is about to be overwritten, such as
+    one loaded from a checkpoint."""
+    global _DRAW_INIT
+    prev = _DRAW_INIT
+    _DRAW_INIT = False
+    try:
+        yield
+    finally:
+        _DRAW_INIT = prev
+
+
 def uniform_init(rng: np.random.Generator, shape, fan_in: int, name: str) -> Tensor:
+    if not _DRAW_INIT:
+        return Tensor(np.zeros(shape), requires_grad=True, name=name)
     bound = np.sqrt(6.0 / max(1, fan_in))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, name=name)
 
@@ -52,24 +74,20 @@ class Linear:
 
 
 class Conv2d:
-    """3x3/1x1 convolution as one im2col matmul over a (C, N, H, W) batch of images."""
+    """3x3/1x1 convolution over a (C, N, H, W) batch of images: one ``tensor.conv2d``
+    tape op, a single patch-matrix GEMM for the whole batch."""
 
     def __init__(self, rng, c_in: int, c_out: int, kernel: int, stride: int, pad: int, name: str):
-        self.c_in, self.c_out = c_in, c_out
+        self.c_in = c_in
         self.kernel, self.stride, self.pad = kernel, stride, pad
         fan_in = c_in * kernel * kernel
         self.w = uniform_init(rng, (c_out, fan_in), fan_in, f"{name}.w")
         self.b = zeros_init((c_out, 1), f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        c, n, h, w = x.shape
-        if c != self.c_in:
-            raise ShapeError(f"conv expects {self.c_in} channels, got {c}")
-        oh = (h + 2 * self.pad - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.pad - self.kernel) // self.stride + 1
-        cols = im2col(x, self.kernel, self.kernel, self.stride, self.pad)
-        out = add(matmul(self.w, cols), self.b)
-        return reshape(out, (self.c_out, n, oh, ow))
+        if x.shape[0] != self.c_in:
+            raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[0]}")
+        return conv2d(x, self.w, self.b, self.kernel, self.stride, self.pad)
 
 
 class ChannelAttention:

@@ -78,14 +78,19 @@ class TriModalModel:
         self.text_encoder = TextEncoder(config.encoder, table, config.train.max_tokens, np.random.default_rng([seed, 2]))
         self.scales = ScaleCoefficients(config.train.modalities)
         self.store = ParameterStore(trainable(self.audio_encoder, self.spec_encoder, self.text_encoder, self.scales))
+        self._token_ids: dict[str, list[int]] = {}  # sentence -> ids, filled by encode_text
 
     def clamp(self) -> None:
         self.audio_encoder.wavelet.clamp()
         self.scales.clamp()
 
     def encode_text(self, sentences: list[str]) -> Tensor:
-        max_len = self.config.train.max_tokens
-        return self.text_encoder.encode([tokenize(s, self.tokenizer, max_len) for s in sentences])
+        """Text embeddings; each distinct sentence is tokenized once per model."""
+        ids = self._token_ids
+        for s in sentences:
+            if s not in ids:
+                ids[s] = tokenize(s, self.tokenizer, self.config.train.max_tokens)
+        return self.text_encoder.encode([ids[s] for s in sentences])
 
     def similarities(self, segments: list[AudioSegment], candidates: list[str]) -> np.ndarray:
         """Cosine of each segment's audio embedding (rows) with each candidate

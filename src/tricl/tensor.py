@@ -11,6 +11,10 @@ only the optimizer resets gradients.
 ``cross_entropy`` is the one softmax cross-entropy op: contrastive training
 applies it to each similarity matrix against identity targets, classifier
 tuning to head logits against class indices.
+
+``conv2d`` is the one convolution op, a single tape node per layer: one
+strided patch-matrix view and one GEMM forward; dW, db and a tap-by-tap
+scatter of dX backward, each summed in a fixed order.
 """
 
 from __future__ import annotations
@@ -356,29 +360,65 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def im2col(a: Tensor, kh: int, kw: int, stride: int = 1, pad: int = 0) -> Tensor:
-    """(C, N, H, W) -> (C*kh*kw, N*OH*OW) patch matrix for convolution-as-matmul."""
-    if a.values.ndim != 4:
-        raise ShapeError(f"im2col: expected (C, N, H, W), got shape {a.shape}")
-    c, n, h, w = a.shape
-    ph, pw = h + 2 * pad, w + 2 * pad
-    if ph < kh or pw < kw:
-        raise ShapeError(f"im2col: kernel ({kh}, {kw}) larger than padded input ({ph}, {pw})")
-    padded = np.pad(a.values, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (C, N, OH, OW, kh, kw)
-    oh, ow = win.shape[2], win.shape[3]
-    out = win.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, n * oh * ow)  # reshape of a transposed view copies
+# ---------------------------------------------------------------------------
+# convolution
+# ---------------------------------------------------------------------------
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
+    """Square-kernel convolution of a (C, N, H, W) batch as one tape op.
+
+    `w` is (C_out, C*kernel*kernel) with columns ordered (c, i, j) and `b`
+    is (C_out, 1); the output is (C_out, N, OH, OW). The forward copies the
+    input once into a zeroed padded buffer (not at all when pad is 0), reads
+    the (C*k*k, N*OH*OW) patch matrix through one strided view and runs one
+    GEMM. The backward gives dW = g @ colsᵀ, db = row sums of g and dX from
+    one GEMM against W's columns reordered to (i, j, c), so that each tap's
+    gradient plane is contiguous, scattered onto the padded grid tap by tap.
+    Under no_grad nothing is kept for the backward.
+    """
+    if x.values.ndim != 4:
+        raise ShapeError(f"conv2d: expected (C, N, H, W), got shape {x.shape}")
+    c, n, h, wd = x.shape
+    if w.values.ndim != 2 or w.shape[1] != c * kernel * kernel or b.shape != (w.shape[0], 1):
+        raise ShapeError(f"conv2d: weight {w.shape} and bias {b.shape} do not fit {c} channels at kernel {kernel}")
+    ph, pw = h + 2 * pad, wd + 2 * pad
+    if ph < kernel or pw < kernel:
+        raise ShapeError(f"conv2d: kernel ({kernel}, {kernel}) larger than padded input ({ph}, {pw})")
+    c_out = w.shape[0]
+    oh, ow = (ph - kernel) // stride + 1, (pw - kernel) // stride + 1
+    if pad:
+        padded = np.zeros((c, n, ph, pw))
+        padded[:, :, pad : pad + h, pad : pad + wd] = x.values
+    else:
+        padded = x.values
+    s_c, s_n, s_h, s_w = padded.strides
+    patches = np.lib.stride_tricks.as_strided(
+        padded, (c, kernel, kernel, n, oh, ow), (s_c, s_h, s_w, s_n, s_h * stride, s_w * stride), writeable=False
+    )
+    cols = patches.reshape(c * kernel * kernel, n * oh * ow)  # copies: the view has no flat layout
+    out = w.values @ cols
+    out += b.values
+    out = out.reshape(c_out, n, oh, ow)
+    if not records((x, w, b)):
+        return Tensor(out)
 
     def bw(g):
-        gwin = g.reshape(c, kh, kw, n, oh, ow)
-        gpad = np.zeros((c, n, ph, pw))
-        for i in range(kh):
-            for j in range(kw):
-                gpad[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += gwin[:, i, j]
-        return (gpad[:, :, pad : pad + h, pad : pad + w],)
+        g = g.reshape(c_out, n * oh * ow)
+        dw = g @ cols.T if w.requires_grad else None
+        db = g.sum(axis=1, keepdims=True) if b.requires_grad else None
+        dx = None
+        if x.requires_grad:
+            w_taps = w.values.reshape(c_out, c, kernel, kernel).transpose(0, 2, 3, 1).reshape(c_out, -1)
+            planes = (w_taps.T @ g).reshape(kernel, kernel, c, n, oh, ow)
+            gpad = np.zeros((c, n, ph, pw))
+            for i in range(kernel):
+                for j in range(kernel):
+                    gpad[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += planes[i, j]
+            dx = gpad[:, :, pad : pad + h, pad : pad + wd]
+        return dx, dw, db
 
-    return _make(out, (a,), bw)
+    return _make(out, (x, w, b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,13 @@ block of scales, and reads each frame as a sum down a diagonal of that
 product. The kernel gradient is one transposed product over the whole batch.
 The transform is a single tape op whose parent is the vector of half kernels,
 so gradients flow to m, f_b and f_c through the kernel samples only. Kernels
-are truncated where the envelope drops below `truncation` of its peak and
-smoothly tapered to zero at the edge, which keeps finite-difference checks on
-the order and bandwidth parameters stable.
+are truncated where the envelope drops below `truncation` of its peak: the
+half width h is that distance rounded up to a whole tap (``ceil``), and the
+last max(1, h//16) taps are tapered linearly, the outermost one to weight
+1/(max(1, h//16) + 1), not to zero. Since h steps as m and f_b move, the
+kernels and the loss are piecewise in m and f_b: they jump where a width
+steps, and a finite difference across a step differs from the closed-form
+gradient, which holds the widths fixed.
 """
 
 from __future__ import annotations

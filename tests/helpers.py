@@ -1,9 +1,13 @@
-"""Shared test utilities: finite-difference oracles and small run configs."""
+"""Shared test utilities: finite-difference oracles, reference implementations
+that optimized code must match, and small run configs."""
+
+from collections import Counter
 
 import numpy as np
 
+from tricl.bpe import _FIRST_MERGE_ID, _merge
 from tricl.config import RunConfig
-from tricl.tensor import Tensor, backward
+from tricl.tensor import Tensor, add, backward, custom_op, matmul, reshape
 
 
 def finite_difference(f, x0: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -121,3 +125,42 @@ def tiny_run_config(seed: int = 0, modalities: str = "tri", epochs: int = 1, lr:
             },
         }
     )
+
+
+def im2col_conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
+    """Convolution as the four-op composition im2col -> matmul -> add -> reshape,
+    with im2col's padded copy and nine-pass strided col2im; the reference
+    ``tensor.conv2d`` must equal bitwise, forward and backward."""
+    c, n, h, wd = x.shape
+    padded = np.pad(x.values, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (C, N, OH, OW, kh, kw)
+    oh, ow = win.shape[2], win.shape[3]
+
+    def col2im(g):
+        gwin = g.reshape(c, kernel, kernel, n, oh, ow)
+        gpad = np.zeros(padded.shape)
+        for i in range(kernel):
+            for j in range(kernel):
+                gpad[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += gwin[:, i, j]
+        return (gpad[:, :, pad : pad + h, pad : pad + wd],)
+
+    cols = custom_op(win.transpose(0, 4, 5, 1, 2, 3).reshape(c * kernel * kernel, n * oh * ow), (x,), col2im)
+    return reshape(add(matmul(w, cols), b), (w.shape[0], n, oh, ow))
+
+
+def train_bpe_reference(corpus: list[str], vocab_size: int) -> list[tuple[int, int]]:
+    """Merge table of the plain BPE loop that counts byte pairs over every
+    copy of every sentence; ``bpe.train_bpe`` must learn the same table."""
+    sequences = [list(s.encode("utf-8")) for s in corpus]
+    merges: list[tuple[int, int]] = []
+    for _ in range(vocab_size - _FIRST_MERGE_ID):
+        counts = Counter(pair for ids in sequences for pair in zip(ids, ids[1:]))
+        if not counts:
+            break
+        pair = min(counts, key=lambda p: (-counts[p], p))
+        if counts[pair] < 2:
+            break
+        merges.append(pair)
+        sequences = [_merge(ids, pair, _FIRST_MERGE_ID + len(merges) - 1) for ids in sequences]
+    return merges

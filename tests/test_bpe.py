@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tiny_run_config
+from helpers import tiny_run_config, train_bpe_reference
 from tricl.bpe import EOS_ID, PAD_ID, SOS_ID, BpeTokenizer, tokenize, train_bpe
 from tricl.encoders import TextEncoder
 from tricl.errors import ConfigError, ContractError
@@ -59,6 +59,18 @@ def test_training_is_deterministic():
     a = train_bpe(CORPUS, 350)
     b = train_bpe(CORPUS, 350)
     assert a.merges == b.merges
+
+
+@pytest.mark.parametrize("vocab_size", [260, 280, 300, 512])
+def test_weighted_distinct_counts_learn_the_reference_merges(vocab_size):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        alphabet = list("ab cde") + ["é", "船"]  # a small alphabet makes pair ties and multi-byte chars common
+        pool = ["".join(rng.choice(alphabet, size=rng.integers(0, 30))) for _ in range(rng.integers(1, 8))]
+        corpus = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 60))]  # with duplicates
+        assert list(train_bpe(corpus, vocab_size).merges) == train_bpe_reference(corpus, vocab_size)
+    corpus = [CORPUS[i % 3] for i in range(54)] + CORPUS  # the bench's shape: few sentences, many copies
+    assert list(train_bpe(corpus, vocab_size).merges) == train_bpe_reference(corpus, vocab_size)
 
 
 def test_serialization_round_trip(tmp_path):

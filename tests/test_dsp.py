@@ -93,6 +93,25 @@ def test_mel_filters_positive_and_contiguous():
         assert np.array_equal(nz, np.arange(nz[0], nz[-1] + 1))
 
 
+def test_mel_filterbank_built_once_and_read_only():
+    fb = mel_filterbank(64, 2048)
+    assert mel_filterbank(64, 2048) is fb
+    assert not fb.flags.writeable
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("log_magnitude", [False, True])
+def test_mel_grids_equal_fresh_filterbank(log_magnitude):
+    fresh = mel_filterbank.__wrapped__(64, 2048)  # built anew, past the cache
+    segment = seg(np.random.default_rng(4).uniform(-1, 1, 8000))
+    expect = (stft_spectrogram(segment).grid ** 2) @ fresh.T
+    if log_magnitude:
+        expect = np.log1p(expect)
+    for _ in range(2):  # the first call may build the cached bank, the second reads it
+        assert np.array_equal(mel_spectrogram(segment, 64, log_magnitude=log_magnitude).grid, expect)
+
+
 def test_mel_too_many_filters():
     with pytest.raises(ConfigError):
         mel_filterbank(2000, 2048)

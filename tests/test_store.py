@@ -147,3 +147,20 @@ def test_earlier_classifier_checkpoint_predicts_identically(tmp_path):
     np.testing.assert_allclose(logits.ravel(), CLASSIFIER_LOGITS, rtol=1e-10, atol=0)
     assert model.predict_labels([PROBE]) == ["Bravo"]
     assert resaved_matches(path, model, tmp_path)
+
+
+class NoDraws:
+    """Stands in for a numpy Generator: any random init drawn from it fails."""
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("drew a random initialisation")
+
+
+@pytest.mark.parametrize("name", ["trimodal_v2.ckpt", "classifier_v2.ckpt"])
+def test_load_draws_no_random_init(name, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+    model = load_checkpoint(DATA / name)
+    with np.load(DATA / name) as z:
+        assert np.array_equal(model.store.buffer, z["params"])
+    with pytest.raises(AssertionError, match="random initialisation"):
+        preset_model("category")  # a model built outside load_checkpoint still draws its init

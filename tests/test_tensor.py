@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grad
+from helpers import check_grad, im2col_conv
+from tricl import layers
+from tricl.dsp import TARGET_RATE, AudioSegment, mel_spectrogram
 from tricl.errors import ContractError, ShapeError
+from tricl.presets import experiment_run_config
 from tricl.tensor import (
     Tensor,
     add,
     backward,
     concat,
+    conv2d,
     cross_entropy,
     div,
     exp,
-    im2col,
     l2_normalize_rows,
     matmul,
     mean,
@@ -192,12 +195,12 @@ def test_take_rows_scatter_add():
     np.testing.assert_array_equal(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
-def test_im2col_matches_naive_conv():
+def test_conv2d_matches_naive_conv():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 2, 5, 6))  # (C, N, H, W)
     w = rng.standard_normal((3, 2 * 3 * 3))
-    cols = im2col(Tensor(x), 3, 3, stride=2, pad=1)
-    got = (w @ cols.values).reshape(3, 2, 3, 3)
+    b = rng.standard_normal((3, 1))
+    got = conv2d(Tensor(x), Tensor(w), Tensor(b), 3, stride=2, pad=1).values
     padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     expect = np.zeros((3, 2, 3, 3))
     for co in range(3):
@@ -205,8 +208,67 @@ def test_im2col_matches_naive_conv():
             for i in range(3):
                 for j in range(3):
                     patch = padded[:, n, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
-                    expect[co, n, i, j] = (w[co].reshape(2, 3, 3) * patch).sum()
+                    expect[co, n, i, j] = (w[co].reshape(2, 3, 3) * patch).sum() + b[co, 0]
     np.testing.assert_allclose(got, expect)
+
+
+def test_conv2d_rejects_misfit_shapes():
+    x = Tensor(np.zeros((2, 1, 4, 4)))
+    with pytest.raises(ShapeError, match="conv2d"):
+        conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 18))), Tensor(np.zeros((3, 1))), 3, 1, 1)
+    with pytest.raises(ShapeError, match="conv2d"):
+        conv2d(x, Tensor(np.zeros((3, 9))), Tensor(np.zeros((3, 1))), 3, 1, 1)
+    with pytest.raises(ShapeError, match="conv2d"):
+        conv2d(x, Tensor(np.zeros((3, 50))), Tensor(np.zeros((3, 1))), 5, 1, 0)
+
+
+def preset_conv_calls(monkeypatch, batch: int = 8) -> list[tuple]:
+    """(input shape, weight shape, kernel, stride, pad) of every conv the
+    preset's spec and audio conv stacks run on a batch."""
+    config = experiment_run_config()
+    p = config.preprocess
+    n = int(round(p.segment_seconds * TARGET_RATE))
+    spec = mel_spectrogram(AudioSegment(np.zeros(n)), p.n_mels, p.frame_length_ms, p.frame_shift_ms, p.fft_size)
+    audio = ((n - 1) // p.wavelet_hop + 1, p.n_scales)
+    calls = []
+
+    def record(x, w, b, kernel, stride, pad):
+        calls.append((x.shape, w.shape, kernel, stride, pad))
+        return conv2d(x, w, b, kernel, stride, pad)
+
+    monkeypatch.setattr(layers, "conv2d", record)
+    rng = np.random.default_rng(0)
+    for grid, attention in ((spec.grid.shape, False), (audio, True)):
+        stack = layers.ConvStack(rng, config.encoder.conv_channels, "stack", attention=attention)
+        with no_grad():
+            stack(Tensor(np.zeros((1, batch, *grid))))
+    return calls
+
+
+def test_conv2d_bitwise_equals_im2col_composition(monkeypatch):
+    calls = preset_conv_calls(monkeypatch)
+    assert len(calls) == 14  # stem plus two blocks of conv1, conv2 and skip, per stack
+    rng = np.random.default_rng(5)
+    for x_shape, w_shape, kernel, stride, pad in calls:
+        x0, w0, b0 = rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal((w_shape[0], 1))
+        results = []
+        for conv in (conv2d, im2col_conv):
+            x, w, b = (Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+            out = conv(x, w, b, kernel, stride, pad)
+            if not results:
+                weights = Tensor(rng.standard_normal(out.shape))
+            backward(tsum(mul(out, weights)))
+            results.append((out.values, x.grad, w.grad, b.grad))
+        for name, got, expect in zip(("out", "dx", "dw", "db"), *results):
+            assert np.array_equal(got, expect), f"{name} differs at {x_shape}, kernel {kernel}, stride {stride}"
+
+
+def test_conv2d_keeps_no_closure_under_no_grad():
+    rng = np.random.default_rng(2)
+    x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 2, 5, 6), (3, 18), (3, 1)))
+    with no_grad():
+        out = conv2d(x, w, b, 3, 1, 1)
+    assert out._backward is None and out._parents == () and not out.requires_grad
 
 
 def test_cross_entropy_identity_zero_logits():
@@ -294,15 +356,18 @@ class TestGradientOracle:
         logits = Tensor(rng.standard_normal((5, 4)) * 2, requires_grad=True)
         assert check_grad(lambda: cross_entropy(logits, CLASS_TARGETS), [logits], rtol=1e-6) < 1e-6
 
-    def test_im2col_gradients(self):
+    @pytest.mark.parametrize("kernel,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 2, 0)])
+    def test_conv2d_gradients(self, kernel, stride, pad):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((2, 2, 5, 6)), requires_grad=True)  # (C, N, H, W)
-        weights = Tensor(rng.standard_normal((2 * 3 * 3, 2 * 3 * 3)))
+        w = Tensor(rng.standard_normal((3, 2 * kernel * kernel)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
+        weights = Tensor(rng.standard_normal(conv2d(x, w, b, kernel, stride, pad).shape))
 
         def build():
-            return tsum(mul(im2col(x, 3, 3, stride=2, pad=1), weights))
+            return tsum(mul(conv2d(x, w, b, kernel, stride, pad), weights))
 
-        check_grad(build, [x], rtol=1e-4)
+        check_grad(build, [x, w, b], rtol=1e-4)
 
     def test_randomized_small_graphs(self):
         # randomized compositions under 200 scalars, as the module contract asks

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import tricl.model
 from helpers import check_grad, tiny_run_config
 from tricl.bpe import train_bpe
+from tricl.checkpoint import load_checkpoint, save_checkpoint
 from tricl.config import RunConfig
 from tricl.data import Dataset, TrainSample
 from tricl.dsp import AudioSegment
@@ -21,6 +23,7 @@ from tricl.trainer import (
     compute_logits,
     contrastive_loss,
     cosine_matrix,
+    train,
     train_epoch,
 )
 
@@ -338,3 +341,20 @@ class TestBatchLoss:
         monkeypatch.setattr(model, "encode_text", lambda sentences: calls.append(list(sentences)) or encode_text(sentences))
         batch_loss(dataset, [0, 1, 2, 3, 4, 5], model)
         assert calls == [["The sound belongs to Alpha.", "The sound belongs to Bravo."]]
+
+
+def test_each_distinct_sentence_tokenized_once_per_model(monkeypatch, tmp_path):
+    calls = []
+    real = tricl.model.tokenize
+    monkeypatch.setattr(tricl.model, "tokenize", lambda s, *args: calls.append(s) or real(s, *args))
+    dataset = make_dataset(n_sources=6)
+    sentences = sorted({s.sentence for s in dataset.samples})
+    model, _ = train(dataset, tiny_run_config(epochs=2), "tmpl", "The sound belongs to {label}")
+    assert sorted(calls) == sentences  # four batches over two epochs, one call per sentence
+    model.encode_text(sentences)
+    assert sorted(calls) == sentences
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    calls.clear()
+    loaded.encode_text(sentences)  # a loaded model starts cold
+    assert sorted(calls) == sentences
