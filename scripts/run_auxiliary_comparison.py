@@ -11,6 +11,7 @@ Usage: python scripts/run_auxiliary_comparison.py [--seeds 0 1 2] [--epochs 90]
 
 import argparse
 import tempfile
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -26,23 +27,22 @@ def main():
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    out = args.out or tempfile.mkdtemp(prefix="tricl_aux_")
-    manifest = synth_generate(confusable_pair_spec(seed=0, samples_per_class=24), out)
-    print(f"dataset: {manifest}")
-
     arms = {
         "aux-tri": (AUX_TEMPLATE_TEXT, "tri"),
         "label-tri": (LABEL_TEMPLATE_TEXT, "tri"),
         "aux-bi": (AUX_TEMPLATE_TEXT, "audio_text"),
     }
     scores = {name: [] for name in arms}
-    for seed in args.seeds:
-        for name, (template, modalities) in arms.items():
-            config = experiment_run_config(seed=seed, epochs=args.epochs, modalities=modalities)
-            model, dataset, folds, _ = train_on_fold(manifest, template, config)
-            acc = held_out_accuracy(model, dataset, folds)
-            scores[name].append(acc)
-            print(f"seed={seed} {name:<9} accuracy={acc:.3f}")
+    with nullcontext(args.out) if args.out else tempfile.TemporaryDirectory(prefix="tricl_aux_") as out:
+        manifest = synth_generate(confusable_pair_spec(seed=0, samples_per_class=24), out)
+        print(f"dataset: {manifest}")
+        for seed in args.seeds:
+            for name, (template, modalities) in arms.items():
+                config = experiment_run_config(seed=seed, epochs=args.epochs, modalities=modalities)
+                model, dataset, folds, _ = train_on_fold(manifest, template, config)
+                acc = held_out_accuracy(model, dataset, folds)
+                scores[name].append(acc)
+                print(f"seed={seed} {name:<9} accuracy={acc:.3f}")
 
     print()
     for name, accs in scores.items():

@@ -8,6 +8,7 @@ Usage: python scripts/run_end_to_end.py [--seed 0] [--epochs 40] [--out DIR]
 import argparse
 import tempfile
 import time
+from contextlib import nullcontext
 
 from tricl.experiments import held_out_accuracy, train_on_fold
 from tricl.presets import AUX_TEMPLATE_TEXT, experiment_run_config
@@ -21,14 +22,14 @@ def main():
     ap.add_argument("--out", default=None, help="dataset directory (default: temp)")
     args = ap.parse_args()
 
-    out = args.out or tempfile.mkdtemp(prefix="tricl_e2e_")
-    manifest = synth_generate(three_class_spec(seed=0, samples_per_class=24), out)
-    print(f"dataset: {manifest}")
+    with nullcontext(args.out) if args.out else tempfile.TemporaryDirectory(prefix="tricl_e2e_") as out:
+        manifest = synth_generate(three_class_spec(seed=0, samples_per_class=24), out)
+        print(f"dataset: {manifest}")
 
-    config = experiment_run_config(seed=args.seed, epochs=args.epochs)
-    t0 = time.time()
-    model, dataset, folds, lines = train_on_fold(manifest, AUX_TEMPLATE_TEXT, config)
-    acc = held_out_accuracy(model, dataset, folds)
+        config = experiment_run_config(seed=args.seed, epochs=args.epochs)
+        t0 = time.time()
+        model, dataset, folds, lines = train_on_fold(manifest, AUX_TEMPLATE_TEXT, config)
+        acc = held_out_accuracy(model, dataset, folds)
     print(f"epochs={args.epochs} seed={args.seed}")
     print(f"final epoch: {lines[-1]}")
     print(f"held-out fold accuracy: {acc:.3f}  ({time.time() - t0:.0f}s)")

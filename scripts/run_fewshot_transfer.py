@@ -9,6 +9,7 @@ Usage: python scripts/run_fewshot_transfer.py [--seeds 0 1 2] [--fraction 0.1]
 
 import argparse
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -28,26 +29,25 @@ def main():
     ap.add_argument("--tune-epochs", type=int, default=25)
     args = ap.parse_args()
 
-    pre_dir = tempfile.mkdtemp(prefix="tricl_pre_")
-    tgt_dir = tempfile.mkdtemp(prefix="tricl_tgt_")
-    pre_manifest = synth_generate(three_class_spec(seed=0, samples_per_class=24), pre_dir)
-    tgt_manifest = synth_generate(transfer_target_spec(seed=7, samples_per_class=24), tgt_dir)
+    with tempfile.TemporaryDirectory(prefix="tricl_fewshot_") as tmp:
+        pre_manifest = synth_generate(three_class_spec(seed=0, samples_per_class=24), Path(tmp, "pre"))
+        tgt_manifest = synth_generate(transfer_target_spec(seed=7, samples_per_class=24), Path(tmp, "tgt"))
 
-    print("pretraining on the annotated source task ...")
-    pretrained, _, _, _ = train_on_fold(pre_manifest, AUX_TEMPLATE_TEXT,
-                                        experiment_run_config(seed=0, epochs=args.pretrain_epochs))
+        print("pretraining on the annotated source task ...")
+        pretrained, _, _, _ = train_on_fold(pre_manifest, AUX_TEMPLATE_TEXT,
+                                            experiment_run_config(seed=0, epochs=args.pretrain_epochs))
 
-    gaps = []
-    for seed in args.seeds:
-        config = experiment_run_config(seed=seed, epochs=args.tune_epochs, batch_size=4)
-        train_ds, dataset, folds = split_off_fold(tgt_manifest, LABEL_TEMPLATE_TEXT, config, 0, 4)
-        few = stratified_source_subset(train_ds, args.fraction, seed=seed)
-        accs = {}
-        for arm, source in (("pretrained", pretrained), ("random-init", None)):
-            clf, _ = encoder_tune(source, few, config)
-            accs[arm] = evaluate(clf, dataset, folds, 0).accuracy
-            print(f"seed={seed} {arm:<11} n_train={len(few.samples)} accuracy={accs[arm]:.3f}")
-        gaps.append(accs["pretrained"] - accs["random-init"])
+        gaps = []
+        for seed in args.seeds:
+            config = experiment_run_config(seed=seed, epochs=args.tune_epochs, batch_size=4)
+            train_ds, dataset, folds = split_off_fold(tgt_manifest, LABEL_TEMPLATE_TEXT, config, 0, 4)
+            few = stratified_source_subset(train_ds, args.fraction, seed=seed)
+            accs = {}
+            for arm, source in (("pretrained", pretrained), ("random-init", None)):
+                clf, _ = encoder_tune(source, few, config)
+                accs[arm] = evaluate(clf, dataset, folds, 0).accuracy
+                print(f"seed={seed} {arm:<11} n_train={len(few.samples)} accuracy={accs[arm]:.3f}")
+            gaps.append(accs["pretrained"] - accs["random-init"])
     print(f"\nmean advantage of pretraining: {100 * np.mean(gaps):+.1f} points over {len(gaps)} paired seeds")
 
 

@@ -23,10 +23,10 @@ def main():
 
     results = {}
     for missing in (0.0, 0.15):
-        out = tempfile.mkdtemp(prefix=f"tricl_wind{int(missing * 100)}_")
-        manifest = synth_generate(wind_annotated_spec(seed=0, missing_rate=missing, samples_per_class=20), out)
-        config = experiment_run_config(seed=args.seed, epochs=args.epochs)
-        model, dataset, folds, lines = train_on_fold(manifest, AUX_TEMPLATE_TEXT, config)
+        with tempfile.TemporaryDirectory(prefix=f"tricl_wind{int(missing * 100)}_") as out:
+            manifest = synth_generate(wind_annotated_spec(seed=0, missing_rate=missing, samples_per_class=20), out)
+            config = experiment_run_config(seed=args.seed, epochs=args.epochs)
+            model, dataset, folds, lines = train_on_fold(manifest, AUX_TEMPLATE_TEXT, config)
         losses = [float(l.split()[1].split("=")[1]) for l in lines]
         assert all(math.isfinite(x) for x in losses), "non-finite loss"
         results[missing] = held_out_accuracy(model, dataset, folds)

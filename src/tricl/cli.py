@@ -57,8 +57,8 @@ def _build_parser() -> _Parser:
         q.add_argument("--out", required=True)
         q.add_argument("--holdout-fold", type=int, default=None)
         q.add_argument("--folds", type=int, default=4)
-        q.add_argument("--log")
         if strategy == "uart":
+            q.add_argument("--log")
             q.add_argument("--template", help="template file (default: checkpoint template)")
         else:
             q.add_argument("--freeze-encoder", action="store_true")
@@ -174,7 +174,10 @@ def _cmd_eval(args) -> int:
     dataset, manifest = ingest(args.manifest, parse_template(LABEL_TEMPLATE_TEXT), model.config.preprocess)
     folds = make_folds(manifest, k=args.folds)
     labels = sorted(set(model.class_labels) | set(dataset.vessel_types()))
-    if args.class_map == "shipsear" or (args.class_map == "auto" and all(l in SHIPSEAR_CLASS_MAP.mapping for l in labels)):
+    unmapped = [l for l in labels if l not in SHIPSEAR_CLASS_MAP.mapping]
+    if args.class_map == "shipsear" and unmapped:
+        raise ConfigError(f"the shipsear class map has no entry for {', '.join(map(repr, unmapped))}")
+    if args.class_map != "identity" and not unmapped:
         class_map = SHIPSEAR_CLASS_MAP
     else:
         class_map = identity_class_map(labels)

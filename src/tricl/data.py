@@ -164,10 +164,13 @@ def make_folds(manifest: DatasetManifest, k: int = 4, seed: int = 0) -> FoldAssi
 class TrainSample:
     segment: AudioSegment
     sentence: str
-    vessel_type: str
     source_id: str
     record: AnnotationRecord
     spec: Spectrogram | None = field(default=None, repr=False)  # cached encoder input
+
+    @property
+    def vessel_type(self) -> str:
+        return self.record.vessel_type
 
 
 @dataclass
@@ -234,15 +237,7 @@ def ingest(manifest_path, template: TemplateSpec, preprocess: PreprocessConfig) 
             raw = resample_to_16k(raw, rate)
         sentence = render_template(template, rec.annotation)
         for segment in segment_audio(raw, rec.source_id, preprocess.segment_seconds, preprocess.overlap_seconds):
-            samples.append(
-                TrainSample(
-                    segment=segment,
-                    sentence=sentence,
-                    vessel_type=rec.vessel_type,
-                    source_id=rec.source_id,
-                    record=rec.annotation,
-                )
-            )
+            samples.append(TrainSample(segment, sentence, rec.source_id, rec.annotation))
     if not samples:
         raise DataError("no segments produced; recordings shorter than the segment length?")
     return Dataset(samples, preprocess), manifest

@@ -5,8 +5,9 @@ forward values plus a closure that maps the node's output gradient to
 gradients for its parents (``None`` for a parent that needs none).
 ``backward`` walks the tape in reverse topological order and accumulates
 into ``.grad`` of the leaves only: interior gradients live in a per-call
-table and are freed once consumed. Repeated backward calls accumulate;
-only the optimizer resets gradients.
+table and are freed once consumed. A leaf's existing ``.grad`` (for a
+parameter, a view of its optimizer's buffer) is added to in place, a leaf
+without one gets a copy; only the optimizer resets gradients.
 
 ``cross_entropy`` is the one softmax cross-entropy op: contrastive training
 applies it to each similarity matrix against identity targets, classifier
@@ -46,7 +47,8 @@ class Tensor:
 
     values: float64 ndarray, row-major. grad: same-shape ndarray or None;
     ``backward`` fills it on leaves only. Leaves created with
-    requires_grad=True are trainable parameters.
+    requires_grad=True are trainable parameters; an optimizer points their
+    ``grad`` at its buffer, and rebinding it detaches them from that buffer.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "name", "_parents", "_backward")
@@ -146,7 +148,10 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            if node.grad is None:
+                node.grad = g.copy()
+            else:
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:

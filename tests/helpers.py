@@ -7,6 +7,7 @@ import numpy as np
 
 from tricl.bpe import _FIRST_MERGE_ID, _merge
 from tricl.config import RunConfig
+from tricl.optim import AdamW
 from tricl.tensor import Tensor, add, backward, custom_op, matmul, reshape
 
 
@@ -40,11 +41,14 @@ def check_grad(build, params: list[Tensor], h: float = 1e-4, rtol: float = 1e-4,
     `atol` of it; elsewhere gradients below `atol` count as zero so FD
     rounding noise cannot dominate the relative error. Probes are written
     into each parameter's values in place, so a parameter that views a
-    model's store stays a view. Returns the worst relative error.
+    model's store stays a view. An existing gradient is zeroed in place, so a
+    parameter that views an optimizer's buffer stays a view. Returns the
+    worst relative error.
     """
     loss = build()
     for p in params:
-        p.grad = None
+        if p.grad is not None:
+            p.grad[...] = 0.0
     backward(loss)
     base_values = [p.values.copy() for p in params]
     worst = 0.0
@@ -75,6 +79,19 @@ def check_grad(build, params: list[Tensor], h: float = 1e-4, rtol: float = 1e-4,
             worst = max(worst, rel)
             assert rel <= rtol, f"{p.name}[{i}]: analytic {an} vs fd {fd} (rel {rel:.2e})"
     return worst
+
+
+def capture_optimizers(monkeypatch) -> list[AdamW]:
+    """Every AdamW built while the patch holds, in order of construction."""
+    built = []
+    init = AdamW.__init__
+
+    def capture(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(AdamW, "__init__", capture)
+    return built
 
 
 def fbsp_kernel(x, params):

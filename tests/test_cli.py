@@ -469,6 +469,24 @@ def test_non_integer_sample_rate_is_data_error(workspace, tmp_path, capsys, rate
     assert "row 1: sample_rate_hz must be an integer" in capsys.readouterr().err
 
 
+def test_eval_shipsear_map_names_every_unmapped_label(workspace, capsys, monkeypatch):
+    import tricl.cli
+
+    monkeypatch.setattr(tricl.cli, "evaluate", lambda *args: pytest.fail("a fold was scored"))
+    assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--manifest",
+                 str(workspace / "data" / "manifest.jsonl"), "--fold", "0", "--class-map", "shipsear"]) == 1
+    assert "the shipsear class map has no entry for 'Alpha', 'Bravo'" in capsys.readouterr().err
+
+
+def test_tune_encoder_has_no_log_option(workspace, tmp_path, capsys):
+    # encoder tuning writes no training log; a --log it would ignore is a usage error
+    out, log = tmp_path / "clf.ckpt", tmp_path / "clf.log"
+    assert main(["tune", "encoder", "--ckpt", str(workspace / "model.ckpt"), "--manifest",
+                 str(workspace / "data" / "manifest.jsonl"), "--out", str(out), "--log", str(log)]) == 1
+    assert f"unrecognized arguments: --log {log}" in capsys.readouterr().err
+    assert not out.exists() and not log.exists()
+
+
 def test_eval_has_no_seed_option(workspace, capsys):
     # folds are always assigned with seed 0, the assignment training holds out from
     assert main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--manifest",

@@ -256,7 +256,7 @@ def test_stratified_subset_pinned(tmp_path):
         (0.5, 2): "001000110001101010111011011101111001110001100000001100011010011110111000",
     }
     manifest = load_manifest(synth_generate(three_class_spec(seed=0), tmp_path))
-    samples = [TrainSample(AudioSegment(np.zeros(1)), "", r.vessel_type, r.source_id, r.annotation)
+    samples = [TrainSample(AudioSegment(np.zeros(1)), "", r.source_id, r.annotation)
                for r in manifest.records]
     dataset = Dataset(samples, tiny_run_config().preprocess)
     sources = sorted(dataset.source_ids())

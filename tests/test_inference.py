@@ -51,7 +51,6 @@ def build_dataset(labels=("Alpha", "Bravo"), per_label=4):
                 TrainSample(
                     segment=tone_segment(freqs[label], seed=idx),
                     sentence=f"The sound belongs to {label}.",
-                    vessel_type=label,
                     source_id=sid,
                     record=AnnotationRecord(label),
                 )

@@ -54,7 +54,7 @@ def probe_segments():
 def probe_fold(model):
     """The probe batch as fold 0, truth alternating Alpha, Bravo; no source was trained on."""
     samples = [
-        TrainSample(seg, "", LABELS[i % 2], f"probe-{i}", AnnotationRecord(LABELS[i % 2]))
+        TrainSample(seg, "", f"probe-{i}", AnnotationRecord(LABELS[i % 2]))
         for i, seg in enumerate(probe_segments())
     ]
     return Dataset(samples, model.config.preprocess), FoldAssignment({s.source_id: 0 for s in samples}, 2)

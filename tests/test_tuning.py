@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
-from helpers import tiny_run_config
+from helpers import capture_optimizers, tiny_run_config
 from tricl.bpe import train_bpe
 from tricl.checkpoint import load_checkpoint, save_checkpoint
 from tricl.data import Dataset, TrainSample
 from tricl.dsp import AudioSegment
 from tricl.encoders import AudioEncoder
 from tricl.errors import ConfigError, NonFiniteLossError
+from tricl.experiments import split_off_fold
 from tricl.model import TriModalModel
+from tricl.optim import AdamW
+from tricl.presets import experiment_run_config
 from tricl.store import trainable
-from tricl.templates import AnnotationRecord
+from tricl.synth import synth_generate, wind_annotated_spec
+from tricl.templates import AUX_TEMPLATE_TEXT, LABEL_TEMPLATE_TEXT, AnnotationRecord
+from tricl.trainer import train
 from tricl.tuning import (
     ClassifierModel,
     _classifier_batch_loss,
@@ -47,7 +52,6 @@ def build_dataset(per_label=4, with_aux=True, missing_wind_on=((0, 1))):
                 TrainSample(
                     segment=AudioSegment(wave),
                     sentence=f"The sound belongs to {label}.",
-                    vessel_type=label,
                     source_id=sid,
                     record=record,
                 )
@@ -144,15 +148,17 @@ class TestEncoderTune:
         for k, v in trainable(model.encoder).items():
             assert np.array_equal(v.values, trainable(pre.audio_encoder)[k].values)
 
-    def test_nan_parameter_raises_before_backward(self):
+    def test_nan_parameter_raises_before_backward(self, monkeypatch):
         dataset = build_dataset()
         config = tiny_run_config(epochs=1)
         model = ClassifierModel(config, "category", {"category": dataset.vessel_types()})
         head = model.heads["category"].w
         head.values[...] = np.nan
+        optimizers = capture_optimizers(monkeypatch)
         with pytest.raises(NonFiniteLossError, match=r"non-finite loss nan in batch 0"):
             train_classifier(model, dataset, config)
-        assert all(p.grad is None for p in model.store.tensors.values())
+        (optimizer,) = optimizers
+        assert not optimizer.grad.any()
 
     def test_training_reduces_loss(self):
         dataset = build_dataset()
@@ -353,8 +359,9 @@ class TestParameterStore:
             t.values[...] = value
 
         before = model.store.buffer.copy()
+        optimizer = AdamW(model.store, lr=1e-3)
         backward(batch_loss(dataset, [0, 1, 4, 5], model))
-        AdamW(model.store, lr=1e-3).step()
+        optimizer.step()
         assert views_its_store(model)
         assert not np.array_equal(model.store.buffer, before)
 
@@ -378,3 +385,38 @@ class TestParameterStore:
         assert np.array_equal(encoder, encoder_slice(pre))
         assert not np.array_equal(model.store.buffer[encoder.size :], untuned.store.buffer[encoder.size :])
         assert views_its_store(model)
+
+
+class TestGradientBuffer:
+    def test_multitask_run_survives_missing_annotations(self, tmp_path):
+        # at batch size 2 with half the wind annotations missing, some batches never reach the wind head
+        manifest = synth_generate(wind_annotated_spec(seed=0, missing_rate=0.5, samples_per_class=3), tmp_path)
+        config = experiment_run_config(epochs=3, batch_size=2)
+        dataset, _, _ = split_off_fold(manifest, AUX_TEMPLATE_TEXT, config, None, 4)
+        _, trace = multitask_baseline(dataset, ["category", "wind"], config)
+        assert len(trace) == 3 and all(np.isfinite(trace))
+
+    @pytest.mark.parametrize("run", ["train", "uart_tune", "encoder_tune", "encoder_tune_frozen"])
+    def test_stepped_parameters_keep_gradient_views_of_a_zeroed_buffer(self, monkeypatch, run):
+        dataset = build_dataset()
+        config = tiny_run_config(epochs=2, lr=1e-3)
+        pre = fresh_model(dataset, config) if run != "train" else None
+        optimizers = capture_optimizers(monkeypatch)
+        steps = []
+        step = AdamW.step
+
+        def checked_step(self):
+            step(self)
+            assert not self.grad.any()
+            assert all(np.shares_memory(p.grad, self.grad) for p in self.store.tensors.values())
+            steps.append(self)
+
+        monkeypatch.setattr(AdamW, "step", checked_step)
+        if run == "train":
+            train(dataset, config, LABEL_TEMPLATE_TEXT, LABEL_TEMPLATE_TEXT)
+        elif run == "uart_tune":
+            uart_tune(pre, dataset, config)
+        else:
+            encoder_tune(pre, dataset, config, freeze_encoder=run == "encoder_tune_frozen")
+        (optimizer,) = optimizers
+        assert len(steps) == 2 * 2 and all(s is optimizer for s in steps)  # 8 samples in batches of 4, 2 epochs
