@@ -1,8 +1,11 @@
 """Versioned checkpoints, format v2: one npz archive holding the model's
 parameter store as a single ``params`` array plus a JSON ``__meta__`` record
-(config, tokenizer, templates, label set, training sources, and the
-name/shape index of ``params``). Round trips are bit-exact (raw float64).
-Version 1 files, one npz member per parameter, are rejected.
+(config, training sources, the name/shape index of ``params``, and by model
+type: a tri-modal model's tokenizer, templates and label set, a classifier's
+classes per task). Round trips are bit-exact (raw float64). The reader
+ignores metadata fields it does not read, such as the ``kind`` earlier
+classifier checkpoints carry. Version 1 files, one npz member per
+parameter, are rejected.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ _META_TYPES = {
     "train_template": str,
     "test_template": str,
     "class_labels": list,
-    "kind": str,
     "task_classes": dict,
     "params": list,
 }
@@ -55,7 +57,7 @@ def _meta_for(model) -> dict:
             }
         )
     elif isinstance(model, ClassifierModel):
-        meta.update({"model_type": "classifier", "kind": model.kind, "task_classes": model.task_classes})
+        meta.update({"model_type": "classifier", "task_classes": model.task_classes})
     else:
         raise ConfigError(f"cannot checkpoint object of type {type(model).__name__}")
     meta["params"] = model.store.index()
@@ -127,7 +129,7 @@ def load_checkpoint(path):
                 train_source_ids=sources,
             )
         elif model_type == "classifier":
-            model = ClassifierModel(config, field("kind"), field("task_classes"), sources)
+            model = ClassifierModel(config, field("task_classes"), sources)
         else:
             raise ConfigError(f"{path}: unknown model_type {model_type!r}")
     model.store.load_values(_split(flat, field("params"), path))

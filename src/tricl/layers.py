@@ -208,15 +208,18 @@ class MultiHeadSelfAttention:
         return self.wo(merged)
 
 
+MLP_RATIO = 2  # a transformer block's MLP hidden width, in multiples of its width
+
+
 class TransformerBlock:
     """Pre-norm causal block: x + attn(ln(x)), then x + mlp(ln(x))."""
 
-    def __init__(self, rng, width: int, heads: int, name: str, mlp_ratio: int = 2):
+    def __init__(self, rng, width: int, heads: int, name: str):
         self.ln1 = LayerNorm(width, f"{name}.ln1")
         self.attn = MultiHeadSelfAttention(rng, width, heads, f"{name}.attn")
         self.ln2 = LayerNorm(width, f"{name}.ln2")
-        self.fc1 = Linear(rng, width, mlp_ratio * width, f"{name}.fc1")
-        self.fc2 = Linear(rng, mlp_ratio * width, width, f"{name}.fc2")
+        self.fc1 = Linear(rng, width, MLP_RATIO * width, f"{name}.fc1")
+        self.fc2 = Linear(rng, MLP_RATIO * width, width, f"{name}.fc2")
 
     def __call__(self, x: Tensor, mask: Tensor) -> Tensor:
         x = add(x, self.attn(self.ln1(x), mask))

@@ -16,7 +16,6 @@ from .templates import AUX_TEMPLATE_TEXT, LABEL_TEMPLATE_TEXT  # noqa: F401  (re
 def experiment_run_config(
     seed: int = 0,
     epochs: int = 40,
-    lr: float = 1e-3,
     modalities: str = "tri",
     batch_size: int = 8,
 ) -> RunConfig:
@@ -39,7 +38,7 @@ def experiment_run_config(
             "train": {
                 "batch_size": batch_size,
                 "epochs": epochs,
-                "lr": lr,
+                "lr": 1e-3,
                 "seed": seed,
                 "modalities": modalities,
                 "vocab_size": 300,

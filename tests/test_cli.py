@@ -314,7 +314,7 @@ def test_tune_encoder_freeze_encoder_trains_head_only(workspace, tmp_path):
     source_encoder = source.store.split(len(trainable(source.audio_encoder)))[0]
     assert encoder.index() == source_encoder.index()
     assert encoder.buffer.tobytes() == source_encoder.buffer.tobytes()
-    untrained = ClassifierModel(tuned.config, tuned.kind, tuned.task_classes).store.split(n_encoder)[1]
+    untrained = ClassifierModel(tuned.config, tuned.task_classes).store.split(n_encoder)[1]
     assert heads.index() == untrained.index()
     assert not np.array_equal(heads.buffer, untrained.buffer)
 

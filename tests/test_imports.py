@@ -33,8 +33,6 @@ PROGRAM = sorted([*FILES, *(ROOT / "perfbench").glob("*.py")])
 # defined in the package but read by no program file, each kept on purpose
 UNREFERENCED_ALLOWED = {
     "PAD_ID": "fixes the token-id layout: [PAD] holds id 258, so merges start at 259",
-    "multilabel_baseline": "ROADMAP item 1 wires it into run_auxiliary_comparison.py and the acceptance gate",
-    "multitask_baseline": "ROADMAP item 1 wires it into run_auxiliary_comparison.py and the acceptance gate",
 }
 
 

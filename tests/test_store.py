@@ -13,7 +13,7 @@ import pytest
 from tricl.bpe import BpeTokenizer
 from tricl.checkpoint import load_checkpoint, save_checkpoint
 from tricl.dsp import AudioSegment
-from tricl.errors import ContractError
+from tricl.errors import ConfigError, ContractError
 from tricl.inference import prompt_infer
 from tricl.model import TriModalModel
 from tricl.presets import experiment_run_config
@@ -84,18 +84,16 @@ LAYOUT_SHA256 = {
     "audio_text": "089ef92e6075c05460888b06088b7c7910f2a3b877cb362bbad6b94eb96e0af2",
     "category": "a95d4e97300b13b2ebc711dbc5769eb1352117c2a2c40ff8cc8a692c17beac0c",
     "multitask": "060177595c436315acc4ec056e1b6ec8197acb2ae9adceebbb54696bf78866c7",
-    "multilabel": "78f984f004473a13edfec244d5980d6fe155f84ef4cde917e238b10a4829f274",
 }
 TASK_CLASSES = {
     "category": {"category": ["A", "B", "C"]},
     "multitask": {"category": ["A", "B", "C"], "distance": ["close", "far"], "wind": ["calm", "windy"]},
-    "multilabel": {"multilabel": ["A", "B", "C", "distance=close", "distance=far"], "n_categories": [3]},
 }
 
 
 def preset_model(variant: str):
     if variant in TASK_CLASSES:
-        return ClassifierModel(experiment_run_config(), variant, TASK_CLASSES[variant])
+        return ClassifierModel(experiment_run_config(), TASK_CLASSES[variant])
     config = experiment_run_config(modalities=variant)
     return TriModalModel(config, BpeTokenizer(), "x {label}", "y {label}", ["A", "B"])
 
@@ -123,11 +121,14 @@ CLASSIFIER_LOGITS = [float.fromhex("-0x1.200d24eb570b9p-9"), float.fromhex("0x1.
 
 
 def resaved_matches(path: Path, model, tmp_path) -> bool:
+    """Same params bitwise, same meta but for the classifier `kind` no longer written."""
     copy = tmp_path / path.name
     save_checkpoint(model, copy)
     with np.load(path) as old, np.load(copy) as new:
         same_params = np.array_equal(old["params"], new["params"])
-        return same_params and json.loads(str(old["__meta__"])) == json.loads(str(new["__meta__"]))
+        old_meta = json.loads(str(old["__meta__"]))
+        old_meta.pop("kind", None)
+        return same_params and old_meta == json.loads(str(new["__meta__"]))
 
 
 def test_earlier_trimodal_checkpoint_predicts_identically(tmp_path):
@@ -147,6 +148,19 @@ def test_earlier_classifier_checkpoint_predicts_identically(tmp_path):
     np.testing.assert_allclose(logits.ravel(), CLASSIFIER_LOGITS, rtol=1e-10, atol=0)
     assert model.predict_labels([PROBE]) == ["Bravo"]
     assert resaved_matches(path, model, tmp_path)
+
+
+def test_fused_multilabel_checkpoint_is_config_error(tmp_path):
+    # the fused multi-label head is gone; a checkpoint of one names its tasks
+    with np.load(DATA / "classifier_v2.ckpt") as z:
+        meta, params = json.loads(str(z["__meta__"])), z["params"]
+    meta["kind"] = "multilabel"
+    meta["task_classes"] = {"multilabel": ["Alpha", "Bravo", "distance=close", "distance=far"], "n_categories": [2]}
+    path = tmp_path / "multilabel.ckpt"
+    with open(path, "wb") as f:
+        np.savez(f, params=params, __meta__=np.array(json.dumps(meta)))
+    with pytest.raises(ConfigError, match=r"got \['multilabel', 'n_categories'\]"):
+        load_checkpoint(path)
 
 
 class NoDraws:

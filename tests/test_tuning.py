@@ -11,16 +11,18 @@ from tricl.dsp import AudioSegment
 from tricl.encoders import AudioEncoder
 from tricl.errors import ConfigError, NonFiniteLossError
 from tricl.experiments import split_off_fold
+from tricl.layers import Linear
 from tricl.model import TriModalModel
 from tricl.optim import AdamW
 from tricl.presets import experiment_run_config
 from tricl.store import trainable
 from tricl.synth import synth_generate, wind_annotated_spec
 from tricl.templates import AUX_TEMPLATE_TEXT, LABEL_TEMPLATE_TEXT, AnnotationRecord
-from tricl.trainer import train
+from tricl.trainer import train, train_epoch
 from tricl.tuning import (
     ClassifierModel,
     _classifier_batch_loss,
+    _multilabel_batch_loss,
     binary_ce_logits,
     encoder_tune,
     multilabel_baseline,
@@ -136,9 +138,20 @@ class TestEncoderTune:
         config = tiny_run_config(epochs=2, lr=1e-3)
         pre = fresh_model(dataset, config)
         before = {k: v.values.copy() for k, v in trainable(pre.audio_encoder).items()}
-        model, _ = encoder_tune(pre, dataset, config, freeze_encoder=True)
+        model, trace = encoder_tune(pre, dataset, config, freeze_encoder=True)
         for k, v in trainable(model.encoder).items():
             assert np.array_equal(v.values, before[k])
+            assert v.grad is None and v.requires_grad  # off the tape for the run, restored after
+        # reference: the whole encoder on the tape, only the heads stepped
+        reference = ClassifierModel(config, model.task_classes)
+        encoder, heads = reference.store.split(len(before))
+        encoder.load_values(before)
+        optimizer = AdamW(heads, lr=config.train.lr, weight_decay=config.train.weight_decay)
+        rng = np.random.default_rng(config.train.seed)
+        assert trace == [train_epoch(dataset, reference, optimizer, config, rng, _classifier_batch_loss).mean_loss
+                         for _ in range(config.train.epochs)]
+        assert np.array_equal(reference.store.buffer, model.store.buffer)
+        assert all(t.grad is not None for t in encoder.tensors.values())
 
     def test_pretrained_weights_are_transplanted(self):
         dataset = build_dataset()
@@ -151,7 +164,7 @@ class TestEncoderTune:
     def test_nan_parameter_raises_before_backward(self, monkeypatch):
         dataset = build_dataset()
         config = tiny_run_config(epochs=1)
-        model = ClassifierModel(config, "category", {"category": dataset.vessel_types()})
+        model = ClassifierModel(config, {"category": dataset.vessel_types()})
         head = model.heads["category"].w
         head.values[...] = np.nan
         optimizers = capture_optimizers(monkeypatch)
@@ -168,20 +181,41 @@ class TestEncoderTune:
 
 
 class TestBaselines:
-    def test_multilabel_target_construction(self):
+    def test_multilabel_loss_is_one_fused_head(self):
+        # the heads side by side in sorted task order are the old fused head over
+        # categories + sorted "field=value" entries; Bravo-1 lacks wind (a zero row)
         dataset = build_dataset()
-        model, _ = multilabel_baseline(dataset, tiny_run_config(epochs=1))
-        dictionary = model.task_classes["multilabel"]
-        assert dictionary[: model.n_categories] == ["Alpha", "Bravo"]
-        assert "distance=close" in dictionary and "distance=far" in dictionary
-        # {label, distance, wind} -> exactly 3 ones
-        sample = [s for s in dataset.samples if s.record.wind is not None][0]
-        dim_index = {e: i for i, e in enumerate(dictionary)}
-        target = np.zeros(len(dictionary))
-        target[dim_index[sample.vessel_type]] = 1
-        target[dim_index[f"distance={sample.record.distance}"]] = 1
-        target[dim_index[f"wind={sample.record.wind}"]] = 1
-        assert target.sum() == 3
+        model = ClassifierModel(tiny_run_config(),
+                                {"category": ["Alpha", "Bravo"], "distance": ["close", "far"], "wind": ["calm"]})
+        heads = [model.heads[task] for task in ("category", "distance", "wind")]
+        for h in heads:
+            h.b.values[...] = np.random.default_rng(1).standard_normal(h.b.shape)
+        indices = [2, 3, 5, 6]
+        batch = [dataset.samples[i] for i in indices]
+        assert [s.record.wind for s in batch] == ["calm", "calm", None, "calm"]
+        loss = _multilabel_batch_loss(dataset, indices, model)
+        backward(loss)
+        grads = {k: v.grad.copy() for k, v in model.store.tensors.items()}
+        for p in model.store.tensors.values():
+            p.grad = None
+
+        dictionary = ["Alpha", "Bravo", "distance=close", "distance=far", "wind=calm"]
+        fused = Linear(np.random.default_rng(0), tiny_run_config().encoder.d, len(dictionary), "fused")
+        fused.w.values[...] = np.hstack([h.w.values for h in heads])
+        fused.b.values[...] = np.hstack([h.b.values for h in heads])
+        targets = np.array([[e in (s.vessel_type, f"distance={s.record.distance}", f"wind={s.record.wind}")
+                             for e in dictionary] for s in batch])
+        assert targets.sum(axis=1).tolist() == [3, 3, 2, 3]
+        reference = binary_ce_logits(fused(model.encoder.encode([s.segment for s in batch],
+                                                                model.encoder.build_kernels())), targets)
+        backward(reference)
+        assert float(loss.values) == pytest.approx(float(reference.values), rel=0, abs=1e-12)
+        widths = np.cumsum([0] + [h.w.shape[1] for h in heads])
+        for task, lo, hi in zip(("category", "distance", "wind"), widths, widths[1:]):
+            np.testing.assert_allclose(grads[f"head.{task}.w"], fused.w.grad[:, lo:hi], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grads[f"head.{task}.b"], fused.b.grad[:, lo:hi], rtol=0, atol=1e-12)
+        for name, t in trainable(model.encoder).items():
+            np.testing.assert_allclose(grads[name], t.grad, rtol=0, atol=1e-12)
 
     def test_multilabel_prediction_never_auxiliary(self):
         dataset = build_dataset()
@@ -212,7 +246,7 @@ class TestBaselines:
         # one encode per batch, rows gathered per task, equals encoding each
         # task's annotated samples separately (distance drops row 0, wind row 1)
         dataset = build_dataset()
-        model = ClassifierModel(tiny_run_config(), "multitask",
+        model = ClassifierModel(tiny_run_config(),
                                 {"category": ["Alpha", "Bravo"], "distance": ["close", "far"], "wind": ["calm", "gusty"]})
         batch = dataset.samples[:4]
         batch[0].record = AnnotationRecord("Alpha", distance=None, wind="gusty")
@@ -242,7 +276,7 @@ class TestBaselines:
     def test_predict_labels_encodes_in_chunks_of_batch_size(self, monkeypatch):
         dataset = build_dataset(per_label=6)
         config = tiny_run_config()
-        model = ClassifierModel(config, "category", {"category": ["Alpha", "Bravo"]})
+        model = ClassifierModel(config, {"category": ["Alpha", "Bravo"]})
         segments = [s.segment for s in dataset.samples]
         assert len(segments) == 3 * config.train.batch_size
         with no_grad():
@@ -309,7 +343,7 @@ class TestCheckpointRoundTrip:
 
     def test_classifier_malformed_array_rejected(self):
         dataset = build_dataset()
-        model = ClassifierModel(tiny_run_config(), "category", {"category": dataset.vessel_types()})
+        model = ClassifierModel(tiny_run_config(), {"category": dataset.vessel_types()})
         arrays = {k: v.values.copy() for k, v in model.store.tensors.items()}
         arrays["head.category.w"] = np.zeros((3, 3))
         with pytest.raises(ConfigError, match=r"head\.category\.w has shape \(3, 3\), expected \(8, 2\)"):
