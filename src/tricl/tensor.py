@@ -16,30 +16,94 @@ tuning to head logits against class indices.
 ``conv2d`` is the one convolution op, a single tape node per layer: one
 strided patch-matrix view and one GEMM forward; dW, db and a tap-by-tap
 scatter of dX backward, each summed in a fixed order.
+
+Two threads. ``beside`` runs one function on a single worker thread that
+this module owns while another runs on the caller's thread, and joins both.
+``branch`` marks an encoder's output as the root of an independent
+subgraph: ``backward`` walks the loss head down to the branch nodes, then
+walks each branch's subgraph from the gradient its node received, the
+branches marked ``on_worker`` on the worker thread beside the rest. Every
+node's gradient is summed in the order of a plain walk of the same graph,
+so the result is bitwise that walk's. Grad mode is per thread; a worker
+task runs in its caller's mode.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
-_GRAD_ENABLED = True
+
+class _ThreadState(threading.local):
+    grad_enabled = True
+    on_worker = False
+
+
+_THREAD = _ThreadState()
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference fast path)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording inside the block on this thread (inference fast path)."""
+    prev = _THREAD.grad_enabled
+    _THREAD.grad_enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _THREAD.grad_enabled = prev
+
+
+# The worker thread is created on first use. A forked child inherits the
+# executor but not its thread, so the child drops it and starts its own.
+_WORKER: ThreadPoolExecutor | None = None
+
+
+def _drop_worker() -> None:
+    global _WORKER
+    _WORKER = None
+
+
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+def beside(on_worker, here):
+    """Run ``on_worker()`` on the worker thread while ``here()`` runs on this
+    one; return ``(on_worker(), here())``.
+
+    The worker task is always joined before this returns. An exception from
+    ``here`` propagates in preference to one from the worker, which it names
+    in a note; otherwise the worker's exception propagates with its own
+    type. Called on the worker thread itself, both run there, one after the
+    other.
+    """
+    global _WORKER
+    if _THREAD.on_worker:
+        return on_worker(), here()
+    if _WORKER is None:
+        _WORKER = ThreadPoolExecutor(1, thread_name_prefix="tricl-worker")
+    grad_enabled = _THREAD.grad_enabled
+
+    def task():
+        _THREAD.on_worker = True
+        _THREAD.grad_enabled = grad_enabled
+        return on_worker()
+
+    future = _WORKER.submit(task)
+    try:
+        mine = here()
+    except BaseException as exc:
+        lost = future.exception()  # joins the worker
+        if lost is not None:
+            exc.add_note(f"the worker task also raised {lost!r}")
+        raise
+    return future.result(), mine
 
 
 class Tensor:
@@ -81,7 +145,7 @@ def records(parents) -> bool:
     """Whether an op on `parents` goes on the tape: grad mode is on and some
     parent requires grad. An op that keeps intermediates only for its
     backward asks this before computing them."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    return _THREAD.grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _make(values: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -113,36 +177,60 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/dx into .grad of every reachable requires_grad leaf.
+class Branch(Tensor):
+    """Identity node on the output of an independent subgraph; see ``branch``."""
 
-    Interior nodes' ``.grad`` is never written: their gradients live in the
-    walk's flow table and are dropped once passed on to their parents.
+    __slots__ = ("on_worker",)
+
+
+def branch(a: Tensor, on_worker: bool = False) -> Tensor:
+    """Mark `a` as the root of a subgraph that ``backward`` walks on its own,
+    on the worker thread when `on_worker`. Returns `a` itself when no tape
+    is recorded."""
+    if not records((a,)):
+        return a
+    out = Branch(a.values)
+    out.requires_grad = True
+    out._parents = (a,)
+    out._backward = lambda g: (g,)
+    out.on_worker = on_worker
+    return out
+
+
+def _sort(root: Tensor, owner: dict[int, int], walk: int) -> tuple[list[Tensor], list[Branch]]:
+    """Post-order of the requires_grad nodes reachable from `root`; each is
+    claimed for `walk` in `owner`, and one claimed by another walk is a
+    ContractError. Walk 0, the loss head, stops at branch nodes and returns
+    them; a branch node inside a branch is an identity node of that branch.
     """
-    if loss.size != 1:
-        raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return
-
-    # iterative topological sort; graphs can be deeper than the recursion limit
     topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    branches: list[Branch] = []
+    # iterative; graphs can be deeper than the recursion limit
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in visited:
+        claimed = owner.get(id(node))
+        if claimed == walk:
             continue
-        visited.add(id(node))
+        if claimed is not None:
+            raise ContractError(f"two branches, or a branch and the loss head, reach the same node {node!r}")
+        owner[id(node)] = walk
         stack.append((node, True))
+        if walk == 0 and node is not root and isinstance(node, Branch):
+            branches.append(node)
+            continue
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p.requires_grad and owner.get(id(p)) != walk:
                 stack.append((p, False))
+    return topo, branches
 
-    # per-call flow table so repeated backward() calls accumulate correctly
-    flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
+
+def _walk(topo: list[Tensor], flow: dict[int, np.ndarray]) -> None:
+    """Pass gradients down `topo` in reverse; a gradient for a node outside
+    `topo` stays in `flow`."""
     for node in reversed(topo):
         g = flow.pop(id(node), None)
         if g is None:
@@ -158,6 +246,40 @@ def backward(loss: Tensor) -> None:
                 continue
             cur = flow.get(id(parent))
             flow[id(parent)] = pg if cur is None else cur + pg
+
+
+def backward(loss: Tensor) -> None:
+    """Accumulate d(loss)/dx into .grad of every reachable requires_grad leaf.
+
+    Interior nodes' ``.grad`` is never written: their gradients live in the
+    walk's flow table and are dropped once passed on to their parents. The
+    head is walked first, then the branches (see ``branch``); both threads
+    are joined before this returns. Two branches, or a branch and the head,
+    that reach the same requires_grad node raise ContractError before any
+    gradient is written.
+    """
+    if loss.size != 1:
+        raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        return
+    owner: dict[int, int] = {}
+    head, branches = _sort(loss, owner, 0)
+    topos = [_sort(b._parents[0], owner, walk)[0] for walk, b in enumerate(branches, 1)]
+    # per-call flow table so repeated backward() calls accumulate correctly
+    flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
+    _walk(head, flow)
+
+    def walk_branches(on_worker: bool) -> None:
+        # each branch node passed its gradient on to its input, the last node of its topo
+        for b, topo in zip(branches, topos):
+            root = id(topo[-1])
+            if b.on_worker == on_worker and root in flow:
+                _walk(topo, {root: flow[root]})
+
+    if any(b.on_worker for b in branches):
+        beside(lambda: walk_branches(True), lambda: walk_branches(False))
+    else:
+        walk_branches(False)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +499,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: int = 1, pad: i
     is (C_out, 1); the output is (C_out, N, OH, OW). The forward copies the
     input once into a zeroed padded buffer (not at all when pad is 0), reads
     the (C*k*k, N*OH*OW) patch matrix through one strided view and runs one
-    GEMM. The backward gives dW = g @ colsᵀ, db = row sums of g and dX from
+    GEMM. The backward gives dW = (cols @ gᵀ)ᵀ, db = row sums of g and dX from
     one GEMM against W's columns reordered to (i, j, c), so that each tap's
     gradient plane is contiguous, scattered onto the padded grid tap by tap.
     Under no_grad nothing is kept for the backward.
@@ -410,7 +532,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: int = 1, pad: i
 
     def bw(g):
         g = g.reshape(c_out, n * oh * ow)
-        dw = g @ cols.T if w.requires_grad else None
+        dw = (cols @ g.T).T if w.requires_grad else None  # faster than g @ cols.T, same bits
         db = g.sum(axis=1, keepdims=True) if b.requires_grad else None
         dx = None
         if x.requires_grad:

@@ -9,6 +9,12 @@ symmetric cross entropy (`tensor.cross_entropy` against identity targets,
 row-wise and column-wise) averaged over those pairs: six terms tri-modal,
 two audio+text. Classifier tuning (`tuning.train_classifier`) passes its own
 loss, built on the same `tensor.cross_entropy`.
+
+The encoders do not depend on each other, so `batch_loss` runs them on two
+threads (`tensor.beside`): audio and text on the worker beside the
+spectrogram encoder, or audio beside text for an audio+text model. Each
+embedding is a `tensor.branch`, so `backward` walks the encoders on the
+same threads, and the gradients are bitwise those of a one-thread step.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from .tensor import (
     Tensor,
     add,
     backward,
+    beside,
+    branch,
     cross_entropy,
     exp,
     mul,
@@ -107,12 +115,20 @@ def batch_loss(dataset, indices, model: TriModalModel) -> Tensor | None:
     samples = [dataset.samples[i] for i in indices]
     sentences = list(dict.fromkeys(s.sentence for s in samples))
     row_of = {sentence: r for r, sentence in enumerate(sentences)}
-    embeddings = {
-        "audio": model.audio_encoder.encode([s.segment for s in samples], kernels),
-        "text": take_rows(model.encode_text(sentences), [row_of[s.sentence] for s in samples]),
-    }
-    if model.spec_encoder is not None:
-        embeddings["spec"] = model.spec_encoder.encode([dataset.spectrogram(s) for s in samples])
+
+    def audio():
+        return model.audio_encoder.encode([s.segment for s in samples], kernels)
+
+    def text():
+        return take_rows(model.encode_text(sentences), [row_of[s.sentence] for s in samples])
+
+    if model.spec_encoder is None:
+        a, t = beside(audio, text)
+        embeddings = {"audio": branch(a, on_worker=True), "text": branch(t)}
+    else:
+        (a, t), spec = beside(lambda: (audio(), text()),
+                              lambda: model.spec_encoder.encode([dataset.spectrogram(s) for s in samples]))
+        embeddings = {"audio": branch(a, on_worker=True), "text": branch(t, on_worker=True), "spec": branch(spec)}
 
     try:
         emb, _ = anomaly_filter(embeddings)

@@ -81,6 +81,37 @@ def check_grad(build, params: list[Tensor], h: float = 1e-4, rtol: float = 1e-4,
     return worst
 
 
+def plain_backward(loss: Tensor) -> None:
+    """One-thread walk of the whole tape, branch nodes as identity nodes:
+    ``tensor.backward`` must give the same gradients bitwise."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in visited)
+    flow = {id(loss): np.ones_like(loss.values)}
+    for node in reversed(topo):
+        g = flow.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            if node.grad is None:
+                node.grad = g.copy()
+            else:
+                node.grad += g
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is not None and parent.requires_grad:
+                cur = flow.get(id(parent))
+                flow[id(parent)] = pg if cur is None else cur + pg
+
+
 def capture_optimizers(monkeypatch) -> list[AdamW]:
     """Every AdamW built while the patch holds, in order of construction."""
     built = []
