@@ -1,10 +1,8 @@
-"""Run-config presets for the desk-scale synthetic experiments.
-
-The experiment scripts share these so the studies they run are literally
-the same; the planned acceptance tests are to use them too. Short
-segments, a 12-scale wavelet grid, and log-mel spectrogram-encoder input
-keep a full contrastive run in the tens of seconds on one core; the
-library defaults (30 s segments, 64 scales, raw STFT) stay paper-faithful.
+"""Run-config presets for the desk-scale synthetic experiments, shared by
+every arm in `experiments.ARMS`. Short segments, a 12-scale wavelet grid,
+and log-mel spectrogram-encoder input keep a full contrastive run in the
+tens of seconds on one core; the library defaults (30 s segments, 64
+scales, raw STFT) stay paper-faithful.
 """
 
 from __future__ import annotations

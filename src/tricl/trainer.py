@@ -28,7 +28,7 @@ import numpy as np
 
 from .bpe import train_bpe
 from .config import RunConfig
-from .errors import ContractError, DegenerateBatchError, NonFiniteLossError
+from .errors import ContractError, DataError, DegenerateBatchError, NonFiniteLossError
 from .model import TriModalModel, cosine_matrix
 from .optim import AdamW
 from .tensor import (
@@ -145,9 +145,9 @@ def train_epoch(dataset, model, optimizer: AdamW, config: RunConfig, rng: np.ran
     """One pass over the dataset: shuffle, batch, loss, backward, Adam step, clamp.
 
     `loss_fn(dataset, indices, model)` gives the batch loss; a None loss skips
-    the batch and counts it. Every parameter the optimizer holds updates in
-    the same step. A non-finite batch loss raises NonFiniteLossError before
-    any gradient is computed.
+    the batch and counts it, and an epoch that skipped every batch raises
+    DataError. Every parameter the optimizer holds updates in the same step.
+    A non-finite batch loss raises NonFiniteLossError before backward runs.
     """
     n = len(dataset.samples)
     if n == 0:
@@ -167,8 +167,9 @@ def train_epoch(dataset, model, optimizer: AdamW, config: RunConfig, rng: np.ran
         optimizer.step()
         model.clamp()
         losses.append(float(loss.values))
-    mean_loss = math.fsum(losses) / len(losses) if losses else float("nan")
-    return EpochMetrics(mean_loss=mean_loss, skipped_batches=skipped)
+    if not losses:
+        raise DataError(f"all {skipped} batches of the epoch were skipped: no batch gave a loss")
+    return EpochMetrics(mean_loss=math.fsum(losses) / len(losses), skipped_batches=skipped)
 
 
 def format_log_line(epoch: int, metrics: EpochMetrics, model: TriModalModel) -> str:

@@ -433,6 +433,19 @@ def test_data_error_exit_code(workspace, tmp_path):
     assert main(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest)]) == 2
 
 
+def test_train_on_one_segment_is_data_error_and_writes_no_checkpoint(workspace, tmp_path, capsys):
+    # one segment forms no contrastive pair; training used to save an untrained checkpoint
+    data = workspace / "data"
+    row = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
+    manifest = tmp_path / "one.jsonl"
+    manifest.write_text(json.dumps({**row, "audio": str(data / row["audio"])}) + "\n")
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--manifest", str(manifest), "--config", str(workspace / "config.json"),
+                 "--out", str(ckpt)]) == 2
+    assert "all 1 batches of the epoch were skipped" in capsys.readouterr().err
+    assert not ckpt.exists() and not (tmp_path / "model.ckpt.log").exists()
+
+
 def _manifest_with(workspace, tmp_path, **fields):
     """The workspace manifest with `fields` set on every row."""
     data = workspace / "data"

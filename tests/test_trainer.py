@@ -12,7 +12,7 @@ from tricl.checkpoint import load_checkpoint, save_checkpoint
 from tricl.config import RunConfig
 from tricl.data import Dataset, TrainSample
 from tricl.dsp import AudioSegment
-from tricl.errors import ContractError, DegenerateBatchError, NonFiniteLossError
+from tricl.errors import ContractError, DataError, DegenerateBatchError, NonFiniteLossError
 from tricl.model import TriModalModel
 from tricl.optim import AdamW
 from tricl.templates import AnnotationRecord
@@ -261,6 +261,17 @@ class TestTrainEpoch:
         assert len(steps) == 1
         assert np.isfinite(metrics.mean_loss)
         assert caplog.text == ""  # skipped before encoding, not by the anomaly filter
+
+    def test_epoch_with_every_batch_skipped_is_data_error(self, monkeypatch):
+        # a one-sample dataset forms no contrastive pair; its epoch used to report mean_loss=nan
+        config = tiny_run_config(epochs=1, batch_size=4)
+        dataset = make_dataset(n_sources=1)
+        model = make_model(config, dataset)
+        steps = count_steps(monkeypatch)
+        with pytest.raises(DataError, match=r"all 1 batches of the epoch were skipped"):
+            train_epoch(dataset, model, AdamW(model.store, lr=config.train.lr), config,
+                        np.random.default_rng(0), batch_loss)
+        assert steps == []
 
     def test_degenerate_batch_skipped_and_counted(self, monkeypatch, caplog):
         # three all-zero segments leave one row of the first batch after anomaly_filter
