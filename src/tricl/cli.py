@@ -110,7 +110,7 @@ def _cmd_train(args) -> int:
     template_text = _template_text(args.template, AUX_TEMPLATE_TEXT)
     train_ds, _, _ = split_off_fold(args.manifest, template_text, config, args.holdout_fold, args.folds)
     log_path = args.log or (args.out + ".log")
-    model, _ = train(train_ds, config, template_text, LABEL_TEMPLATE_TEXT, log_path=log_path)
+    model, _ = train(train_ds, config, template_text, log_path=log_path)
     save_checkpoint(model, args.out)
     print(args.out)
     return 0

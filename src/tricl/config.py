@@ -1,7 +1,8 @@
 """Dataclass configuration for preprocessing, encoders, and training runs.
 
 JSON config files use the same three sections: ``preprocess``, ``encoder``,
-``train``. Missing keys fall back to the defaults below.
+``train``. Missing keys fall back to the defaults below; a value of the wrong
+JSON type or out of range is a ConfigError naming its ``section.key``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class EncoderConfig:
 
     def __post_init__(self):
         self.conv_channels = tuple(int(c) for c in self.conv_channels)
-        if self.d < 1 or any(c < 1 for c in self.conv_channels):
-            raise ConfigError("embedding dim and conv channels must be >= 1")
+        if min(self.d, self.transformer_heads, self.attn_pool_heads, *self.conv_channels) < 1:
+            raise ConfigError("encoder.d, conv_channels, transformer_heads and attn_pool_heads must be >= 1")
         if self.transformer_width % self.transformer_heads != 0:
             raise ConfigError("transformer_width must divide evenly into heads")
 
@@ -86,14 +87,24 @@ class RunConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
+    def from_dict(cls, data) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         out = cls()
+        json_types = {"int": (int,), "int | None": (int, type(None)), "float": (int, float), "str": (str,),
+                      "bool": (bool,), "tuple[int, ...]": (list, tuple)}
         for section_name, section_cls in (("preprocess", PreprocessConfig), ("encoder", EncoderConfig), ("train", TrainConfig)):
             section = data.get(section_name, {})
-            known = {f.name for f in fields(section_cls)}
-            unknown = set(section) - known
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {section_name} must be an object, got {type(section).__name__}")
+            annotations = {f.name: f.type for f in fields(section_cls)}
+            unknown = set(section) - set(annotations)
             if unknown:
                 raise ConfigError(f"unknown {section_name} config keys: {sorted(unknown)}")
+            for key, value in section.items():  # exact types: a bool is no int; an int may stand for a float
+                kind = annotations[key]
+                if type(value) not in json_types[kind] or isinstance(value, (list, tuple)) and {type(c) for c in value} - {int}:
+                    raise ConfigError(f"{section_name}.{key} is {value!r}, expected {kind}")
             setattr(out, section_name, section_cls(**section))
         extra = set(data) - {"preprocess", "encoder", "train"}
         if extra:

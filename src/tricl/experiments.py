@@ -40,17 +40,17 @@ def split_off_fold(manifest_path, template_text: str, config: RunConfig, test_fo
     return train_ds, dataset, folds
 
 
-def train_on_fold(manifest_path, template_text: str, config: RunConfig,
-                  test_fold: int = 0) -> tuple[TriModalModel, Dataset, FoldAssignment, list[str]]:
-    """Split off `test_fold` of 4, train on the rest; returns everything
-    needed to evaluate."""
-    train_ds, dataset, folds = split_off_fold(manifest_path, template_text, config, test_fold, 4)
-    model, lines = train(train_ds, config, template_text, LABEL_TEMPLATE_TEXT)
+def train_on_fold(manifest_path, template_text: str,
+                  config: RunConfig) -> tuple[TriModalModel, Dataset, FoldAssignment, list[str]]:
+    """Split off fold 0 of 4, train on the rest; returns everything needed
+    to evaluate."""
+    train_ds, dataset, folds = split_off_fold(manifest_path, template_text, config, 0, 4)
+    model, lines = train(train_ds, config, template_text)
     return model, dataset, folds, lines
 
 
-def held_out_accuracy(model, dataset: Dataset, folds: FoldAssignment, test_fold: int = 0) -> float:
-    return evaluate(model, dataset, folds, test_fold).accuracy
+def held_out_accuracy(model, dataset: Dataset, folds: FoldAssignment) -> float:
+    return evaluate(model, dataset, folds, 0).accuracy
 
 
 PRESETS = {
@@ -115,7 +115,7 @@ def run_arm(name: str, seed: int, work, epochs: int, tune_epochs: int = 25) -> t
     train_ds, dataset, folds = split_off_fold(prepare(arm.preset, work), arm.template, config, 0, 4)
     train_ds = stratified_source_subset(train_ds, 0.1, seed=seed) if arm.few_shot else train_ds
     model, trace = (arm.fit(train_ds, config, work, epochs) if arm.fit
-                    else train(train_ds, config, arm.template, LABEL_TEMPLATE_TEXT))
+                    else train(train_ds, config, arm.template))
     return held_out_accuracy(model, dataset, folds), trace, len(train_ds.samples)
 
 

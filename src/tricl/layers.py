@@ -78,15 +78,12 @@ class Conv2d:
     tape op, a single patch-matrix GEMM for the whole batch."""
 
     def __init__(self, rng, c_in: int, c_out: int, kernel: int, stride: int, pad: int, name: str):
-        self.c_in = c_in
         self.kernel, self.stride, self.pad = kernel, stride, pad
         fan_in = c_in * kernel * kernel
         self.w = uniform_init(rng, (c_out, fan_in), fan_in, f"{name}.w")
         self.b = zeros_init((c_out, 1), f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[0] != self.c_in:
-            raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[0]}")
         return conv2d(x, self.w, self.b, self.kernel, self.stride, self.pad)
 
 

@@ -23,12 +23,7 @@ MAX_EXP_SCALE = 100.0
 
 
 def cosine_matrix(x: Tensor, y: Tensor) -> Tensor:
-    """Entry (i, j) is the cosine of rows x_i and y_j; a zero-norm row is a
-    contract violation."""
-    for side, mat in (("x", x), ("y", y)):
-        norms = np.sqrt((mat.values**2).sum(axis=1))
-        if np.any(norms == 0.0):
-            raise ContractError(f"zero-norm embedding in {side} batch; run anomaly_filter first")
+    """Entry (i, j) is the cosine of rows x_i and y_j; a zero-norm row raises ContractError."""
     return matmul(l2_normalize_rows(x), transpose(l2_normalize_rows(y)))
 
 

@@ -572,16 +572,16 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
-    """Rows scaled to unit norm; all-zero rows pass through unchanged."""
+    """Rows scaled to unit norm; a zero-norm row is a contract violation."""
     _require_2d("l2_normalize_rows", a)
     norms = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    out = a.values / safe
+    if not norms.all():
+        raise ContractError(f"zero-norm row {int(np.argmin(norms))} of {len(norms)}: no direction to normalize")
+    out = a.values / norms
 
     def bw(g):
         dot = (g * out).sum(axis=1, keepdims=True)
-        grad = (g - out * dot) / safe
-        return (np.where(norms > 0.0, grad, 0.0),)
+        return ((g - out * dot) / norms,)
 
     return _make(out, (a,), bw)
 

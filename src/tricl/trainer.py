@@ -1,14 +1,14 @@
-"""Contrastive training and the one batch loop every training path runs.
+"""Contrastive training and the one training run every training path uses.
 
-`train_epoch` is that loop: shuffle, batch loss, backward, AdamW step,
-clamp. It takes the batch-loss function `(dataset, indices, model) -> Tensor
-| None`, and a `None` loss means skip the batch and count it. Contrastive
-training passes `batch_loss`: batched embedding, anomaly filtering, scaled
-similarity logits for each modality pair the model has a scale for, and the
-symmetric cross entropy (`tensor.cross_entropy` against identity targets,
-row-wise and column-wise) averaged over those pairs: six terms tri-modal,
-two audio+text. Classifier tuning (`tuning.train_classifier`) passes its own
-loss, built on the same `tensor.cross_entropy`.
+`fit` is that run: `train.epochs` passes of `train_epoch`, the one batch
+loop: shuffle, batch loss, backward, AdamW step, clamp. It takes the
+batch-loss function `(dataset, indices, model) -> Tensor | None`, and a
+`None` loss means skip the batch and count it. Contrastive training passes
+`batch_loss`: batched embedding, anomaly filtering, scaled similarity logits
+for each modality pair the model has a scale for, and the symmetric cross
+entropy (`tensor.cross_entropy` against identity targets, row-wise and
+column-wise) averaged over those pairs: six terms tri-modal, two audio+text.
+Classifier tuning passes its own loss, built on the same op.
 
 The encoders do not depend on each other, so `batch_loss` runs them on two
 threads (`tensor.beside`): audio and text on the worker beside the
@@ -31,6 +31,7 @@ from .config import RunConfig
 from .errors import ContractError, DataError, DegenerateBatchError, NonFiniteLossError
 from .model import TriModalModel, cosine_matrix
 from .optim import AdamW
+from .templates import LABEL_TEMPLATE_TEXT
 from .tensor import (
     Tensor,
     add,
@@ -179,30 +180,42 @@ def format_log_line(epoch: int, metrics: EpochMetrics, model: TriModalModel) -> 
     return " ".join(parts)
 
 
-def train(
-    dataset,
-    config: RunConfig,
-    train_template_text: str,
-    test_template_text: str,
-    log_path=None,
-) -> tuple[TriModalModel, list[str]]:
+def fit(dataset, model, config: RunConfig, loss_fn, store=None):
+    """The one training run: AdamW over `store` (default: the whole model store) for `train.epochs`
+    epochs, yielding each epoch's metrics. Parameters outside `store` stay off the tape and must end
+    the run unchanged (else ContractError); a finished run records the dataset's sources."""
+    store = model.store if store is None else store
+    optimizer = AdamW(store, lr=config.train.lr, weight_decay=config.train.weight_decay)
+    rng = np.random.default_rng(config.train.seed)
+    frozen = [t for name, t in model.store.tensors.items() if name not in store.tensors]
+    before = [t.values.copy() for t in frozen]
+    for t in frozen:
+        t.requires_grad = False
+    try:
+        for _ in range(config.train.epochs):
+            yield train_epoch(dataset, model, optimizer, config, rng, loss_fn)
+    finally:
+        for t in frozen:
+            t.requires_grad = True
+    changed = [t.name for t, b in zip(frozen, before) if not np.array_equal(t.values, b)]
+    if changed:
+        raise ContractError(f"parameters outside the trained store changed during the run: {changed}")
+    model.train_source_ids = tuple(sorted(set(model.train_source_ids) | dataset.source_ids()))
+
+
+def train(dataset, config: RunConfig, train_template_text: str, log_path=None) -> tuple[TriModalModel, list[str]]:
     """Train a fresh tri-modal model on the dataset; returns (model, log lines)."""
     sentences = [s.sentence for s in dataset.samples]
     tokenizer = train_bpe(sentences, config.train.vocab_size)
-    model = TriModalModel(config, tokenizer, train_template_text, test_template_text, dataset.vessel_types())
+    model = TriModalModel(config, tokenizer, train_template_text, LABEL_TEMPLATE_TEXT, dataset.vessel_types())
     lines = continue_training(dataset, model, config, log_path=log_path)
     return model, lines
 
 
 def continue_training(dataset, model: TriModalModel, config: RunConfig, log_path=None) -> list[str]:
     """Run config.train.epochs epochs of Alg-style contrastive updates on `model`."""
-    optimizer = AdamW(model.store, lr=config.train.lr, weight_decay=config.train.weight_decay)
-    rng = np.random.default_rng(config.train.seed)
-    lines = []
-    for epoch in range(1, config.train.epochs + 1):
-        metrics = train_epoch(dataset, model, optimizer, config, rng, batch_loss)
-        lines.append(format_log_line(epoch, metrics, model))
-    model.train_source_ids = tuple(sorted(set(model.train_source_ids) | dataset.source_ids()))
+    lines = [format_log_line(epoch, metrics, model)
+             for epoch, metrics in enumerate(fit(dataset, model, config, batch_loss), start=1)]
     if log_path is not None:
         Path(log_path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return lines

@@ -4,11 +4,12 @@ model shape (the audio encoder plus one linear head per task) and differ
 only in their training loss: `_classifier_batch_loss`, softmax CE per head
 (category-only encoder tuning and the multi-task baseline), or
 `_multilabel_batch_loss`, binary CE over every head's logits side by side
-(the multi-label baseline). `train_classifier` runs either through the
-trainer's one batch loop, `trainer.train_epoch`; neither skips a batch.
+(the multi-label baseline). `train_classifier` runs either through
+`trainer.fit`; neither skips a batch. Both model types name their audio
+encoder `audio_encoder`, so `encoder_tune` starts from either.
 `ClassifierModel.head_logits` is the one place a head is applied. A tuning
-config may differ from its checkpoint only in the train section and in the
-encoder seed, which seeds new heads.
+config may differ from its pretrained model only in the train section and
+the encoder seed, which seeds new heads.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .config import RunConfig
 from .data import Dataset, TrainSample
 from .dsp import AudioSegment
 from .encoders import AudioEncoder
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .layers import Linear
 from .model import TriModalModel
-from .optim import AdamW
 from .store import ParameterStore, trainable
 from .templates import AUX_FIELDS
 from .tensor import (
@@ -83,21 +83,21 @@ class ClassifierModel:
         self.class_labels = self.task_classes["category"]
         self.train_source_ids = tuple(train_source_ids)
         seed = config.encoder.seed
-        self.encoder = AudioEncoder(config.encoder, config.preprocess, np.random.default_rng([seed, 0]))
+        self.audio_encoder = AudioEncoder(config.encoder, config.preprocess, np.random.default_rng([seed, 0]))
         self.heads: dict[str, Linear] = {}
         for task in sorted(self.task_classes):
             rng = np.random.default_rng([seed, 10, _task_stream(task)])
             self.heads[task] = Linear(rng, config.encoder.d, len(self.task_classes[task]), f"head.{task}")
-        self.store = ParameterStore(trainable(self.encoder, self.heads))  # encoder first: the heads are the tail
+        self.store = ParameterStore(trainable(self.audio_encoder, self.heads))  # encoder first: the heads are the tail
 
     def head_logits(self, embeddings: Tensor, task: str) -> Tensor:
         return self.heads[task](embeddings)
 
     def clamp(self) -> None:
-        self.encoder.wavelet.clamp()
+        self.audio_encoder.wavelet.clamp()
 
     def predict_labels(self, segments: list[AudioSegment]) -> list[str]:
-        embeddings = self.encoder.embed(segments, self.config.train.batch_size)
+        embeddings = self.audio_encoder.embed(segments, self.config.train.batch_size)
         with no_grad():
             logits = self.head_logits(embeddings, "category").values
         return [self.class_labels[int(i)] for i in np.argmax(logits, axis=1)]
@@ -106,27 +106,11 @@ class ClassifierModel:
 def train_classifier(model: ClassifierModel, dataset: Dataset, config: RunConfig,
                      freeze_encoder: bool = False, multilabel: bool = False) -> list[float]:
     """Train with the multi-label loss or, by default, the per-head softmax
-    CE; returns per-epoch mean losses. A frozen encoder's tensors stop
-    requiring grad for the run, so no encoder op records on the tape."""
+    CE; returns per-epoch mean losses. A frozen encoder stays off the tape
+    and unchanged: the run trains the heads' store alone."""
     loss_fn = _multilabel_batch_loss if multilabel else _classifier_batch_loss  # per call: perfbench wraps these names
-    encoder, heads = model.store.split(len(trainable(model.encoder)))
-    frozen_before = encoder.buffer.copy() if freeze_encoder else None
-    optimizer = AdamW(heads if freeze_encoder else model.store, lr=config.train.lr,
-                      weight_decay=config.train.weight_decay)
-    rng = np.random.default_rng(config.train.seed)
-    frozen = encoder.tensors.values() if freeze_encoder else ()
-    for t in frozen:
-        t.requires_grad = False
-    try:
-        trace = [trainer.train_epoch(dataset, model, optimizer, config, rng, loss_fn).mean_loss
-                 for _ in range(config.train.epochs)]
-    finally:
-        for t in frozen:
-            t.requires_grad = True
-    model.train_source_ids = tuple(sorted(set(model.train_source_ids) | dataset.source_ids()))
-    if freeze_encoder and not np.array_equal(encoder.buffer, frozen_before):
-        raise ContractError("frozen encoder parameters changed during head-only tuning")
-    return trace
+    heads = model.store.split(len(trainable(model.audio_encoder)))[1] if freeze_encoder else None
+    return [metrics.mean_loss for metrics in trainer.fit(dataset, model, config, loss_fn, heads)]
 
 
 def _classifier_batch_loss(dataset: Dataset, indices: list[int], model: ClassifierModel) -> Tensor:
@@ -134,7 +118,7 @@ def _classifier_batch_loss(dataset: Dataset, indices: list[int], model: Classifi
     left out of that task's term; never None, since every sample has a
     vessel type."""
     batch = [dataset.samples[i] for i in indices]
-    embeddings = model.encoder.encode([s.segment for s in batch], model.encoder.build_kernels())
+    embeddings = model.audio_encoder.encode([s.segment for s in batch], model.audio_encoder.build_kernels())
     total = None
     for task in sorted(model.heads):
         class_index = {c: i for i, c in enumerate(model.task_classes[task])}
@@ -152,7 +136,7 @@ def _multilabel_batch_loss(dataset: Dataset, indices: list[int], model: Classifi
     order, against multi-hot targets; a missing annotation is a row of
     zeros in its task's block."""
     batch = [dataset.samples[i] for i in indices]
-    embeddings = model.encoder.encode([s.segment for s in batch], model.encoder.build_kernels())
+    embeddings = model.audio_encoder.encode([s.segment for s in batch], model.audio_encoder.build_kernels())
     tasks = sorted(model.heads)
     targets = np.hstack([[[_annotation(s, task) == c for c in model.task_classes[task]] for s in batch]
                          for task in tasks])  # one-hot blocks; None matches no class
@@ -191,16 +175,16 @@ def uart_tune(model: TriModalModel, dataset: Dataset, config: RunConfig, log_pat
     return lines
 
 
-def encoder_tune(pretrained: TriModalModel | None, dataset: Dataset, config: RunConfig,
+def encoder_tune(pretrained: TriModalModel | ClassifierModel | None, dataset: Dataset, config: RunConfig,
                  freeze_encoder: bool = False) -> tuple[ClassifierModel, list[float]]:
-    """Drop the text and spectrogram encoders; attach a category head to the
-    audio encoder (the pretrained model's, or a fresh one for None) and train
-    with softmax CE."""
+    """Attach a category head to an audio encoder, a copy of the pretrained
+    model's (tri-modal or classifier: its other encoders or heads are
+    dropped) or a fresh one for None, and train with softmax CE."""
     model = ClassifierModel(config, _task_classes(dataset, ["category"]))
     if pretrained is not None:
         _check_tuning_config(config, pretrained.config)
         weights = {name: t.values for name, t in trainable(pretrained.audio_encoder).items()}
-        model.store.split(len(trainable(model.encoder)))[0].load_values(weights, "pretrained encoder")
+        model.store.split(len(weights))[0].load_values(weights, "pretrained encoder")
     trace = train_classifier(model, dataset, config, freeze_encoder=freeze_encoder)
     return model, trace
 

@@ -309,7 +309,7 @@ def test_tune_encoder_freeze_encoder_trains_head_only(workspace, tmp_path):
     ]) == 0
     source = load_checkpoint(ckpt)
     tuned = load_checkpoint(out)
-    n_encoder = len(trainable(tuned.encoder))
+    n_encoder = len(trainable(tuned.audio_encoder))
     encoder, heads = tuned.store.split(n_encoder)
     source_encoder = source.store.split(len(trainable(source.audio_encoder)))[0]
     assert encoder.index() == source_encoder.index()
@@ -390,6 +390,46 @@ def test_tune_encoder_seed_may_differ_from_checkpoint(workspace, tmp_path):
         "tune", "encoder", "--ckpt", str(workspace / "model.ckpt"), "--manifest", str(workspace / "data" / "manifest.jsonl"),
         "--config", str(config), "--out", str(tmp_path / "clf.ckpt"), "--holdout-fold", "0",
     ]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[1,2]", "config must be a JSON object"),
+        ('{"train": 5}', "config section train"),
+        ('{"train": {"batch_size": "8"}}', "train.batch_size"),
+        ('{"encoder": {"d": "64"}}', "encoder.d"),
+        ('{"preprocess": {"segment_seconds": "2"}}', "preprocess.segment_seconds"),
+        ('{"encoder": {"conv_channels": "ab"}}', "encoder.conv_channels"),
+        ('{"encoder": {"transformer_heads": 0}}', "transformer_heads and attn_pool_heads must be >= 1"),
+        ('{"train": {"epochs": "3"}}', "train.epochs"),
+        ('{"preprocess": {"log_magnitude": 1}}', "preprocess.log_magnitude"),
+        ('{"encoder": {"conv_channels": [4, true]}}', "encoder.conv_channels"),
+    ],
+)
+def test_malformed_config_value_is_config_error(text, where):
+    from tricl.config import RunConfig
+    from tricl.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        RunConfig.from_json(text)
+
+
+def test_config_accepts_an_int_for_a_float():
+    from tricl.config import RunConfig
+
+    config = RunConfig.from_json('{"train": {"lr": 1}, "preprocess": {"segment_seconds": 2, "overlap_seconds": 1}}')
+    assert (config.train.lr, config.preprocess.segment_seconds) == (1, 2)
+
+
+def test_train_with_ill_typed_config_exits_1(workspace, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**CONFIG, "train": {**CONFIG["train"], "batch_size": "8"}}))
+    ckpt = tmp_path / "bad.ckpt"
+    manifest = workspace / "data" / "manifest.jsonl"
+    assert main(["train", "--manifest", str(manifest), "--config", str(config), "--out", str(ckpt)]) == 1
+    assert "train.batch_size" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def _with_class(**changes):

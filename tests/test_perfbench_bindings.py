@@ -52,7 +52,7 @@ def test_clock_and_tracer_install_on_the_package_and_restore(monkeypatch):
 
 
 def _trainer_losses(dataset, config):
-    _, lines = tricl.trainer.train(dataset, config, LABEL_TEMPLATE_TEXT, LABEL_TEMPLATE_TEXT)
+    _, lines = tricl.trainer.train(dataset, config, LABEL_TEMPLATE_TEXT)
     return [float(line.split()[1].removeprefix("mean_loss=")) for line in lines]
 
 

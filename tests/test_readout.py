@@ -71,7 +71,7 @@ def test_trimodal_read_out_pinned():
 
 def test_classifier_read_out_pinned():
     model = load_checkpoint(DATA / "classifier_v2.ckpt")
-    embeddings = model.encoder.embed(probe_segments(), model.config.train.batch_size)
+    embeddings = model.audio_encoder.embed(probe_segments(), model.config.train.batch_size)
     logits = model.head_logits(embeddings, "category").values
     np.testing.assert_allclose(logits, CLASSIFIER_LOGITS, rtol=1e-10, atol=0)
     assert model.predict_labels(probe_segments()) == ["Bravo"] * 10
@@ -80,7 +80,7 @@ def test_classifier_read_out_pinned():
 
 
 def test_embed_builds_kernels_once_and_records_no_tape(monkeypatch):
-    encoder = load_checkpoint(DATA / "classifier_v2.ckpt").encoder
+    encoder = load_checkpoint(DATA / "classifier_v2.ckpt").audio_encoder
     builds, sizes = [], []
     build, encode = AudioEncoder.build_kernels, AudioEncoder.encode
     monkeypatch.setattr(AudioEncoder, "build_kernels", lambda self: builds.append(1) or build(self))

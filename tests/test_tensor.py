@@ -180,12 +180,12 @@ def test_softmax_rows_sum_to_one_and_positive():
     assert (out > 0).all()
 
 
-def test_l2_rows_unit_norm_and_zero_rows_pass():
-    x = Tensor(np.array([[3.0, 4.0], [0.0, 0.0], [1e-8, 0.0]]))
-    out = l2_normalize_rows(x).values
-    norms = np.linalg.norm(out, axis=1)
-    np.testing.assert_allclose(norms[[0, 2]], 1.0, atol=1e-9)
-    assert norms[1] == 0.0
+def test_l2_rows_unit_norm_and_zero_rows_rejected():
+    x = Tensor(np.array([[3.0, 4.0], [1e-8, 0.0]]))
+    norms = np.linalg.norm(l2_normalize_rows(x).values, axis=1)
+    np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+    with pytest.raises(ContractError, match="zero-norm row 1 of 3"):
+        l2_normalize_rows(Tensor(np.array([[3.0, 4.0], [0.0, 0.0], [1e-8, 0.0]])))
 
 
 def test_take_rows_scatter_add():

@@ -1,6 +1,7 @@
 """Contrastive-loss identities, anomaly filtering, logits, and epoch behavior."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tricl.trainer import (
     compute_logits,
     contrastive_loss,
     cosine_matrix,
+    fit,
     train,
     train_epoch,
 )
@@ -322,6 +324,39 @@ class TestTrainEpoch:
         assert model.scales.scale_at.grad is not None
 
 
+class TestFit:
+    def test_parameter_outside_the_store_is_off_the_tape_and_restored(self):
+        config = tiny_run_config(epochs=2, lr=1e-3)
+        dataset = make_dataset()
+        model = make_model(config, dataset)
+        left_out, trained = model.store.split(1)
+        (param,) = left_out.tensors.values()
+        before = param.values.copy()
+        seen = []
+
+        def loss_fn(dataset, indices, model):
+            seen.append(param.requires_grad)
+            return batch_loss(dataset, indices, model)
+
+        metrics = list(fit(dataset, model, config, loss_fn, trained))
+        assert len(metrics) == 2 and seen == [False] * 4  # 8 samples in batches of 4, 2 epochs
+        assert param.requires_grad and param.grad is None
+        assert np.array_equal(param.values, before)
+        assert model.train_source_ids == tuple(sorted(dataset.source_ids()))
+
+    def test_clamp_that_writes_outside_the_store_raises(self, monkeypatch):
+        config = tiny_run_config(epochs=1, lr=1e-3)
+        dataset = make_dataset()
+        model = make_model(config, dataset)
+        left_out, trained = model.store.split(1)
+        (name, param), = left_out.tensors.items()
+        monkeypatch.setattr(model, "clamp", lambda: param.values.__iadd__(1.0))
+        with pytest.raises(ContractError, match=re.escape(f"changed during the run: ['{name}']")):
+            list(fit(dataset, model, config, batch_loss, trained))
+        assert param.requires_grad
+        assert model.train_source_ids == ()
+
+
 class TestBatchLoss:
     def test_matches_single_sample_encodes(self):
         config = tiny_run_config()
@@ -358,7 +393,7 @@ def test_each_distinct_sentence_tokenized_once_per_model(monkeypatch, tmp_path):
     monkeypatch.setattr(tricl.model, "tokenize", lambda s, *args: calls.append(s) or real(s, *args))
     dataset = make_dataset(n_sources=6)
     sentences = sorted({s.sentence for s in dataset.samples})
-    model, _ = train(dataset, tiny_run_config(epochs=2), "tmpl", "The sound belongs to {label}")
+    model, _ = train(dataset, tiny_run_config(epochs=2), "tmpl")
     assert sorted(calls) == sentences  # four batches over two epochs, one call per sentence
     model.encode_text(sentences)
     assert sorted(calls) == sentences

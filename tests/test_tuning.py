@@ -139,7 +139,7 @@ class TestEncoderTune:
         pre = fresh_model(dataset, config)
         before = {k: v.values.copy() for k, v in trainable(pre.audio_encoder).items()}
         model, trace = encoder_tune(pre, dataset, config, freeze_encoder=True)
-        for k, v in trainable(model.encoder).items():
+        for k, v in trainable(model.audio_encoder).items():
             assert np.array_equal(v.values, before[k])
             assert v.grad is None and v.requires_grad  # off the tape for the run, restored after
         # reference: the whole encoder on the tape, only the heads stepped
@@ -158,8 +158,16 @@ class TestEncoderTune:
         config = tiny_run_config(epochs=0)
         pre = fresh_model(dataset, config)
         model, _ = encoder_tune(pre, dataset, config)
-        for k, v in trainable(model.encoder).items():
+        for k, v in trainable(model.audio_encoder).items():
             assert np.array_equal(v.values, trainable(pre.audio_encoder)[k].values)
+
+    def test_classifier_pretrained_encoder_is_copied_bitwise(self):
+        dataset = build_dataset()
+        pre, _ = multitask_baseline(dataset, ["category", "distance"], tiny_run_config(epochs=1, lr=1e-3))
+        model, _ = encoder_tune(pre, dataset, tiny_run_config(epochs=0))
+        assert list(trainable(model.audio_encoder)) == list(trainable(pre.audio_encoder))
+        assert encoder_slice(model).tobytes() == encoder_slice(pre).tobytes()
+        assert list(model.heads) == ["category"]
 
     def test_nan_parameter_raises_before_backward(self, monkeypatch):
         dataset = build_dataset()
@@ -206,15 +214,15 @@ class TestBaselines:
         targets = np.array([[e in (s.vessel_type, f"distance={s.record.distance}", f"wind={s.record.wind}")
                              for e in dictionary] for s in batch])
         assert targets.sum(axis=1).tolist() == [3, 3, 2, 3]
-        reference = binary_ce_logits(fused(model.encoder.encode([s.segment for s in batch],
-                                                                model.encoder.build_kernels())), targets)
+        reference = binary_ce_logits(fused(model.audio_encoder.encode([s.segment for s in batch],
+                                                                      model.audio_encoder.build_kernels())), targets)
         backward(reference)
         assert float(loss.values) == pytest.approx(float(reference.values), rel=0, abs=1e-12)
         widths = np.cumsum([0] + [h.w.shape[1] for h in heads])
         for task, lo, hi in zip(("category", "distance", "wind"), widths, widths[1:]):
             np.testing.assert_allclose(grads[f"head.{task}.w"], fused.w.grad[:, lo:hi], rtol=0, atol=1e-12)
             np.testing.assert_allclose(grads[f"head.{task}.b"], fused.b.grad[:, lo:hi], rtol=0, atol=1e-12)
-        for name, t in trainable(model.encoder).items():
+        for name, t in trainable(model.audio_encoder).items():
             np.testing.assert_allclose(grads[name], t.grad, rtol=0, atol=1e-12)
 
     def test_multilabel_prediction_never_auxiliary(self):
@@ -250,13 +258,13 @@ class TestBaselines:
                                 {"category": ["Alpha", "Bravo"], "distance": ["close", "far"], "wind": ["calm", "gusty"]})
         batch = dataset.samples[:4]
         batch[0].record = AnnotationRecord("Alpha", distance=None, wind="gusty")
-        kernels = model.encoder.build_kernels()
+        kernels = model.audio_encoder.build_kernels()
         reference = None
         for task in sorted(model.heads):
             annotated = [s for s in batch if (s.vessel_type if task == "category" else getattr(s.record, task))]
             targets = [model.task_classes[task].index(s.vessel_type if task == "category" else getattr(s.record, task))
                        for s in annotated]
-            term = cross_entropy(model.head_logits(model.encoder.encode([s.segment for s in annotated], kernels), task), targets)
+            term = cross_entropy(model.head_logits(model.audio_encoder.encode([s.segment for s in annotated], kernels), task), targets)
             reference = term if reference is None else add(reference, term)
         backward(reference)
         expect_grads = {k: v.grad.copy() for k, v in model.store.tensors.items()}
@@ -280,7 +288,7 @@ class TestBaselines:
         segments = [s.segment for s in dataset.samples]
         assert len(segments) == 3 * config.train.batch_size
         with no_grad():
-            whole = model.heads["category"](model.encoder.encode(segments, model.encoder.build_kernels())).values
+            whole = model.heads["category"](model.audio_encoder.encode(segments, model.audio_encoder.build_kernels())).values
         sizes = []
         encode = AudioEncoder.encode
         monkeypatch.setattr(AudioEncoder, "encode", lambda self, batch, *args: sizes.append(len(batch)) or encode(self, batch, *args))
@@ -363,8 +371,7 @@ def views_its_store(model) -> bool:
 
 
 def encoder_slice(model) -> np.ndarray:
-    encoder = model.encoder if isinstance(model, ClassifierModel) else model.audio_encoder
-    return model.store.split(len(trainable(encoder)))[0].buffer
+    return model.store.split(len(trainable(model.audio_encoder)))[0].buffer
 
 
 class TestParameterStore:
@@ -447,7 +454,7 @@ class TestGradientBuffer:
 
         monkeypatch.setattr(AdamW, "step", checked_step)
         if run == "train":
-            train(dataset, config, LABEL_TEMPLATE_TEXT, LABEL_TEMPLATE_TEXT)
+            train(dataset, config, LABEL_TEMPLATE_TEXT)
         elif run == "uart_tune":
             uart_tune(pre, dataset, config)
         else:
