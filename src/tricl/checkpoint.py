@@ -111,7 +111,10 @@ def load_checkpoint(path):
             )
         return value
 
-    config = RunConfig.from_dict(field("config"))
+    try:
+        config = RunConfig.from_dict(field("config"))
+    except ConfigError as exc:
+        raise DataError(f"{path}: malformed config: {exc}") from exc
     sources = tuple(field("train_source_ids"))
     model_type = field("model_type")
     with no_init():  # load_values overwrites every parameter: draw no random init

@@ -8,6 +8,11 @@ store. A step is one elementwise update of the moments and of the store's
 values (a model's whole store, or a contiguous run of one), then zeroes the
 buffer, so a parameter the loss did not reach takes the zero-gradient step.
 Weight decay acts on the values directly, not through the gradient.
+
+The bias corrections are computed once per step. A buffer of at least
+``SPLIT_AT`` values updates its two contiguous halves on two threads
+(``tensor.beside``), the first half on the worker; a smaller one updates on
+the caller alone. Every operation is elementwise, so the split changes no bit.
 """
 
 from __future__ import annotations
@@ -16,10 +21,13 @@ import numpy as np
 
 from .errors import ContractError
 from .store import ParameterStore
+from .tensor import beside
 
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+# the measured crossover on 2 cores: one thread updates 40k values faster, two threads 50k
+SPLIT_AT = 50_000
 
 
 class AdamW:
@@ -44,7 +52,14 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - BETA1**t
         bc2 = 1.0 - BETA2**t
-        g, m, v, values, tmp = self.grad, self.m, self.v, self.store.buffer, self._tmp
+        n = self.grad.size
+        if n < SPLIT_AT:
+            self._update(slice(None), bc1, bc2)
+        else:
+            beside(lambda: self._update(slice(n // 2), bc1, bc2), lambda: self._update(slice(n // 2, n), bc1, bc2))
+
+    def _update(self, part: slice, bc1: float, bc2: float) -> None:
+        g, m, v, values, tmp = self.grad[part], self.m[part], self.v[part], self.store.buffer[part], self._tmp[part]
         # in place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
         # values -= lr*wd*values, values -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
         m *= BETA1

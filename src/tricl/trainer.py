@@ -12,9 +12,13 @@ Classifier tuning passes its own loss, built on the same op.
 
 The encoders do not depend on each other, so `batch_loss` runs them on two
 threads (`tensor.beside`): audio and text on the worker beside the
-spectrogram encoder, or audio beside text for an audio+text model. Each
-embedding is a `tensor.branch`, so `backward` walks the encoders on the
-same threads, and the gradients are bitwise those of a one-thread step.
+spectrogram encoder, or audio beside text for an audio+text model. The
+audio task builds its wavelet kernels itself, so the build also runs on the
+worker, beside the spectrogram (or text) encoder. Each embedding is a
+`tensor.branch`, so `backward` walks the encoders on the same threads, and
+the gradients are bitwise those of a one-thread step. The AdamW step that
+follows splits its update over the same two threads once the store is large
+enough (`optim.SPLIT_AT`).
 """
 
 from __future__ import annotations
@@ -112,13 +116,13 @@ def batch_loss(dataset, indices, model: TriModalModel) -> Tensor | None:
     """
     if len(indices) < 2:
         return None
-    kernels = model.audio_encoder.build_kernels()
     samples = [dataset.samples[i] for i in indices]
     sentences = list(dict.fromkeys(s.sentence for s in samples))
     row_of = {sentence: r for r, sentence in enumerate(sentences)}
 
     def audio():
-        return model.audio_encoder.encode([s.segment for s in samples], kernels)
+        encoder = model.audio_encoder
+        return encoder.encode([s.segment for s in samples], encoder.build_kernels())
 
     def text():
         return take_rows(model.encode_text(sentences), [row_of[s.sentence] for s in samples])

@@ -195,6 +195,15 @@ def test_malformed_checkpoint_metadata_is_data_error(workspace, tmp_path, capsys
     assert field in capsys.readouterr().err
 
 
+def test_ill_typed_stored_config_is_data_error(workspace, tmp_path, capsys):
+    # the stored config used to reach RunConfig.from_dict unguarded: exit 1, no checkpoint named
+    bad = tmp_path / "bad.ckpt"
+    _rewrite_meta(DATA / "classifier_v2.ckpt", bad, lambda meta: {
+        **meta, "config": {**meta["config"], "train": {**meta["config"]["train"], "batch_size": "8"}}})
+    assert main(["eval", "--ckpt", str(bad), "--manifest", str(workspace / "data" / "manifest.jsonl")]) == 2
+    assert f"{bad}: malformed config: train.batch_size is '8', expected int" in capsys.readouterr().err
+
+
 def _infer(ckpt, workspace, tmp_path):
     labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps(["Alpha", "Bravo"]))

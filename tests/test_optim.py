@@ -1,5 +1,6 @@
 import numpy as np
 
+import tricl.optim
 from tricl.optim import BETA1, BETA2, EPSILON, AdamW
 from tricl.store import ParameterStore
 from tricl.tensor import Tensor, backward, mul, tsum
@@ -123,3 +124,32 @@ def test_store_run_updates_only_its_slice():
     np.testing.assert_array_equal(store.buffer[:3], np.ones(3))
     assert np.all(store.buffer[3:] < 1.0)
     assert np.shares_memory(b.values, store.buffer)
+
+
+def test_split_update_equals_the_one_thread_update_bitwise(monkeypatch):
+    # one odd-length store per path, weight decay on, two steps on the same gradients
+    rng = np.random.default_rng(0)
+    shapes = [(3, 5), (7,), (1, 3)]  # 25 values
+    start = [rng.standard_normal(s) for s in shapes]
+    grads = [[rng.standard_normal(s) for s in shapes] for _ in range(2)]
+    submitted = []
+    beside = tricl.optim.beside
+    monkeypatch.setattr(tricl.optim, "beside", lambda *tasks: submitted.append(tasks) or beside(*tasks))
+    opts = {}
+    for split_at in (26, 25):  # above the size, then at it
+        store = ParameterStore({f"t{i}": Tensor(x.copy(), requires_grad=True) for i, x in enumerate(start)})
+        opts[split_at] = AdamW(store, lr=1e-2, weight_decay=1e-1)
+    for step_grads in grads:
+        for split_at, opt in opts.items():
+            monkeypatch.setattr(tricl.optim, "SPLIT_AT", split_at)
+            for p, g in zip(opt.store.tensors.values(), step_grads):
+                p.grad[...] = g
+            submitted.clear()
+            opt.step()
+            assert len(submitted) == (split_at <= opt.grad.size)  # below the gate no worker task is submitted
+    one, split = opts[26], opts[25]
+    assert one.grad.size == 25 and not np.array_equal(one.store.buffer, np.concatenate([x.ravel() for x in start]))
+    for name in ("m", "v", "grad"):
+        assert getattr(one, name).tobytes() == getattr(split, name).tobytes()
+    assert one.store.buffer.tobytes() == split.store.buffer.tobytes()
+    assert not split.grad.any()

@@ -1,5 +1,6 @@
 """The two-thread contrastive step: `tensor.beside`, branch nodes and the
-split backward walk, and their use in `trainer.batch_loss`."""
+split backward walk, and their use in `trainer.batch_loss`, whose worker
+task also builds the wavelet kernels."""
 
 import multiprocessing
 import sys
@@ -12,22 +13,23 @@ import pytest
 from helpers import plain_backward, tiny_run_config
 from test_trainer import make_dataset, make_model
 from tricl.encoders import AudioEncoder, SpecEncoder, TextEncoder
-from tricl.errors import ContractError
+from tricl.errors import ContractError, KernelSupportError
 from tricl.optim import AdamW
 from tricl.tensor import Tensor, add, backward, beside, branch, mul, no_grad, tsum
 from tricl.trainer import batch_loss, train_epoch
+from tricl.wavelet import BAND_FLOOR
 
 
 def bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
-def record_threads(monkeypatch, cls) -> list[str]:
-    """Names of the threads that run `cls.encode`."""
+def record_threads(monkeypatch, cls, method: str = "encode") -> list[str]:
+    """Names of the threads that run `cls.<method>`."""
     names = []
-    encode = cls.encode
-    monkeypatch.setattr(cls, "encode", lambda self, *args: names.append(threading.current_thread().name)
-                        or encode(self, *args))
+    original = getattr(cls, method)
+    monkeypatch.setattr(cls, method, lambda self, *args: names.append(threading.current_thread().name)
+                        or original(self, *args))
     return names
 
 
@@ -125,8 +127,8 @@ def test_branched_step_gradients_equal_a_plain_walk_bitwise(modalities, short_sw
 
 
 @pytest.mark.parametrize("modalities, worker, caller", [
-    ("tri", ["audio", "text"], ["spec"]),
-    ("audio_text", ["audio"], ["text"]),
+    ("tri", ["kernels", "audio", "text"], ["spec"]),
+    ("audio_text", ["kernels", "audio"], ["text"]),
 ])
 def test_encoders_run_on_their_threads(monkeypatch, modalities, worker, caller):
     config = tiny_run_config(modalities=modalities)
@@ -134,6 +136,7 @@ def test_encoders_run_on_their_threads(monkeypatch, modalities, worker, caller):
     model = make_model(config, dataset)
     encoders = {"audio": AudioEncoder, "spec": SpecEncoder, "text": TextEncoder}
     threads = {name: record_threads(monkeypatch, cls) for name, cls in encoders.items()}
+    threads["kernels"] = record_threads(monkeypatch, AudioEncoder, "build_kernels")
     batch_loss(dataset, [0, 1, 2, 3], model)
     for name in worker:
         assert threads[name] and threads[name][0].startswith("tricl-worker")
@@ -144,12 +147,24 @@ def test_encoders_run_on_their_threads(monkeypatch, modalities, worker, caller):
 def test_worker_error_reaches_train_epoch_with_its_type():
     config = tiny_run_config()
     dataset = make_dataset(n_sources=4)
-    model = make_model(config, dataset)
-    model.text_encoder.max_len = 3  # every template sentence is longer
-    optimizer = AdamW(model.store, lr=config.train.lr)
-    with pytest.raises(ContractError, match="exceeds max length 3"):
-        train_epoch(dataset, model, optimizer, config, np.random.default_rng(0), batch_loss)
-    assert not optimizer.grad.any()
+
+    def text_too_long(model):
+        model.text_encoder.max_len = 3  # every template sentence is longer
+
+    def kernels_too_wide(model):
+        model.audio_encoder.wavelet.f_b.values[...] = BAND_FLOOR  # kernel widths grow as 1 / f_b
+
+    for break_model, error, message in [
+        (text_too_long, ContractError, "exceeds max length 3"),
+        (kernels_too_wide, KernelSupportError, r"f_b=0\.0001 needs \d+ kernel taps"),
+    ]:
+        model = make_model(config, dataset)
+        break_model(model)
+        optimizer = AdamW(model.store, lr=config.train.lr)
+        with pytest.raises(error, match=message) as raised:
+            train_epoch(dataset, model, optimizer, config, np.random.default_rng(0), batch_loss)
+        assert type(raised.value) is error
+        assert not optimizer.grad.any()
 
 
 def test_caller_error_is_not_masked_by_a_worker_error(monkeypatch):
