@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,7 @@ def load_checkpoint(path):
             if meta.get("version") != VERSION:
                 raise ConfigError(f"{path}: unsupported checkpoint version {meta.get('version')}")
             flat = z["params"]
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
 
     def field(name: str):

@@ -1,19 +1,28 @@
-"""Audio-to-time-frequency preprocessing: framing, STFT, Mel banks, resampling.
+"""Audio-to-time-frequency preprocessing: framing, STFT, Mel banks,
+resampling and 16-bit WAV I/O, on numpy and the standard library alone.
 
 All grids are frames x bins with time on axis 0. STFT grids hold window
 magnitudes (Hann window); Mel grids project the power spectrum through
 triangular filters. Inputs are mono float64 in [-1, 1] at 16 kHz.
+
+Each routine matches its scipy counterpart bit for bit, and the tests
+compare them: the STFT's ``np.fft.rfft`` equals ``scipy.fft.rfft``,
+``resample_to_16k`` is the real-input branch of ``scipy.signal.resample``,
+and ``write_wav``'s stdlib ``wave`` writer makes the bytes of
+``scipy.io.wavfile.write``. ``read_wav`` walks the RIFF chunks itself,
+because ``wave`` (Python 3.11) rejects the WAVE_FORMAT_EXTENSIBLE header that
+many recorders write.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
+import wave
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.fft
-import scipy.io.wavfile
-import scipy.signal
 
 from .errors import ConfigError, DataError, EmptyInputError, UnsupportedRateError
 
@@ -76,7 +85,7 @@ def stft_spectrogram(
     frame_len = frames.shape[1]
     nfft = _fft_size_for(frame_len, fft_size)
     window = np.hanning(frame_len)
-    grid = np.abs(scipy.fft.rfft(frames * window, n=nfft, axis=1))
+    grid = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1))
     if log_magnitude:
         grid = np.log1p(grid)
     return Spectrogram(grid, "stft")
@@ -134,30 +143,78 @@ def mel_spectrogram(
 
 
 def resample_to_16k(samples: np.ndarray, src_rate_hz: int) -> np.ndarray:
-    """Downsample to 16 kHz via Fourier resampling (ideal low-pass + decimation)."""
+    """Downsample to 16 kHz via Fourier resampling (ideal low-pass + decimation).
+
+    The real-input branch of ``scipy.signal.resample``: keep the spectrum up
+    to the new Nyquist bin, fold an unpaired Nyquist bin's pair into it, and
+    scale by the length ratio.
+    """
     if src_rate_hz < TARGET_RATE:
         raise UnsupportedRateError(f"source rate {src_rate_hz} Hz below 16000 Hz; only downsampling is supported")
     samples = np.asarray(samples, dtype=np.float64)
     if src_rate_hz == TARGET_RATE:
         return samples.copy()
-    num = int(round(len(samples) * TARGET_RATE / src_rate_hz))
-    return scipy.signal.resample(samples, num)
+    n = len(samples)
+    num = int(round(n * TARGET_RATE / src_rate_hz))
+    if num == 0:
+        raise EmptyInputError(f"{n} samples at {src_rate_hz} Hz resample to no samples at {TARGET_RATE} Hz")
+    spectrum = np.fft.rfft(samples)[: num // 2 + 1]
+    if num % 2 == 0 and num != n:
+        spectrum[num // 2] *= 2
+    return np.fft.irfft(spectrum / (n / num), n=num)
+
+
+_PCM, _EXTENSIBLE = 1, 0xFFFE
+# the sub-format GUID of a WAVE_FORMAT_EXTENSIBLE header holding plain PCM
+_PCM_GUID = struct.pack("<I", _PCM) + bytes.fromhex("0000 1000 8000 00aa 0038 9b71")
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
-    """Read 16-bit PCM mono WAV -> (float64 samples in [-1, 1], rate)."""
+    """Read 16-bit PCM mono WAV -> (float64 samples in [-1, 1], rate).
+
+    The fmt chunk may be plain PCM (format tag 1) or WAVE_FORMAT_EXTENSIBLE
+    (0xFFFE) with the PCM sub-format; chunks other than fmt and data are
+    skipped. A data chunk cut short yields the whole samples present. Any
+    other layout, depth, format or channel count is a ``DataError``.
+    """
     try:
-        rate, data = scipy.io.wavfile.read(path)
-    except (OSError, ValueError) as exc:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
         raise DataError(f"unreadable WAV {path}: {exc}") from exc
-    if data.ndim != 1:
-        raise DataError(f"{path}: {data.shape[1]}-channel WAV; mix down to mono first")
-    if data.dtype != np.int16:
-        raise DataError(f"{path}: expected 16-bit PCM, got dtype {data.dtype}")
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise DataError(f"unreadable WAV {path}: not a RIFF WAVE file")
+    fmt, pos = None, 12
+    try:
+        while True:
+            chunk, size = struct.unpack_from("<4sI", raw, pos)
+            pos += 8
+            if chunk == b"data":
+                break
+            if chunk == b"fmt ":
+                if size < 16:
+                    raise DataError(f"unreadable WAV {path}: {size}-byte fmt chunk")
+                fmt = list(struct.unpack_from("<HHIIHH", raw, pos))
+                if fmt[0] == _EXTENSIBLE and size >= 40 and raw[pos + 24 : pos + 40] == _PCM_GUID:
+                    fmt[0] = _PCM
+            pos += size + size % 2  # chunks are padded to even length
+    except struct.error:
+        raise DataError(f"unreadable WAV {path}: truncated before its data chunk") from None
+    if fmt is None:
+        raise DataError(f"unreadable WAV {path}: no fmt chunk before the data chunk")
+    tag, channels, rate, _, block_align, bits = fmt
+    if channels != 1:
+        raise DataError(f"{path}: {channels}-channel WAV; mix down to mono first")
+    if tag != _PCM or block_align != 2 or bits <= 8:
+        raise DataError(f"{path}: expected 16-bit PCM, got format tag {tag:#x}, {bits} bits in {block_align} bytes")
+    data = np.frombuffer(raw, dtype="<i2", count=min(size, len(raw) - pos) // 2, offset=pos)
     return data.astype(np.float64) / 32768.0, int(rate)
 
 
 def write_wav(path, samples: np.ndarray, rate: int = TARGET_RATE) -> None:
     clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     quantized = np.clip(np.round(clipped * 32768.0), -32768, 32767)
-    scipy.io.wavfile.write(path, rate, quantized.astype(np.int16))
+    with open(path, "wb") as f, wave.open(f, "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(rate)
+        out.writeframes(quantized.astype(np.int16))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .dsp import TARGET_RATE, write_wav
 from .errors import ConfigError
@@ -166,6 +165,8 @@ def _render_tone(spec: SynthSpec, class_idx: int, aux_values: dict[str, str]) ->
     if peak > 0:
         sig *= 0.5 / peak
     if lowpass is not None:
+        import scipy.signal  # loaded here, so that only a low-pass tone pays for the import
+
         sig = scipy.signal.lfilter([1.0 - lowpass], [1.0, -lowpass], sig)
     return sig * gain
 

@@ -204,11 +204,14 @@ def test_ill_typed_stored_config_is_data_error(workspace, tmp_path, capsys):
     assert f"{bad}: malformed config: train.batch_size is '8', expected int" in capsys.readouterr().err
 
 
-def _infer(ckpt, workspace, tmp_path):
+def _infer_wav(ckpt, wav, tmp_path):
     labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps(["Alpha", "Bravo"]))
-    wav = sorted((workspace / "data").glob("*.wav"))[0]
     return main(["infer", "--ckpt", str(ckpt), "--wav", str(wav), "--labels", str(labels_path)])
+
+
+def _infer(ckpt, workspace, tmp_path):
+    return _infer_wav(ckpt, sorted((workspace / "data").glob("*.wav"))[0], tmp_path)
 
 
 def test_malformed_tokenizer_line_is_data_error(workspace, tmp_path, capsys):
@@ -244,6 +247,33 @@ def test_infer_empty_wav_is_data_error(workspace, tmp_path, capsys):
     ckpt = workspace / "model.ckpt"
     assert main(["infer", "--ckpt", str(ckpt), "--wav", str(wav), "--labels", str(labels_path)]) == 2
     assert "empty" in capsys.readouterr().err
+
+
+def test_infer_wav_too_short_to_resample_is_data_error(workspace, tmp_path, capsys):
+    # one sample at 48 kHz resamples to none: this was a ZeroDivisionError traceback, exit 1
+    wav = tmp_path / "one.wav"
+    write_wav(wav, np.zeros(1), 48000)
+    assert _infer_wav(workspace / "model.ckpt", wav, tmp_path) == 2
+    assert "1 samples at 48000 Hz resample to no samples" in capsys.readouterr().err
+
+
+def test_infer_truncated_wav_is_data_error(workspace, tmp_path, capsys):
+    # the first 30 bytes end inside the fmt chunk: this was a struct.error traceback, exit 1
+    wav = tmp_path / "cut.wav"
+    wav.write_bytes(sorted((workspace / "data").glob("*.wav"))[0].read_bytes()[:30])
+    assert _infer_wav(workspace / "model.ckpt", wav, tmp_path) == 2
+    assert f"unreadable WAV {wav}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keep", [0.0, 0.5, 0.999], ids=["empty", "half", "last-bytes-cut"])
+def test_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys, keep):
+    # an empty file raised EOFError and a truncated one zipfile.BadZipFile: tracebacks, exit 1
+    raw = (DATA / "trimodal_v2.ckpt").read_bytes()
+    bad = tmp_path / "cut.ckpt"
+    bad.write_bytes(raw[: int(len(raw) * keep)])
+    assert _infer(bad, workspace, tmp_path) == 2
+    assert f"unreadable checkpoint {bad}" in capsys.readouterr().err
+    assert main(["eval", "--ckpt", str(bad), "--manifest", str(workspace / "data" / "manifest.jsonl")]) == 2
 
 
 def test_holdout_fold_matches_eval_fold_for_any_train_seed(workspace, tmp_path, capsys):
