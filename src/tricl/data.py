@@ -23,7 +23,7 @@ from .dsp import (
     resample_to_16k,
     stft_spectrogram,
 )
-from .errors import ConfigError, DataError, ProtocolError
+from .errors import ConfigError, DataError, EmptyInputError, ProtocolError
 from .templates import AUX_FIELDS, AnnotationRecord, TemplateSpec, render_template
 
 log = logging.getLogger(__name__)
@@ -234,7 +234,10 @@ def ingest(manifest_path, template: TemplateSpec, preprocess: PreprocessConfig) 
         if rate != rec.sample_rate_hz:
             raise DataError(f"{rec.audio_path}: header rate {rate} != manifest rate {rec.sample_rate_hz}")
         if rate != TARGET_RATE:
-            raw = resample_to_16k(raw, rate)
+            try:
+                raw = resample_to_16k(raw, rate)
+            except EmptyInputError as exc:
+                raise EmptyInputError(f"{rec.audio_path}: {exc}") from exc
         sentence = render_template(template, rec.annotation)
         for segment in segment_audio(raw, rec.source_id, preprocess.segment_seconds, preprocess.overlap_seconds):
             samples.append(TrainSample(segment, sentence, rec.source_id, rec.annotation))

@@ -6,12 +6,12 @@ magnitudes (Hann window); Mel grids project the power spectrum through
 triangular filters. Inputs are mono float64 in [-1, 1] at 16 kHz.
 
 Each routine matches its scipy counterpart bit for bit, and the tests
-compare them: the STFT's ``np.fft.rfft`` equals ``scipy.fft.rfft``,
-``resample_to_16k`` is the real-input branch of ``scipy.signal.resample``,
-and ``write_wav``'s stdlib ``wave`` writer makes the bytes of
-``scipy.io.wavfile.write``. ``read_wav`` walks the RIFF chunks itself,
-because ``wave`` (Python 3.11) rejects the WAVE_FORMAT_EXTENSIBLE header that
-many recorders write.
+compare them (scipy is a test-only dependency): the STFT's ``np.fft.rfft``
+equals ``scipy.fft.rfft``, ``resample_to_16k`` is the real-input branch of
+``scipy.signal.resample``, and ``write_wav``'s stdlib ``wave`` writer makes
+the bytes of ``scipy.io.wavfile.write``. ``read_wav`` walks the RIFF chunks
+itself, because ``wave`` (Python 3.11) rejects the WAVE_FORMAT_EXTENSIBLE
+header that many recorders write.
 """
 
 from __future__ import annotations

@@ -257,6 +257,17 @@ def test_infer_wav_too_short_to_resample_is_data_error(workspace, tmp_path, caps
     assert "1 samples at 48000 Hz resample to no samples" in capsys.readouterr().err
 
 
+def test_eval_recording_too_short_to_resample_names_its_file(tmp_path, capsys):
+    # resample_to_16k's error used to reach the CLI without the recording's path
+    wav = tmp_path / "one.wav"
+    write_wav(wav, np.zeros(1), 48000)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"audio": "one.wav", "source_id": "one", "vessel_type": "Alpha",
+                                    "sample_rate_hz": 48000}) + "\n")
+    assert main(["eval", "--ckpt", str(DATA / "trimodal_v2.ckpt"), "--manifest", str(manifest)]) == 2
+    assert f"{wav}: 1 samples at 48000 Hz resample to no samples" in capsys.readouterr().err
+
+
 def test_infer_truncated_wav_is_data_error(workspace, tmp_path, capsys):
     # the first 30 bytes end inside the fmt chunk: this was a struct.error traceback, exit 1
     wav = tmp_path / "cut.wav"

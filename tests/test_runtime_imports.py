@@ -1,9 +1,8 @@
 """numpy is the only third-party module the program imports at run time.
 
-scipy stays a declared dependency for one thing: ``synth`` imports
-``scipy.signal`` when it renders a low-pass (far-effect) tone, and not
-before. Everything else, including WAV I/O, the STFT and resampling, runs in
-an interpreter where ``import scipy`` fails.
+WAV I/O, the STFT, resampling and every synth effect, the low-pass included,
+run in an interpreter where ``import scipy`` fails. scipy is a test-only
+dependency: other tests compare these routines against it.
 """
 
 import json
@@ -28,8 +27,7 @@ SPEC = {
         {"name": "Alpha", "f0_hz": 400.0, "harmonics": [1.0, 0.4]},
         {"name": "Bravo", "f0_hz": 1100.0, "harmonics": [1.0, 0.4]},
     ],
-    # `far` keeps its gain but drops the default low-pass
-    "aux_fields": {"distance": {"values": ["close", "far"], "effects": {"far": {"gain": 0.35}}}},
+    "aux_fields": {"distance": {"values": ["close", "far"]}},  # the default effects, `far`'s low-pass included
 }
 
 
@@ -68,13 +66,13 @@ def test_synth_infer_and_eval_run_without_scipy(tmp_path):
     assert "mean accuracy" in done.stdout
 
 
-def test_only_a_low_pass_tone_loads_scipy(tmp_path):
-    low_pass = {**SPEC, "aux_fields": {"distance": {"values": ["close", "far"]}}}  # the default `far` low-pass
-    loaded = []
-    for name, spec in (("plain", SPEC), ("low_pass", low_pass)):
-        done = _python("-c", "import json, sys; from tricl.synth import SynthSpec, synth_generate; "
-                             "synth_generate(SynthSpec.from_dict(json.loads(sys.argv[1])), sys.argv[2]); "
-                             "print('scipy.signal' in sys.modules)", json.dumps(spec), str(tmp_path / name))
-        assert done.returncode == 0, done.stderr
-        loaded.append(done.stdout.strip())
-    assert loaded == ["False", "True"]
+def test_a_low_pass_tone_renders_without_scipy(tmp_path):
+    done = _python("-c", "import json, sys; sys.modules['scipy'] = None; "
+                         "from tricl.synth import SynthSpec, synth_generate; "
+                         "synth_generate(SynthSpec.from_dict(json.loads(sys.argv[1])), sys.argv[2]); "
+                         "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))",
+                   json.dumps(SPEC), str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    rows = [json.loads(line) for line in (tmp_path / "manifest.jsonl").read_text().splitlines()]
+    assert any(row.get("distance") == "far" for row in rows)
