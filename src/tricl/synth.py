@@ -89,6 +89,8 @@ class AuxFieldSpec:
         self.values = tuple(self.values)
         self.effects = {v: {k: float(x) for k, x in e.items()} for v, e in self.effects.items()}
         for value, effect in self.effects.items():
+            if value not in self.values:
+                raise ConfigError(f"effect {value!r}: not one of the field's values {list(self.values)}")
             for key, x in effect.items():
                 if key not in _EFFECT_RANGES:
                     raise ConfigError(f"effect {value!r}: unknown key {key!r} (known: {', '.join(_EFFECT_RANGES)})")

@@ -14,7 +14,8 @@ applies it to each similarity matrix against identity targets, classifier
 tuning to head logits against class indices.
 
 ``conv2d`` is the one convolution op, a single tape node per layer: one
-strided patch-matrix view and one GEMM forward; dW, db and a tap-by-tap
+read-only strided patch-matrix view (``np.ndarray`` over the padded buffer,
+which checks the view against it) and one GEMM forward; dW, db and a tap-by-tap
 scatter of dX backward, each summed in a fixed order.
 
 Two threads. ``beside`` runs one function on a single worker thread that
@@ -25,7 +26,13 @@ walks each branch's subgraph from the gradient its node received, the
 branches marked ``on_worker`` on the worker thread beside the rest. Every
 node's gradient is summed in the order of a plain walk of the same graph,
 so the result is bitwise that walk's. Grad mode is per thread; a worker
-task runs in its caller's mode.
+task runs in its caller's mode. Three callers use ``beside``: the contrastive
+step (``trainer.batch_loss`` and its branch walk), ``optim.AdamW.step`` for a
+large store, and the wavelet frontend of ``wavelet.SPLIT_AT`` kernel taps or
+more, which splits its kernel build and transform into two halves of its
+scales. Called on the worker, as the contrastive step calls the frontend,
+``beside`` runs both functions there in turn, so that step keeps its thread
+placement.
 """
 
 from __future__ import annotations
@@ -492,6 +499,17 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _patches(padded: np.ndarray, kernel: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Read-only (C, k, k, N, OH, OW) view of padded[c, n, stride*y + i, stride*x + j]
+    over a (C, N, H, W) array, made contiguous first if it is not."""
+    padded = np.ascontiguousarray(padded)
+    s_c, s_n, s_h, s_w = padded.strides
+    view = np.ndarray((padded.shape[0], kernel, kernel, padded.shape[1], oh, ow), np.float64, padded, 0,
+                      (s_c, s_h, s_w, s_n, s_h * stride, s_w * stride))
+    view.flags.writeable = False
+    return view
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
     """Square-kernel convolution of a (C, N, H, W) batch as one tape op.
 
@@ -519,11 +537,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: int = 1, pad: i
         padded[:, :, pad : pad + h, pad : pad + wd] = x.values
     else:
         padded = x.values
-    s_c, s_n, s_h, s_w = padded.strides
-    patches = np.lib.stride_tricks.as_strided(
-        padded, (c, kernel, kernel, n, oh, ow), (s_c, s_h, s_w, s_n, s_h * stride, s_w * stride), writeable=False
-    )
-    cols = patches.reshape(c * kernel * kernel, n * oh * ow)  # copies: the view has no flat layout
+    cols = _patches(padded, kernel, stride, oh, ow).reshape(c * kernel * kernel, n * oh * ow)  # copies
     out = w.values @ cols
     out += b.values
     out = out.reshape(c_out, n, oh, ow)

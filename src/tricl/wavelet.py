@@ -14,8 +14,26 @@ conjugate kernel, real and imaginary part, into rows of ``hop`` taps.
 ``transform_with_kernels`` takes a batch of N equal-length segments, cuts
 each zero-padded segment into rows of ``hop`` samples, multiplies the
 rows of all N segments with the folded kernel rows in one matrix product per
-block of scales, and reads each frame as a sum down a diagonal of that
-product. The kernel gradient is one transposed product over the whole batch.
+half of a block of scales, and reads each frame as a sum down a diagonal of
+that product. The kernel gradient is one transposed product per half block
+over the whole batch.
+
+Both stages work in two halves of the scales: the kernel build computes the
+taps of whole scales in two runs cut nearest half the taps (the fold stays
+whole), and the transform cuts each block of scales where it best evens the
+two halves' folded rows, so each half has its own products, forward and
+backward. From SPLIT_AT kernel taps on, the halves run on two threads
+(``tensor.beside``), which uses the core that encoder tuning, inference and
+evaluation otherwise leave idle; below it they run in turn on one. Each
+scale's taps, folded rows, product columns and grid column belong to one
+half and the psi(0) gradient is summed in scale order after both, so the
+thread count changes no bit. The contrastive step builds the kernels and runs
+the audio encoder on the worker, where ``beside`` runs both halves inline, so
+its thread placement does not change. The cut is made on one thread too:
+BLAS may round a product cut in two differently from the whole product when
+a half is small (seen at hops 7 and 100 below 1e-13 relative), so only the
+cut, never the thread count, decides the bits.
+
 The transform is a single tape op whose parent is the vector of half kernels,
 so gradients flow to m, f_b and f_c through the kernel samples only. Kernels
 are truncated where the envelope drops below `truncation` of its peak: the
@@ -35,7 +53,7 @@ import numpy as np
 
 from .dsp import TARGET_RATE
 from .errors import ConfigError, EmptyInputError, KernelSupportError, ShapeError
-from .tensor import Tensor, custom_op, records
+from .tensor import Tensor, beside, custom_op, records
 
 M_FLOOR = 1.01
 BAND_FLOOR = 1e-4
@@ -45,6 +63,11 @@ BAND_FLOOR = 1e-4
 MAX_KERNEL_TAPS = 4_000_000
 # elements per block of the batch's segment-by-kernel product (8 MB)
 _BLOCK_ELEMS = 1_000_000
+# kernel taps (summed half widths) from which the kernel build and the
+# transform run the two halves of their work on two threads (tensor.beside);
+# below it they run them in turn on one, with the same bits. The measured
+# crossover on 2 cores lies between 12k taps (loses) and 25k taps (gains).
+SPLIT_AT = 20_000
 
 
 @dataclass
@@ -140,6 +163,14 @@ def build_kernels(
     return _fold(halves, half_widths, scales, hop)
 
 
+def _in_halves(taps: int, first, second) -> tuple:
+    """``(first(), second())``: on two threads (``tensor.beside``, `first` on
+    the worker) from SPLIT_AT kernel taps on, else in turn on this one."""
+    if taps >= SPLIT_AT:
+        return beside(first, second)
+    return first(), second()
+
+
 def _half_kernels(params: WaveletParams, half_widths, scales) -> Tensor:
     """psi at the positive-offset taps of every scale, re then im, then psi(0).
 
@@ -149,46 +180,59 @@ def _half_kernels(params: WaveletParams, half_widths, scales) -> Tensor:
     The backward sums closed-form per-tap derivatives of log env
     (d log|sinc u| / d log u = u * cot(u) - 1) and of phi (2 * pi * x); a tap
     with sinc u = 0 contributes no gradient. Under no_grad none of the
-    backward's per-tap factors are computed, and the forward works in place
-    and writes the output buffer directly.
+    backward's per-tap factors are computed.
+
+    Every per-tap step is elementwise, so the taps are computed in two runs of
+    whole scales, cut at the scale boundary nearest half the taps, by
+    ``_in_halves``.
     """
     m, f_b, f_c = params.m, params.f_b, params.f_c
     order = float(m.values)
     offsets = np.cumsum([0, *half_widths])
-    x = np.empty(offsets[-1])
-    for h, a, o in zip(half_widths, scales, offsets):
-        x[o : o + h] = np.arange(1, h + 1, dtype=np.float64) / (TARGET_RATE * a)
-    u = f_b.values * x
-    u /= m.values
-    u *= np.pi
-    env = np.sin(u)
-    env /= u
-    np.abs(env, out=env)  # |sinc u|
-    record = records((m, f_b, f_c))
-    if record:
-        with np.errstate(divide="ignore", invalid="ignore"):  # taps with sinc u = 0 are zeroed below
-            dlog = u / np.tan(u) - 1.0
-            d_m = np.log(env) - dlog  # d log env / d m
-            d_fb = (0.5 + order * dlog) / f_b.values  # d log env / d f_b
-        zero = env == 0.0
-        d_m[zero] = 0.0
-        d_fb[zero] = 0.0
-    np.power(env, order, out=env)
-    for h, o in zip(half_widths, offsets):
-        k = np.arange(1, h + 1, dtype=np.float64)
-        env[o : o + h] *= np.minimum(1.0, (h + 1 - k) / (max(1, h // 16) + 1))
-    root_fb = np.sqrt(f_b.values)
-    env *= root_fb
-    phase = np.multiply(f_c.values, x, out=u)
-    phase *= 2.0 * np.pi
-    total = len(x)
+    total = int(offsets[-1])
+    x = np.empty(total)
+    env = np.empty(total)
     halves = np.empty(2 * total + 1)
     re, im = halves[:total], halves[total:-1]
-    np.cos(phase, out=re)
-    re *= env
-    np.sin(phase, out=im)
-    im *= env
+    root_fb = np.sqrt(f_b.values)
     halves[-1] = root_fb  # psi(0) = sqrt(f_b)
+    record = records((m, f_b, f_c))
+    if record:
+        d_m = np.empty(total)  # d log env / d m
+        d_fb = np.empty(total)  # d log env / d f_b
+
+    def fill(first: int, last: int) -> None:
+        taps = slice(offsets[first], offsets[last])
+        for h, a, o in zip(half_widths[first:last], scales[first:last], offsets[first:last]):
+            x[o : o + h] = np.arange(1, h + 1, dtype=np.float64) / (TARGET_RATE * a)
+        u = f_b.values * x[taps]
+        u /= m.values
+        u *= np.pi
+        e = np.sin(u, out=env[taps])
+        e /= u
+        np.abs(e, out=e)  # |sinc u|
+        if record:
+            with np.errstate(divide="ignore", invalid="ignore"):  # taps with sinc u = 0 are zeroed below
+                dlog = u / np.tan(u) - 1.0
+                np.subtract(np.log(e), dlog, out=d_m[taps])
+                np.divide(0.5 + order * dlog, f_b.values, out=d_fb[taps])
+            zero = e == 0.0
+            d_m[taps][zero] = 0.0
+            d_fb[taps][zero] = 0.0
+        np.power(e, order, out=e)
+        for h, o in zip(half_widths[first:last], offsets[first:last]):
+            k = np.arange(1, h + 1, dtype=np.float64)
+            env[o : o + h] *= np.minimum(1.0, (h + 1 - k) / (max(1, h // 16) + 1))
+        e *= root_fb
+        phase = np.multiply(f_c.values, x[taps], out=u)
+        phase *= 2.0 * np.pi
+        np.cos(phase, out=re[taps])
+        re[taps] *= e
+        np.sin(phase, out=im[taps])
+        im[taps] *= e
+
+    cut = int(np.argmin(np.abs(2 * offsets - total)))  # the scale boundary nearest half the taps
+    _in_halves(total, lambda: fill(0, cut), lambda: fill(cut, len(half_widths)))
     if not record:
         return Tensor(halves)
 
@@ -235,12 +279,12 @@ def _fold(halves: Tensor, half_widths, scales, hop: int) -> WaveletKernels:
 
 
 def _diagonals(product: np.ndarray, row: int, col: int, width: int, frames: int) -> np.ndarray:
-    """View (N, frames, width) of product[i, f + row + q, col + q]; frame f of segment i sums its row."""
-    base = product[:, row:, col:]
+    """View (N, frames, width) of product[i, f + row + q, col + q]; frame f of
+    segment i sums its row. `product` is C-contiguous; a view that would reach
+    past its end raises ValueError."""
     step_seg, step_row, step_col = product.strides
-    return np.lib.stride_tricks.as_strided(
-        base, (len(product), frames, width), (step_seg, step_row, step_row + step_col)
-    )
+    return np.ndarray((len(product), frames, width), np.float64, product, row * step_row + col * step_col,
+                      (step_seg, step_row, step_row + step_col))
 
 
 def _blocks(kernels: WaveletKernels, frames: int, batch: int):
@@ -266,10 +310,33 @@ def _blocks(kernels: WaveletKernels, frames: int, batch: int):
     yield (*span(group), group)
 
 
+def _sides(blocks) -> tuple[list, list]:
+    """The blocks' scales cut into two sides. Each block is cut at the scale
+    boundary that best evens the two sides' folded rows so far: a lone block
+    where it best halves its rows, a block of one scale whole to the lighter
+    side. Both parts of a block keep its segment rows."""
+    sides: tuple[list, list] = ([], [])
+    rows = [0, 0]
+    for lo, hi, k0, k1, group in blocks:
+        bounds = [k0, *(k.start for _, k in group[1:]), k1]
+        cut = min(range(len(bounds)), key=lambda c: abs(rows[0] - rows[1] + 2 * bounds[c] - k0 - k1))
+        for side, part, a, b in ((0, group[:cut], k0, bounds[cut]), (1, group[cut:], bounds[cut], k1)):
+            if part:
+                sides[side].append((lo, hi, a, b, part))
+                rows[side] += b - a
+    return sides
+
+
 def transform_with_kernels(samples, kernels: WaveletKernels, hop: int) -> Tensor:
     """Wavelet magnitude grids (N x frames x scales) of N equal-length
     segments, as one tape op. `samples` is an (N, n) array or a sequence of
-    N 1-D arrays; each segment is copied once, straight into its padded rows."""
+    N 1-D arrays; each segment is copied once, straight into its padded rows.
+
+    The scales are cut into two sides (``_sides``), each with its own
+    products, forward and backward, run by ``_in_halves``. Each scale's
+    product columns, grid column and taps belong to one side, and the psi(0)
+    gradient is summed after both in scale order, so the thread count changes
+    no bit."""
     if hop != kernels.hop:
         raise ConfigError(f"hop {hop} differs from the hop {kernels.hop} the kernels were folded for")
     shapes = {np.shape(segment) for segment in samples}
@@ -285,15 +352,20 @@ def transform_with_kernels(samples, kernels: WaveletKernels, hop: int) -> Tensor
     for row, segment in zip(x, samples):
         row[pad : pad + n] = segment
     x = x.reshape(batch, n_rows, hop)
-    blocks = list(_blocks(kernels, frames, batch))
+    first, second = _sides(_blocks(kernels, frames, batch))
+    n_taps = sum(k.half_width for k in kernels)
 
     re = np.empty((batch, frames, len(kernels)))
     im = np.empty((batch, frames, len(kernels)))
-    for lo, hi, k0, k1, group in blocks:
-        product = (x[:, lo:hi].reshape(-1, hop) @ kernels.folded[k0:k1].T).reshape(batch, hi - lo, k1 - k0)
-        for j, k in group:
-            re[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0, k.rows, frames).sum(axis=2)
-            im[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames).sum(axis=2)
+
+    def forward(side) -> None:
+        for lo, hi, k0, k1, group in side:
+            product = (x[:, lo:hi].reshape(-1, hop) @ kernels.folded[k0:k1].T).reshape(batch, hi - lo, k1 - k0)
+            for j, k in group:
+                re[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0, k.rows, frames).sum(axis=2)
+                im[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames).sum(axis=2)
+
+    _in_halves(n_taps, lambda: forward(first), lambda: forward(second))
     mag = np.hypot(re, im)
 
     def bw(g):
@@ -302,21 +374,30 @@ def transform_with_kernels(samples, kernels: WaveletKernels, hop: int) -> Tensor
         scale = np.where(mag > 0.0, g / np.where(mag > 0.0, mag, 1.0), 0.0)
         g_re, g_im = scale * re, scale * im
         grad = np.zeros(kernels.halves.shape)
-        for lo, hi, k0, k1, group in blocks:
-            d_product = np.zeros((batch, hi - lo, k1 - k0))
-            for j, k in group:
-                _diagonals(d_product, k.shift - lo, k.start - k0, k.rows, frames)[...] = g_re[:, :, j, None]
-                _diagonals(d_product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames)[...] = g_im[:, :, j, None]
-            d_folded = d_product.reshape(-1, k1 - k0).T @ x[:, lo:hi].reshape(-1, hop)
-            for _, k in group:
-                h = k.half_width
-                taps = slice(k.lead, k.lead + 2 * h + 1)
-                d_re = d_folded[k.start - k0 : k.start - k0 + k.rows].reshape(-1)[taps] * k.factor
-                d_im = d_folded[k.start - k0 + k.rows : k.start - k0 + 2 * k.rows].reshape(-1)[taps] * k.factor
-                im_offset = center // 2 + k.offset
-                grad[k.offset : k.offset + h] += d_re[h + 1 :] + d_re[:h][::-1]
-                grad[im_offset : im_offset + h] += d_im[:h][::-1] - d_im[h + 1 :]
-                grad[center] += d_re[h]
+
+        def gather(side) -> list:
+            """Each scale's re and im tap gradients into `grad`; returns its (scale, psi(0) term) pairs."""
+            centers = []
+            for lo, hi, k0, k1, group in side:
+                d_product = np.zeros((batch, hi - lo, k1 - k0))
+                for j, k in group:
+                    _diagonals(d_product, k.shift - lo, k.start - k0, k.rows, frames)[...] = g_re[:, :, j, None]
+                    _diagonals(d_product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames)[...] = g_im[:, :, j, None]
+                d_folded = d_product.reshape(-1, k1 - k0).T @ x[:, lo:hi].reshape(-1, hop)
+                for j, k in group:
+                    h = k.half_width
+                    taps = slice(k.lead, k.lead + 2 * h + 1)
+                    d_re = d_folded[k.start - k0 : k.start - k0 + k.rows].reshape(-1)[taps] * k.factor
+                    d_im = d_folded[k.start - k0 + k.rows : k.start - k0 + 2 * k.rows].reshape(-1)[taps] * k.factor
+                    im_offset = center // 2 + k.offset
+                    grad[k.offset : k.offset + h] += d_re[h + 1 :] + d_re[:h][::-1]
+                    grad[im_offset : im_offset + h] += d_im[:h][::-1] - d_im[h + 1 :]
+                    centers.append((j, d_re[h]))
+            return centers
+
+        first_centers, second_centers = _in_halves(n_taps, lambda: gather(first), lambda: gather(second))
+        for _, term in sorted(first_centers + second_centers):  # in scale order
+            grad[center] += term
         return (grad,)
 
     return custom_op(mag, () if kernels.halves is None else (kernels.halves,), bw)

@@ -56,6 +56,11 @@ def workspace(tmp_path_factory):
     config_path.write_text(json.dumps(CONFIG))
     data_dir = root / "data"
     assert main(["synth", "--spec", str(spec_path), "--out", str(data_dir)]) == 0
+    # the checkpoint that most tests read, so that each of them passes alone
+    assert main([
+        "train", "--manifest", str(data_dir / "manifest.jsonl"), "--config", str(config_path),
+        "--out", str(root / "model.ckpt"), "--holdout-fold", "0",
+    ]) == 0
     return root
 
 
@@ -77,26 +82,26 @@ def test_unknown_subcommand():
     assert main(["frobnicate"]) == 1
 
 
-def test_train_eval_infer_round_trip(workspace, capsys):
-    ckpt = workspace / "model.ckpt"
+def test_train_eval_infer_round_trip(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
     manifest = workspace / "data" / "manifest.jsonl"
     config = workspace / "config.json"
     assert main([
         "train", "--manifest", str(manifest), "--config", str(config),
         "--out", str(ckpt), "--holdout-fold", "0",
     ]) == 0
-    assert ckpt.exists() and (workspace / "model.ckpt.log").exists()
+    assert ckpt.exists() and (tmp_path / "model.ckpt.log").exists()
     capsys.readouterr()
 
     assert main([
         "eval", "--ckpt", str(ckpt), "--manifest", str(manifest),
-        "--fold", "0", "--report", str(workspace / "report.txt"),
+        "--fold", "0", "--report", str(tmp_path / "report.txt"),
     ]) == 0
     report = capsys.readouterr().out
     assert "mean accuracy" in report
     assert json.loads(report.split("JSON: ", 1)[1])
 
-    labels_path = workspace / "labels.json"
+    labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps(["Alpha", "Bravo"]))
     wav = sorted((workspace / "data").glob("*.wav"))[0]
     assert main(["infer", "--ckpt", str(ckpt), "--wav", str(wav), "--labels", str(labels_path)]) == 0

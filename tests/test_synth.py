@@ -216,6 +216,20 @@ def test_malformed_effect_is_config_error(tmp_path, capsys, effect, message):
     assert not list(tmp_path.glob("out/*.wav"))
 
 
+def test_effect_for_an_unknown_value_is_config_error(tmp_path, capsys):
+    message = "effect 'farr': not one of the field's values ['close', 'far']"
+    with pytest.raises(ConfigError) as raised:
+        AuxFieldSpec(("close", "far"), effects={"farr": {"gain": 0.1}})
+    assert message in str(raised.value)
+    spec = {"classes": [{"name": "A", "f0_hz": 300.0}],
+            "aux_fields": {"distance": {"values": ["close", "far"], "effects": {"farr": {"gain": 0.1}}}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.wav"))
+
+
 def test_well_formed_effects_are_accepted():
     effects = {"far": {"gain": 0.0, "lowpass": 0.0}, "deep": {"tilt": -2.0, "noise": 0.0}, "close": {}}
     assert AuxFieldSpec(("close", "far", "deep"), effects=effects).effects == effects

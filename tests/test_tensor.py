@@ -212,6 +212,32 @@ def test_conv2d_matches_naive_conv():
     np.testing.assert_allclose(got, expect)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_of_a_non_contiguous_input_equals_its_contiguous_copy(stride):
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal((3, 5, 7, 2)).transpose(3, 0, 2, 1)  # (C=2, N=3, H=7, W=5), not contiguous
+    w0, b0 = rng.standard_normal((4, 2 * 3 * 3)), rng.standard_normal((4, 1))
+    assert not x0.flags.c_contiguous
+    results = []
+    for values in (x0, np.ascontiguousarray(x0)):
+        x, w, b = (Tensor(v, requires_grad=True) for v in (values, w0, b0))
+        out = conv2d(x, w, b, 3, stride=stride, pad=0)
+        backward(tsum(mul(out, Tensor(np.arange(out.size, dtype=np.float64).reshape(out.shape)))))
+        results.append([a.tobytes() for a in (out.values, np.ascontiguousarray(x.grad), w.grad, b.grad)])
+    assert results[0] == results[1]
+
+
+def test_conv2d_patch_view_is_read_only():
+    from tricl.tensor import _patches
+
+    padded = np.arange(2 * 3 * 6 * 6, dtype=np.float64).reshape(2, 3, 6, 6)
+    view = _patches(padded, 3, 2, 2, 2)
+    assert view.shape == (2, 3, 3, 3, 2, 2) and not view.flags.writeable
+    assert view[1, 2, 0, 1, 1, 0] == padded[1, 1, 2 + 2, 0]  # padded[c, n, stride*y + i, stride*x + j]
+    with pytest.raises(ValueError, match="read-only"):
+        view[0, 0, 0, 0, 0, 0] = 1.0
+
+
 def test_conv2d_rejects_misfit_shapes():
     x = Tensor(np.zeros((2, 1, 4, 4)))
     with pytest.raises(ShapeError, match="conv2d"):

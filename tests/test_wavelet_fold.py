@@ -1,7 +1,8 @@
 """Folded wavelet transform against a direct per-scale reference: hops from
 1 to 1600, batches against single-segment calls, kernel gradients by finite
-differences, and the memory and accuracy of the paper-default kernels and of
-one 30-s encode."""
+differences, the frontend's two halves on one thread against two (bitwise),
+and the memory and accuracy of the paper-default kernels and of one 30-s
+encode."""
 
 import dataclasses
 import tracemalloc
@@ -17,7 +18,7 @@ from tricl.encoders import AudioEncoder
 from tricl.errors import ConfigError, KernelSupportError, ShapeError
 from tricl.presets import experiment_run_config
 from tricl.store import trainable
-from tricl.tensor import Tensor, backward, mul, no_grad, tsum
+from tricl.tensor import Tensor, backward, beside, mul, no_grad, tsum
 from tricl.wavelet import (
     BAND_FLOOR,
     WaveletParams,
@@ -116,6 +117,79 @@ def test_blocks_bound_the_batch_product(monkeypatch, hop, n, fmin, fmax, n_scale
                 assert len(group) == 1 or batch * (hi - lo) * (k1 - k0) <= block_elems
                 columns += [j for j, _ in group]
             assert columns == list(range(n_scales))
+
+
+def frontend(monkeypatch, split_at, block_elems, hop, n, fmin, fmax, n_scales, truncation):
+    """Every output of the frontend on a batch of 3 with the split gate at
+    `split_at`, and how many times it handed work to the worker."""
+    monkeypatch.setattr(wavelet, "SPLIT_AT", split_at)
+    monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
+    calls = []
+    monkeypatch.setattr(wavelet, "beside", lambda there, here: calls.append(1) or beside(there, here))
+    rng = np.random.default_rng(hop + n + 2)
+    segments = rng.standard_normal((3, n))
+    weights = Tensor(rng.standard_normal((3, (n - 1) // hop + 1, n_scales)))
+    params = WaveletParams.create(2.5, 0.7, 1.2)
+    kernels = build_kernels(params, default_scale_grid(n_scales, fmin, fmax), hop, truncation=truncation)
+    grid = transform_with_kernels(segments, kernels, hop)
+    backward(tsum(mul(grid, weights)))
+    leaf = Tensor(kernels.halves.values, requires_grad=True)  # the transform backward's gradient alone
+    backward(tsum(mul(transform_with_kernels(segments, dataclasses.replace(kernels, halves=leaf), hop), weights)))
+    with no_grad():
+        untaped = build_kernels(params, default_scale_grid(n_scales, fmin, fmax), hop, truncation=truncation)
+    outputs = {
+        "halves": kernels.halves.values,
+        "folded": kernels.folded,
+        "no_grad folded": untaped.folded,
+        "grid": grid.values,
+        "m grad": params.m.grad,
+        "f_b grad": params.f_b.grad,
+        "f_c grad": params.f_c.grad,
+        "halves grad": leaf.grad,
+    }
+    return {name: np.ascontiguousarray(a).tobytes() for name, a in outputs.items()}, len(calls)
+
+
+@pytest.mark.parametrize("block_elems", [wavelet._BLOCK_ELEMS, 3000], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("hop, n, fmin, fmax, n_scales, truncation", CASES)
+def test_split_frontend_equals_one_thread_bitwise(monkeypatch, block_elems, hop, n, fmin, fmax, n_scales, truncation):
+    case = (hop, n, fmin, fmax, n_scales, truncation)
+    one, one_calls = frontend(monkeypatch, 10**12, block_elems, *case)
+    two, two_calls = frontend(monkeypatch, 0, block_elems, *case)
+    assert one_calls == 0
+    assert two_calls == 6  # two kernel builds, two transforms forward and backward
+    for name in one:
+        assert one[name] == two[name], name
+
+
+@pytest.mark.parametrize("block_elems", [wavelet._BLOCK_ELEMS, 3000], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("hop, n, fmin, fmax, n_scales, truncation", CASES)
+def test_sides_share_every_scale_once(monkeypatch, block_elems, hop, n, fmin, fmax, n_scales, truncation):
+    monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
+    kernels = build_kernels(WaveletParams.create(2.5, 0.7, 1.2), default_scale_grid(n_scales, fmin, fmax), hop,
+                            truncation=truncation)
+    blocks = list(wavelet._blocks(kernels, (n - 1) // hop + 1, 3))
+    sides = wavelet._sides(blocks)
+    assert all(sides)
+    block_of = {j: block for block in blocks for j, _ in block[4]}
+    for side in sides:
+        for lo, hi, k0, k1, group in side:
+            assert (lo, hi) == block_of[group[0][0]][:2]  # a part keeps its block's segment rows
+            assert (k0, k1) == (group[0][1].start, group[-1][1].start + 2 * group[-1][1].rows)
+    assert sorted(j for side in sides for *_, group in side for j, _ in group) == list(range(n_scales))
+    if len(blocks) == 1:  # one block is cut where it best halves its folded rows
+        rows = [k1 - k0 for *_, k0, k1, _ in (side[0] for side in sides)]
+        assert abs(rows[0] - rows[1]) == min(abs(2 * (k.start - blocks[0][2]) - blocks[0][3] + blocks[0][2])
+                                             for k in list(kernels)[1:])
+
+
+def test_overrunning_diagonal_view_raises():
+    product = np.zeros((2, 5, 6))
+    assert wavelet._diagonals(product, 1, 2, 3, 2).shape == (2, 2, 3)  # reaches product[1, 4, 4]
+    with pytest.raises(ValueError):
+        wavelet._diagonals(product, 1, 2, 3, 3)  # frame 2 would read past the buffer's end
+    with pytest.raises(ValueError):
+        wavelet._diagonals(product, 2, 3, 4, 1)
 
 
 PRESET = experiment_run_config().preprocess
