@@ -2,12 +2,14 @@
 
 JSON config files use the same three sections: ``preprocess``, ``encoder``,
 ``train``. Missing keys fall back to the defaults below; a value of the wrong
-JSON type or out of range is a ConfigError naming its ``section.key``.
+JSON type, non-finite (``json`` reads NaN and Infinity) or out of range is a
+ConfigError naming its ``section.key``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -33,6 +35,8 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.spec_input not in ("stft", "mel"):
             raise ConfigError(f"spec_input must be 'stft' or 'mel', got {self.spec_input!r}")
+        if self.segment_seconds <= 0:
+            raise ConfigError(f"preprocess.segment_seconds must be > 0, got {self.segment_seconds}")
         if self.overlap_seconds >= self.segment_seconds:
             raise ConfigError("overlap_seconds must be smaller than segment_seconds")
         if not (isinstance(self.wavelet_hop, int) and self.wavelet_hop >= 1):
@@ -75,6 +79,9 @@ class TrainConfig:
             raise ConfigError("contrastive training needs batch_size >= 2")
         if self.modalities not in ("tri", "audio_text"):
             raise ConfigError(f"modalities must be 'tri' or 'audio_text', got {self.modalities!r}")
+        for key in ("epochs", "lr", "weight_decay"):  # 0 epochs builds an untrained model
+            if getattr(self, key) < 0:
+                raise ConfigError(f"train.{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass
@@ -105,6 +112,8 @@ class RunConfig:
                 kind = annotations[key]
                 if type(value) not in json_types[kind] or isinstance(value, (list, tuple)) and {type(c) for c in value} - {int}:
                     raise ConfigError(f"{section_name}.{key} is {value!r}, expected {kind}")
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{section_name}.{key} is {value!r}, expected a finite number")
             setattr(out, section_name, section_cls(**section))
         extra = set(data) - {"preprocess", "encoder", "train"}
         if extra:

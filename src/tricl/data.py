@@ -47,11 +47,13 @@ class DatasetManifest:
 
 
 def _sample_rate(value, where: str) -> int:
-    """An int, a float with no fraction, or a string that int() reads."""
+    """A positive int, a float with no fraction, or a string that int() reads."""
     try:
         rate = int(value)
         if isinstance(value, str) or rate == value:
-            return rate
+            if rate > 0:
+                return rate
+            raise DataError(f"{where}: sample_rate_hz must be positive, got {value!r}")
     except (TypeError, ValueError, OverflowError):
         pass
     raise DataError(f"{where}: sample_rate_hz must be an integer, got {value!r}")
@@ -76,7 +78,7 @@ def load_manifest(path) -> DatasetManifest:
         if not isinstance(row, dict):
             raise DataError(f"{path} row {lineno}: expected an object")
         for required in ("audio", "source_id", "vessel_type", "sample_rate_hz"):
-            if not row.get(required):
+            if row.get(required) in (None, ""):  # 0 is a value
                 raise DataError(f"{path} row {lineno}: missing required field {required!r}")
         audio_path = base / row["audio"]
         if not audio_path.exists():

@@ -28,11 +28,10 @@ node's gradient is summed in the order of a plain walk of the same graph,
 so the result is bitwise that walk's. Grad mode is per thread; a worker
 task runs in its caller's mode. Three callers use ``beside``: the contrastive
 step (``trainer.batch_loss`` and its branch walk), ``optim.AdamW.step`` for a
-large store, and the wavelet frontend of ``wavelet.SPLIT_AT`` kernel taps or
-more, which splits its kernel build and transform into two halves of its
-scales. Called on the worker, as the contrastive step calls the frontend,
-``beside`` runs both functions there in turn, so that step keeps its thread
-placement.
+large store, and the wavelet frontend, whose kernel build and transform split
+into two halves of the scales on every call. Called on the worker, as the
+contrastive step calls the frontend, ``beside`` runs both functions there in
+turn, so that step keeps its thread placement.
 """
 
 from __future__ import annotations

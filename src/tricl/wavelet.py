@@ -6,43 +6,35 @@ coincides with the textbook sinc**m at the default integer order m=2 and
 stays real-valued and differentiable for the learnable real-valued order.
 
 The transform W(a, tau) = a**-0.5 * sum_n f(n) * conj(psi((n/fs - tau)/a)) / fs
-(fs = dsp.TARGET_RATE)
-is evaluated at tau = 0, hop, 2*hop, ... by folding. Once per batch,
-``build_kernels`` samples psi at every scale's taps in one tape op on m, f_b
-and f_c, whose backward is closed form, and lays each scale's scaled
-conjugate kernel, real and imaginary part, into rows of ``hop`` taps.
-``transform_with_kernels`` takes a batch of N equal-length segments, cuts
-each zero-padded segment into rows of ``hop`` samples, multiplies the
-rows of all N segments with the folded kernel rows in one matrix product per
-half of a block of scales, and reads each frame as a sum down a diagonal of
-that product. The kernel gradient is one transposed product per half block
-over the whole batch.
+(fs = dsp.TARGET_RATE) is evaluated at tau = 0, hop, 2*hop, ... by folding,
+in two tape ops that each own one layout:
 
-Both stages work in two halves of the scales: the kernel build computes the
-taps of whole scales in two runs cut nearest half the taps (the fold stays
-whole), and the transform cuts each block of scales where it best evens the
-two halves' folded rows, so each half has its own products, forward and
-backward. From SPLIT_AT kernel taps on, the halves run on two threads
-(``tensor.beside``), which uses the core that encoder tuning, inference and
-evaluation otherwise leave idle; below it they run in turn on one. Each
-scale's taps, folded rows, product columns and grid column belong to one
-half and the psi(0) gradient is summed in scale order after both, so the
-thread count changes no bit. The contrastive step builds the kernels and runs
-the audio encoder on the worker, where ``beside`` runs both halves inline, so
-its thread placement does not change. The cut is made on one thread too:
-BLAS may round a product cut in two differently from the whole product when
-a half is small (seen at hops 7 and 100 below 1e-13 relative), so only the
-cut, never the thread count, decides the bits.
+* ``build_kernels`` maps m, f_b and f_c to the folded rows
+  (``WaveletKernels.folded``), once per batch: it samples psi at every
+  scale's taps and lays each scale's scaled conjugate kernel, re and im, into
+  rows of ``hop`` taps. Its backward maps the rows' gradient back onto the
+  taps and sums closed-form derivatives over them. Only it knows the taps.
+* ``transform_with_kernels`` maps the folded rows to the grids of N
+  equal-length segments: it cuts each zero-padded segment into rows of
+  ``hop`` samples, multiplies all N segments' rows with the kernel rows in
+  one matrix product per part of a block of scales, and reads each frame as
+  a sum down a diagonal of that product. Its backward, the rows' gradient, is
+  one transposed product per part. Only it knows the segment rows.
 
-The transform is a single tape op whose parent is the vector of half kernels,
-so gradients flow to m, f_b and f_c through the kernel samples only. Kernels
-are truncated where the envelope drops below `truncation` of its peak: the
-half width h is that distance rounded up to a whole tap (``ceil``), and the
-last max(1, h//16) taps are tapered linearly, the outermost one to weight
-1/(max(1, h//16) + 1), not to zero. Since h steps as m and f_b move, the
-kernels and the loss are piecewise in m and f_b: they jump where a width
-steps, and a finite difference across a step differs from the closed-form
-gradient, which holds the widths fixed.
+Each op splits its scales into two halves, one on each thread
+(``tensor.beside``): the build into two runs of whole scales cut nearest half
+the taps, the transform each block where that best evens the folded rows
+(``_sides``). Each scale's taps, rows, product columns and grid column belong
+to one half, so the thread count changes no bit; on the worker, as in the
+contrastive step, ``beside`` runs both halves there in turn.
+
+Kernels are truncated where the envelope drops below `truncation` of its
+peak: the half width h is that distance rounded up to a whole tap
+(``ceil``), and the last max(1, h//16) taps are tapered linearly, the
+outermost one to weight 1/(max(1, h//16) + 1), not to zero. Since h steps as
+m and f_b move, the kernels and the loss are piecewise in m and f_b: they
+jump where a width steps, and a finite difference across a step differs from
+the closed-form gradient, which holds the widths fixed.
 """
 
 from __future__ import annotations
@@ -63,11 +55,6 @@ BAND_FLOOR = 1e-4
 MAX_KERNEL_TAPS = 4_000_000
 # elements per block of the batch's segment-by-kernel product (8 MB)
 _BLOCK_ELEMS = 1_000_000
-# kernel taps (summed half widths) from which the kernel build and the
-# transform run the two halves of their work on two threads (tensor.beside);
-# below it they run them in turn on one, with the same bits. The measured
-# crossover on 2 cores lies between 12k taps (loses) and 25k taps (gains).
-SPLIT_AT = 20_000
 
 
 @dataclass
@@ -104,7 +91,7 @@ def support_half_width(params: WaveletParams, scale: float, truncation: float) -
 
 @dataclass
 class ScaleKernel:
-    """Where one scale's kernel sits in the half-kernel vector and the folded rows.
+    """Where one scale's kernel sits in the build's taps and in the folded rows.
 
     With P the widest half width, P - half_width = shift * hop + lead: the
     kernel starts `lead` taps into its first folded row and is read against
@@ -113,7 +100,7 @@ class ScaleKernel:
 
     half_width: int
     factor: float  # 1 / (fs * sqrt(a)) for scale a
-    offset: int  # first tap of the re half (and, H further on, the im half) in `halves`
+    offset: int  # first of its positive-offset taps among all scales' (build_kernels only)
     start: int  # first folded row of the re part; the im part follows `rows` later
     rows: int
     shift: int
@@ -127,8 +114,7 @@ class WaveletKernels:
     scales: list[ScaleKernel]
     hop: int
     max_half: int
-    halves: Tensor | None  # re half kernels of all scales, then im, then psi(0); None under no_grad
-    folded: np.ndarray  # (2 * sum(rows), hop) scaled conjugate kernels, re and im per scale
+    folded: Tensor  # (2 * sum(rows), hop) scaled conjugate kernels, re and im per scale; taped unless no_grad
 
     def __iter__(self):
         return iter(self.scales)
@@ -137,12 +123,7 @@ class WaveletKernels:
         return len(self.scales)
 
 
-def build_kernels(
-    params: WaveletParams,
-    scale_grid,
-    hop: int,
-    truncation: float = 1e-4,
-) -> WaveletKernels:
+def build_kernels(params: WaveletParams, scale_grid, hop: int, truncation: float = 1e-4) -> WaveletKernels:
     """Sampled conjugate kernels per scale, folded into rows of `hop` taps."""
     if hop < 1:
         raise ConfigError(f"hop must be >= 1, got {hop}")
@@ -159,52 +140,46 @@ def build_kernels(
             f"wavelet m={float(params.m.values):.6g}, f_b={float(params.f_b.values):.6g} needs {taps} kernel taps "
             f"over {len(scales)} scales, more than the {MAX_KERNEL_TAPS} allowed"
         )
-    halves = _half_kernels(params, half_widths, scales)
-    return _fold(halves, half_widths, scales, hop)
+    max_half = max(half_widths)
+    layout = []
+    offset = start = 0
+    for half, a in zip(half_widths, scales):
+        shift, lead = divmod(max_half - half, hop)
+        rows = -(-(lead + 2 * half + 1) // hop)
+        layout.append(ScaleKernel(half, 1.0 / (TARGET_RATE * np.sqrt(a)), offset, start, rows, shift, lead))
+        offset += half
+        start += 2 * rows
+    return WaveletKernels(layout, hop, max_half, _folded_kernels(params, layout, scales, (start, hop)))
 
 
-def _in_halves(taps: int, first, second) -> tuple:
-    """``(first(), second())``: on two threads (``tensor.beside``, `first` on
-    the worker) from SPLIT_AT kernel taps on, else in turn on this one."""
-    if taps >= SPLIT_AT:
-        return beside(first, second)
-    return first(), second()
+def _spans(rows: np.ndarray, k: ScaleKernel) -> tuple[np.ndarray, np.ndarray]:
+    """Views of scale k's re and im kernel, offsets -h..h, in the folded `rows`."""
+    span = slice(k.lead, k.lead + 2 * k.half_width + 1)
+    return (rows[k.start : k.start + k.rows].reshape(-1)[span],
+            rows[k.start + k.rows : k.start + 2 * k.rows].reshape(-1)[span])
 
 
-def _half_kernels(params: WaveletParams, half_widths, scales) -> Tensor:
-    """psi at the positive-offset taps of every scale, re then im, then psi(0).
-
-    One tape op whose parents are m, f_b and f_c. With u = pi * f_b * x / m,
-    the tapered envelope env = sqrt(f_b) * |sinc u|**m * taper and the phase
-    phi = 2 * pi * f_c * x, the halves are env * cos(phi) and env * sin(phi).
-    The backward sums closed-form per-tap derivatives of log env
-    (d log|sinc u| / d log u = u * cot(u) - 1) and of phi (2 * pi * x); a tap
-    with sinc u = 0 contributes no gradient. Under no_grad none of the
-    backward's per-tap factors are computed.
-
-    Every per-tap step is elementwise, so the taps are computed in two runs of
-    whole scales, cut at the scale boundary nearest half the taps, by
-    ``_in_halves``.
-    """
+def _psi_taps(params: WaveletParams, layout: list[ScaleKernel], scales, record: bool) -> tuple:
+    """psi at each scale's positive offsets x = 1..h / (fs * a), the taps of
+    all scales end to end (``ScaleKernel.offset``), in two runs of whole
+    scales: ``(re, im)``, and when `record` also x, d log env / d m and
+    d log env / d f_b. With u = pi * f_b * x / m, the tapered envelope
+    env = sqrt(f_b) * |sinc u|**m * taper and the phase phi = 2 * pi * f_c * x,
+    re = env * cos(phi) and im = env * sin(phi)."""
     m, f_b, f_c = params.m, params.f_b, params.f_c
     order = float(m.values)
-    offsets = np.cumsum([0, *half_widths])
+    offsets = np.cumsum([0, *(k.half_width for k in layout)])
     total = int(offsets[-1])
-    x = np.empty(total)
-    env = np.empty(total)
-    halves = np.empty(2 * total + 1)
-    re, im = halves[:total], halves[total:-1]
+    x, env, re, im = (np.empty(total) for _ in range(4))
     root_fb = np.sqrt(f_b.values)
-    halves[-1] = root_fb  # psi(0) = sqrt(f_b)
-    record = records((m, f_b, f_c))
     if record:
-        d_m = np.empty(total)  # d log env / d m
-        d_fb = np.empty(total)  # d log env / d f_b
+        d_m = np.empty(total)
+        d_fb = np.empty(total)
 
     def fill(first: int, last: int) -> None:
         taps = slice(offsets[first], offsets[last])
-        for h, a, o in zip(half_widths[first:last], scales[first:last], offsets[first:last]):
-            x[o : o + h] = np.arange(1, h + 1, dtype=np.float64) / (TARGET_RATE * a)
+        for k, a in zip(layout[first:last], scales[first:last]):
+            x[k.offset : k.offset + k.half_width] = np.arange(1, k.half_width + 1, dtype=np.float64) / (TARGET_RATE * a)
         u = f_b.values * x[taps]
         u /= m.values
         u *= np.pi
@@ -220,9 +195,9 @@ def _half_kernels(params: WaveletParams, half_widths, scales) -> Tensor:
             d_m[taps][zero] = 0.0
             d_fb[taps][zero] = 0.0
         np.power(e, order, out=e)
-        for h, o in zip(half_widths[first:last], offsets[first:last]):
-            k = np.arange(1, h + 1, dtype=np.float64)
-            env[o : o + h] *= np.minimum(1.0, (h + 1 - k) / (max(1, h // 16) + 1))
+        for k in layout[first:last]:
+            h, o = k.half_width, k.offset
+            env[o : o + h] *= np.minimum(1.0, (h + 1 - np.arange(1, h + 1, dtype=np.float64)) / (max(1, h // 16) + 1))
         e *= root_fb
         phase = np.multiply(f_c.values, x[taps], out=u)
         phase *= 2.0 * np.pi
@@ -232,50 +207,59 @@ def _half_kernels(params: WaveletParams, half_widths, scales) -> Tensor:
         im[taps] *= e
 
     cut = int(np.argmin(np.abs(2 * offsets - total)))  # the scale boundary nearest half the taps
-    _in_halves(total, lambda: fill(0, cut), lambda: fill(cut, len(half_widths)))
+    beside(lambda: fill(0, cut), lambda: fill(cut, len(layout)))
+    return (re, im, x, d_m, d_fb) if record else (re, im)
+
+
+def _folded_kernels(params: WaveletParams, layout: list[ScaleKernel], scales, shape) -> Tensor:
+    """The folded kernel rows, as one tape op whose parents are m, f_b and f_c.
+
+    A scale's re kernel is its mirrored re taps (``_psi_taps``), psi(0) =
+    sqrt(f_b) and its re taps; its im kernel is its mirrored im taps, 0 and
+    its negated im taps (conj flips the odd sine); both are scaled by
+    `factor`. The backward maps the rows' gradient back onto the taps (each
+    scale's span of its rows times `factor`, mirrored halves added, the
+    psi(0) terms summed in scale order), then sums closed-form per-tap
+    derivatives of log env (d log|sinc u| / d log u = u * cot(u) - 1) and of
+    phi (2 * pi * x); a tap with sinc u = 0 contributes no gradient. Under
+    no_grad none of the backward's per-tap factors are computed.
+    """
+    m, f_b, f_c = params.m, params.f_b, params.f_c
+    record = records((m, f_b, f_c))
+    re, im, *saved = _psi_taps(params, layout, scales, record)
+    root_fb = np.sqrt(f_b.values)  # psi(0)
+    folded = np.zeros(shape)
+    for k in layout:
+        h, o = k.half_width, k.offset
+        re_k, im_k = _spans(folded, k)
+        re_k[:h] = re[o : o + h][::-1]  # envelope and cosine are even
+        re_k[h] = root_fb
+        re_k[h + 1 :] = re[o : o + h]
+        im_k[:h] = im[o : o + h][::-1]
+        im_k[h + 1 :] = -im[o : o + h]
+        re_k *= k.factor
+        im_k *= k.factor
     if not record:
-        return Tensor(halves)
+        return Tensor(folded)
+    x, d_m, d_fb = saved
 
     def bw(g):
-        g_re, g_im = g[:total], g[total:-1]
+        g_re, g_im = np.empty(len(x)), np.empty(len(x))
+        g_center = 0.0  # psi(0)'s, summed in scale order
+        for k in layout:
+            h, o = k.half_width, k.offset
+            d_re, d_im = (d * k.factor for d in _spans(g, k))
+            np.add(d_re[h + 1 :], d_re[:h][::-1], out=g_re[o : o + h])
+            np.subtract(d_im[:h][::-1], d_im[h + 1 :], out=g_im[o : o + h])
+            g_center += d_re[h]
         g_log_env = g_re * re + g_im * im  # d loss / d log env per tap
         return (
             np.array(np.sum(g_log_env * d_m)),
-            np.array(np.sum(g_log_env * d_fb) + 0.5 * g[-1] / root_fb),
+            np.array(np.sum(g_log_env * d_fb) + 0.5 * g_center / root_fb),
             np.array(np.sum((g_im * re - g_re * im) * x) * (2.0 * np.pi)),
         )
 
-    return custom_op(halves, (m, f_b, f_c), bw)
-
-
-def _fold(halves: Tensor, half_widths, scales, hop: int) -> WaveletKernels:
-    max_half = max(half_widths)
-    total = (halves.size - 1) // 2  # H taps per part
-    layout = []
-    offset = start = 0
-    for half, a in zip(half_widths, scales):
-        shift, lead = divmod(max_half - half, hop)
-        rows = -(-(lead + 2 * half + 1) // hop)
-        layout.append(ScaleKernel(half, 1.0 / (TARGET_RATE * np.sqrt(a)), offset, start, rows, shift, lead))
-        offset += half
-        start += 2 * rows
-
-    vals = halves.values
-    folded = np.zeros((start, hop))
-    for k in layout:
-        h = k.half_width
-        re_h = vals[k.offset : k.offset + h]
-        im_h = vals[total + k.offset : total + k.offset + h]
-        re = folded[k.start : k.start + k.rows].reshape(-1)[k.lead : k.lead + 2 * h + 1]
-        im = folded[k.start + k.rows : k.start + 2 * k.rows].reshape(-1)[k.lead : k.lead + 2 * h + 1]
-        re[:h] = re_h[::-1]  # envelope and cosine are even
-        re[h] = vals[-1]  # psi(0)
-        re[h + 1 :] = re_h
-        im[:h] = im_h[::-1]  # conj flips the odd sine
-        im[h + 1 :] = -im_h
-        re *= k.factor
-        im *= k.factor
-    return WaveletKernels(layout, hop, max_half, halves if halves.requires_grad else None, folded)
+    return custom_op(folded, (m, f_b, f_c), bw)
 
 
 def _diagonals(product: np.ndarray, row: int, col: int, width: int, frames: int) -> np.ndarray:
@@ -329,14 +313,14 @@ def _sides(blocks) -> tuple[list, list]:
 
 def transform_with_kernels(samples, kernels: WaveletKernels, hop: int) -> Tensor:
     """Wavelet magnitude grids (N x frames x scales) of N equal-length
-    segments, as one tape op. `samples` is an (N, n) array or a sequence of
-    N 1-D arrays; each segment is copied once, straight into its padded rows.
+    segments, as one tape op whose parent is ``kernels.folded``. `samples`
+    is an (N, n) array or a sequence of N 1-D arrays; each segment is copied
+    once, straight into its padded rows.
 
     The scales are cut into two sides (``_sides``), each with its own
-    products, forward and backward, run by ``_in_halves``. Each scale's
-    product columns, grid column and taps belong to one side, and the psi(0)
-    gradient is summed after both in scale order, so the thread count changes
-    no bit."""
+    products, forward and backward, one on each thread (``tensor.beside``).
+    Each scale's product columns, grid column and folded rows belong to one
+    side, so the thread count changes no bit."""
     if hop != kernels.hop:
         raise ConfigError(f"hop {hop} differs from the hop {kernels.hop} the kernels were folded for")
     shapes = {np.shape(segment) for segment in samples}
@@ -352,55 +336,40 @@ def transform_with_kernels(samples, kernels: WaveletKernels, hop: int) -> Tensor
     for row, segment in zip(x, samples):
         row[pad : pad + n] = segment
     x = x.reshape(batch, n_rows, hop)
+    folded = kernels.folded.values
     first, second = _sides(_blocks(kernels, frames, batch))
-    n_taps = sum(k.half_width for k in kernels)
 
     re = np.empty((batch, frames, len(kernels)))
     im = np.empty((batch, frames, len(kernels)))
 
     def forward(side) -> None:
         for lo, hi, k0, k1, group in side:
-            product = (x[:, lo:hi].reshape(-1, hop) @ kernels.folded[k0:k1].T).reshape(batch, hi - lo, k1 - k0)
+            product = (x[:, lo:hi].reshape(-1, hop) @ folded[k0:k1].T).reshape(batch, hi - lo, k1 - k0)
             for j, k in group:
                 re[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0, k.rows, frames).sum(axis=2)
                 im[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames).sum(axis=2)
 
-    _in_halves(n_taps, lambda: forward(first), lambda: forward(second))
+    beside(lambda: forward(first), lambda: forward(second))
     mag = np.hypot(re, im)
 
     def bw(g):
-        center = kernels.halves.size - 1  # psi(0); the im halves start at center // 2
         # complex modulus, with a zero subgradient at the origin
         scale = np.where(mag > 0.0, g / np.where(mag > 0.0, mag, 1.0), 0.0)
         g_re, g_im = scale * re, scale * im
-        grad = np.zeros(kernels.halves.shape)
+        d_folded = np.empty(folded.shape)  # the two sides' rows tile it
 
-        def gather(side) -> list:
-            """Each scale's re and im tap gradients into `grad`; returns its (scale, psi(0) term) pairs."""
-            centers = []
+        def gather(side) -> None:
             for lo, hi, k0, k1, group in side:
                 d_product = np.zeros((batch, hi - lo, k1 - k0))
                 for j, k in group:
                     _diagonals(d_product, k.shift - lo, k.start - k0, k.rows, frames)[...] = g_re[:, :, j, None]
                     _diagonals(d_product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames)[...] = g_im[:, :, j, None]
-                d_folded = d_product.reshape(-1, k1 - k0).T @ x[:, lo:hi].reshape(-1, hop)
-                for j, k in group:
-                    h = k.half_width
-                    taps = slice(k.lead, k.lead + 2 * h + 1)
-                    d_re = d_folded[k.start - k0 : k.start - k0 + k.rows].reshape(-1)[taps] * k.factor
-                    d_im = d_folded[k.start - k0 + k.rows : k.start - k0 + 2 * k.rows].reshape(-1)[taps] * k.factor
-                    im_offset = center // 2 + k.offset
-                    grad[k.offset : k.offset + h] += d_re[h + 1 :] + d_re[:h][::-1]
-                    grad[im_offset : im_offset + h] += d_im[:h][::-1] - d_im[h + 1 :]
-                    centers.append((j, d_re[h]))
-            return centers
+                np.matmul(d_product.reshape(-1, k1 - k0).T, x[:, lo:hi].reshape(-1, hop), out=d_folded[k0:k1])
 
-        first_centers, second_centers = _in_halves(n_taps, lambda: gather(first), lambda: gather(second))
-        for _, term in sorted(first_centers + second_centers):  # in scale order
-            grad[center] += term
-        return (grad,)
+        beside(lambda: gather(first), lambda: gather(second))
+        return (d_folded,)
 
-    return custom_op(mag, () if kernels.halves is None else (kernels.halves,), bw)
+    return custom_op(mag, (kernels.folded,), bw)
 
 
 def default_scale_grid(n_scales: int = 64, fmin_hz: float = 20.0, fmax_hz: float = 7800.0) -> np.ndarray:

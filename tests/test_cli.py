@@ -460,6 +460,15 @@ def test_tune_encoder_seed_may_differ_from_checkpoint(workspace, tmp_path):
         ('{"train": {"epochs": "3"}}', "train.epochs"),
         ('{"preprocess": {"log_magnitude": 1}}', "preprocess.log_magnitude"),
         ('{"encoder": {"conv_channels": [4, true]}}', "encoder.conv_channels"),
+        ('{"train": {"lr": NaN}}', "train.lr"),
+        ('{"preprocess": {"fmin_hz": NaN}}', "preprocess.fmin_hz"),
+        ('{"train": {"weight_decay": Infinity}}', "train.weight_decay"),
+        ('{"preprocess": {"fmax_hz": -Infinity}}', "preprocess.fmax_hz"),
+        ('{"train": {"lr": -1}}', "train.lr"),
+        ('{"train": {"weight_decay": -1e-5}}', "train.weight_decay"),
+        ('{"train": {"epochs": -1}}', "train.epochs"),
+        ('{"preprocess": {"segment_seconds": -0.1, "overlap_seconds": -0.2}}', "preprocess.segment_seconds"),
+        ('{"preprocess": {"segment_seconds": 0, "overlap_seconds": -1}}', "preprocess.segment_seconds"),
     ],
 )
 def test_malformed_config_value_is_config_error(text, where):
@@ -473,8 +482,9 @@ def test_malformed_config_value_is_config_error(text, where):
 def test_config_accepts_an_int_for_a_float():
     from tricl.config import RunConfig
 
-    config = RunConfig.from_json('{"train": {"lr": 1}, "preprocess": {"segment_seconds": 2, "overlap_seconds": 1}}')
-    assert (config.train.lr, config.preprocess.segment_seconds) == (1, 2)
+    config = RunConfig.from_json('{"train": {"lr": 1, "weight_decay": 0, "epochs": 0}, '
+                                 '"preprocess": {"segment_seconds": 2, "overlap_seconds": 1}}')
+    assert (config.train.lr, config.train.weight_decay, config.train.epochs, config.preprocess.segment_seconds) == (1, 0, 0, 2)
 
 
 def test_train_with_ill_typed_config_exits_1(workspace, tmp_path, capsys):
@@ -484,6 +494,17 @@ def test_train_with_ill_typed_config_exits_1(workspace, tmp_path, capsys):
     manifest = workspace / "data" / "manifest.jsonl"
     assert main(["train", "--manifest", str(manifest), "--config", str(config), "--out", str(ckpt)]) == 1
     assert "train.batch_size" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_train_with_non_finite_config_exits_1(workspace, tmp_path, capsys):
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps({**CONFIG, "train": {**CONFIG["train"], "lr": float("nan")}}))
+    assert "NaN" in config.read_text()
+    ckpt = tmp_path / "nan.ckpt"
+    manifest = workspace / "data" / "manifest.jsonl"
+    assert main(["train", "--manifest", str(manifest), "--config", str(config), "--out", str(ckpt)]) == 1
+    assert "train.lr" in capsys.readouterr().err
     assert not ckpt.exists()
 
 

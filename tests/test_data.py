@@ -165,6 +165,24 @@ class TestManifestAndIngest:
         with pytest.raises(DataError, match="row 2: sample_rate_hz must be an integer"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("rate", [0, -16000, -16000.0, "-1"])
+    def test_non_positive_sample_rate_names_the_row(self, tmp_path, rate):
+        path = _write_dataset(tmp_path, [{"vessel_type": "Tug"}, {"vessel_type": "Tug", "sample_rate_hz": rate}])
+        with pytest.raises(DataError, match="row 2: sample_rate_hz must be positive"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("field, value", [("source_id", None), ("source_id", ""), ("vessel_type", ""),
+                                              ("sample_rate_hz", None), ("audio", "")])
+    def test_empty_required_field_is_missing(self, tmp_path, field, value):
+        path = _write_dataset(tmp_path, [{"vessel_type": "Tug"}, {"vessel_type": "Tug", field: value}])
+        with pytest.raises(DataError, match=f"row 2: missing required field '{field}'"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("source_id", [0, 1, "0"], ids=["int-0", "int-1", "str-0"])
+    def test_falsy_source_id_is_present(self, tmp_path, source_id):
+        path = _write_dataset(tmp_path, [{"vessel_type": "Tug", "source_id": source_id}])
+        assert load_manifest(path).records[0].source_id == str(source_id)
+
     @pytest.mark.parametrize("rate", [16000, 16000.0, "16000", " 16000 "])
     def test_integral_sample_rate_accepted(self, tmp_path, rate):
         path = _write_dataset(tmp_path, [{"vessel_type": "Tug", "sample_rate_hz": rate}])

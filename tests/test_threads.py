@@ -158,7 +158,6 @@ def record_frontend_halves(monkeypatch) -> list[tuple[str, str]]:
 
 
 def test_frontend_on_the_caller_runs_one_half_on_the_worker(monkeypatch):
-    monkeypatch.setattr(wavelet, "SPLIT_AT", 0)
     calls = record_frontend_halves(monkeypatch)
     config = tiny_run_config()
     encoder = AudioEncoder(config.encoder, config.preprocess, np.random.default_rng(0))
@@ -174,7 +173,6 @@ def test_frontend_on_the_caller_runs_one_half_on_the_worker(monkeypatch):
 def test_contrastive_step_submits_nothing_from_the_worker(monkeypatch):
     """Inside the contrastive step the frontend runs on the worker, where both
     halves run inline: the only submissions are the step's own two."""
-    monkeypatch.setattr(wavelet, "SPLIT_AT", 0)
     calls = record_frontend_halves(monkeypatch)
     beside(lambda: None, lambda: None)  # the worker exists
     submitted = []

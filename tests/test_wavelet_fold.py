@@ -94,13 +94,13 @@ def test_batch_kernel_gradient_is_the_sum_over_segments(monkeypatch, block_elems
     kernels = build_kernels(WaveletParams.create(2.5, 0.7, 1.2), default_scale_grid(5, 400.0, 4000.0), hop,
                             truncation=5e-2)
 
-    def halves_grad(batch, w):
-        leaf = Tensor(kernels.halves.values, requires_grad=True)
-        backward(tsum(mul(transform_with_kernels(batch, dataclasses.replace(kernels, halves=leaf), hop), Tensor(w))))
+    def folded_grad(batch, w):
+        leaf = Tensor(kernels.folded.values, requires_grad=True)
+        backward(tsum(mul(transform_with_kernels(batch, dataclasses.replace(kernels, folded=leaf), hop), Tensor(w))))
         return leaf.grad
 
-    batched = halves_grad(segments, weights)
-    summed = sum(halves_grad(segment[None], w[None]) for segment, w in zip(segments, weights))
+    batched = folded_grad(segments, weights)
+    summed = sum(folded_grad(segment[None], w[None]) for segment, w in zip(segments, weights))
     assert np.abs(batched - summed).max() <= 1e-12 * np.abs(summed).max()
 
 
@@ -119,13 +119,8 @@ def test_blocks_bound_the_batch_product(monkeypatch, hop, n, fmin, fmax, n_scale
             assert columns == list(range(n_scales))
 
 
-def frontend(monkeypatch, split_at, block_elems, hop, n, fmin, fmax, n_scales, truncation):
-    """Every output of the frontend on a batch of 3 with the split gate at
-    `split_at`, and how many times it handed work to the worker."""
-    monkeypatch.setattr(wavelet, "SPLIT_AT", split_at)
-    monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
-    calls = []
-    monkeypatch.setattr(wavelet, "beside", lambda there, here: calls.append(1) or beside(there, here))
+def frontend(hop, n, fmin, fmax, n_scales, truncation):
+    """Every output of the frontend on a batch of 3, as bytes."""
     rng = np.random.default_rng(hop + n + 2)
     segments = rng.standard_normal((3, n))
     weights = Tensor(rng.standard_normal((3, (n - 1) // hop + 1, n_scales)))
@@ -133,32 +128,32 @@ def frontend(monkeypatch, split_at, block_elems, hop, n, fmin, fmax, n_scales, t
     kernels = build_kernels(params, default_scale_grid(n_scales, fmin, fmax), hop, truncation=truncation)
     grid = transform_with_kernels(segments, kernels, hop)
     backward(tsum(mul(grid, weights)))
-    leaf = Tensor(kernels.halves.values, requires_grad=True)  # the transform backward's gradient alone
-    backward(tsum(mul(transform_with_kernels(segments, dataclasses.replace(kernels, halves=leaf), hop), weights)))
+    leaf = Tensor(kernels.folded.values, requires_grad=True)  # the transform backward's gradient alone
+    backward(tsum(mul(transform_with_kernels(segments, dataclasses.replace(kernels, folded=leaf), hop), weights)))
     with no_grad():
         untaped = build_kernels(params, default_scale_grid(n_scales, fmin, fmax), hop, truncation=truncation)
     outputs = {
-        "halves": kernels.halves.values,
-        "folded": kernels.folded,
-        "no_grad folded": untaped.folded,
+        "folded": kernels.folded.values,
+        "no_grad folded": untaped.folded.values,
         "grid": grid.values,
         "m grad": params.m.grad,
         "f_b grad": params.f_b.grad,
         "f_c grad": params.f_c.grad,
-        "halves grad": leaf.grad,
+        "folded grad": leaf.grad,
     }
-    return {name: np.ascontiguousarray(a).tobytes() for name, a in outputs.items()}, len(calls)
+    return {name: np.ascontiguousarray(a).tobytes() for name, a in outputs.items()}
 
 
 @pytest.mark.parametrize("block_elems", [wavelet._BLOCK_ELEMS, 3000], ids=["default-blocks", "small-blocks"])
 @pytest.mark.parametrize("hop, n, fmin, fmax, n_scales, truncation", CASES)
 def test_split_frontend_equals_one_thread_bitwise(monkeypatch, block_elems, hop, n, fmin, fmax, n_scales, truncation):
+    """Called from the caller, each op runs one half on the worker; called on
+    the worker, ``beside`` runs both halves there in turn."""
+    monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
     case = (hop, n, fmin, fmax, n_scales, truncation)
-    one, one_calls = frontend(monkeypatch, 10**12, block_elems, *case)
-    two, two_calls = frontend(monkeypatch, 0, block_elems, *case)
-    assert one_calls == 0
-    assert two_calls == 6  # two kernel builds, two transforms forward and backward
-    for name in one:
+    two = frontend(*case)
+    one, _ = beside(lambda: frontend(*case), lambda: None)
+    for name in two:
         assert one[name] == two[name], name
 
 
@@ -177,6 +172,9 @@ def test_sides_share_every_scale_once(monkeypatch, block_elems, hop, n, fmin, fm
             assert (lo, hi) == block_of[group[0][0]][:2]  # a part keeps its block's segment rows
             assert (k0, k1) == (group[0][1].start, group[-1][1].start + 2 * group[-1][1].rows)
     assert sorted(j for side in sides for *_, group in side for j, _ in group) == list(range(n_scales))
+    # the backward writes each side's rows into an uninitialised gradient
+    assert sorted(row for side in sides for _, _, k0, k1, _ in side for row in range(k0, k1)) == \
+        list(range(len(kernels.folded.values)))
     if len(blocks) == 1:  # one block is cut where it best halves its folded rows
         rows = [k1 - k0 for *_, k0, k1, _ in (side[0] for side in sides)]
         assert abs(rows[0] - rows[1]) == min(abs(2 * (k.start - blocks[0][2]) - blocks[0][3] + blocks[0][2])
@@ -197,22 +195,25 @@ PRESET = experiment_run_config().preprocess
 
 @pytest.mark.parametrize("m, f_b, f_c", [(2.0, 0.5, 1.0), (2.7, 0.8, 1.3)])
 @pytest.mark.parametrize(
-    "scales, truncation",
+    "scales, truncation, hop",
     [
-        (default_scale_grid(PRESET.n_scales, PRESET.fmin_hz, PRESET.fmax_hz), PRESET.wavelet_truncation),
-        (default_scale_grid(3, 600.0, 3000.0), 5e-2),  # the kernels of the hop-400 check below
+        (default_scale_grid(PRESET.n_scales, PRESET.fmin_hz, PRESET.fmax_hz), PRESET.wavelet_truncation,
+         PRESET.wavelet_hop),
+        (default_scale_grid(3, 600.0, 3000.0), 5e-2, 400),  # the kernels of the hop-400 check below
     ],
     ids=["preset-grid", "narrow-kernels"],
 )
-def test_half_kernel_gradients_match_finite_differences(m, f_b, f_c, scales, truncation):
-    """The fused op's closed-form m, f_b and f_c gradients, with the tap
-    counts held where the starting parameters put them."""
+def test_half_kernel_gradients_match_finite_differences(m, f_b, f_c, scales, truncation, hop):
+    """The kernel build's closed-form m, f_b and f_c gradients of the folded
+    rows, with the layout (and so the tap counts) held where the starting
+    parameters put it."""
     params = WaveletParams.create(m, f_b, f_c)
-    widths = [support_half_width(params, a, truncation) for a in scales]
-    weights = Tensor(np.random.default_rng(sum(widths)).standard_normal(2 * sum(widths) + 1))
+    kernels = build_kernels(params, scales, hop, truncation=truncation)
+    shape = kernels.folded.shape
+    weights = Tensor(np.random.default_rng(sum(k.half_width for k in kernels)).standard_normal(shape))
 
     def build():
-        return tsum(mul(wavelet._half_kernels(params, widths, scales), weights))
+        return tsum(mul(wavelet._folded_kernels(params, kernels.scales, scales, shape), weights))
 
     assert check_grad(build, list(trainable(params).values()), h=1e-5, rtol=1e-6) <= 1e-6
 
@@ -255,17 +256,17 @@ def test_no_grad_build_keeps_no_half_kernels():
     with no_grad():
         kernels = build_kernels(params, scales, 160)
         fast = transform_with_kernels(samples[None], kernels, 160).values
-    assert kernels.halves is None
+    assert not kernels.folded.requires_grad
     taped = build_kernels(params, scales, 160)
-    assert taped.halves is not None  # the transform's backward reads them
-    np.testing.assert_array_equal(taped.folded, kernels.folded)
+    assert taped.folded.requires_grad  # the transform's backward reaches m, f_b and f_c through it
+    np.testing.assert_array_equal(taped.folded.values, kernels.folded.values)
     np.testing.assert_array_equal(transform_with_kernels(samples[None], taped, 160).values, fast)
 
 
 def test_paper_default_kernel_memory():
     """The no_grad build keeps nothing for a backward and reuses its arrays;
-    a recording build keeps the halves, the folded rows and three per-tap
-    arrays for its backward."""
+    a recording build keeps the folded rows and five per-tap arrays for its
+    backward."""
     pre = PreprocessConfig()
     params = WaveletParams.create()
     scales = default_scale_grid(pre.n_scales, pre.fmin_hz, pre.fmax_hz)
@@ -279,7 +280,7 @@ def test_paper_default_kernel_memory():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kernels.halves is not None
+    assert kernels.folded.requires_grad
     assert no_grad_peak <= 60 * 2**20
     assert kept <= 120 * 2**20
 
