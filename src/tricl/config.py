@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .dsp import TARGET_RATE
 from .errors import ConfigError
 
 
@@ -39,6 +40,10 @@ class PreprocessConfig:
             raise ConfigError(f"preprocess.segment_seconds must be > 0, got {self.segment_seconds}")
         if self.overlap_seconds >= self.segment_seconds:
             raise ConfigError("overlap_seconds must be smaller than segment_seconds")
+        if self.overlap_seconds < 0:
+            raise ConfigError(f"preprocess.overlap_seconds must be >= 0, got {self.overlap_seconds}")
+        if self.fmax_hz > TARGET_RATE / 2:  # every segment is resampled to TARGET_RATE
+            raise ConfigError(f"preprocess.fmax_hz must be <= the Nyquist limit {TARGET_RATE / 2:g} Hz, got {self.fmax_hz}")
         if not (isinstance(self.wavelet_hop, int) and self.wavelet_hop >= 1):
             raise ConfigError(f"wavelet_hop must be an integer >= 1, got {self.wavelet_hop!r}")
         if not 0.0 < self.wavelet_truncation < 1.0:
@@ -59,6 +64,12 @@ class EncoderConfig:
         self.conv_channels = tuple(int(c) for c in self.conv_channels)
         if min(self.d, self.transformer_heads, self.attn_pool_heads, *self.conv_channels) < 1:
             raise ConfigError("encoder.d, conv_channels, transformer_heads and attn_pool_heads must be >= 1")
+        if self.transformer_width < 1:
+            raise ConfigError(f"encoder.transformer_width must be >= 1, got {self.transformer_width}")
+        # with no block the text encoder's [EOS] row sees only its own token and position,
+        # so every sentence of one token count would embed the same
+        if self.transformer_layers < 1:
+            raise ConfigError(f"encoder.transformer_layers must be >= 1, got {self.transformer_layers}")
         if self.transformer_width % self.transformer_heads != 0:
             raise ConfigError("transformer_width must divide evenly into heads")
 

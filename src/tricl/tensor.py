@@ -9,6 +9,11 @@ table and are freed once consumed. A leaf's existing ``.grad`` (for a
 parameter, a view of its optimizer's buffer) is added to in place, a leaf
 without one gets a copy; only the optimizer resets gradients.
 
+A tape lives as long as its loss. A node holds its parents and nothing
+holds a node's children, so the graph is freed when the last reference to
+its loss goes, not by ``backward``: a second ``backward`` on the same loss
+accumulates again.
+
 ``cross_entropy`` is the one softmax cross-entropy op: contrastive training
 applies it to each similarity matrix against identity targets, classifier
 tuning to head logits against class indices.

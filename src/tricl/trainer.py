@@ -1,7 +1,10 @@
 """Contrastive training and the one training run every training path uses.
 
 `fit` is that run: `train.epochs` passes of `train_epoch`, the one batch
-loop: shuffle, batch loss, backward, AdamW step, clamp. It takes the
+loop: shuffle, batch loss, backward, AdamW step, clamp. A batch's tape lives
+as long as its loss, and `train_epoch` drops the loss once its value is
+recorded, so one tape is alive per step: the next batch's forward starts
+from none. It takes the
 batch-loss function `(dataset, indices, model) -> Tensor | None`, and a
 `None` loss means skip the batch and count it. Contrastive training passes
 `batch_loss`: batched embedding, anomaly filtering, scaled similarity logits
@@ -172,6 +175,7 @@ def train_epoch(dataset, model, optimizer: AdamW, config: RunConfig, rng: np.ran
         optimizer.step()
         model.clamp()
         losses.append(float(loss.values))
+        del loss  # the batch's tape goes now, not when the next batch's loss replaces it
     if not losses:
         raise DataError(f"all {skipped} batches of the epoch were skipped: no batch gave a loss")
     return EpochMetrics(mean_loss=math.fsum(losses) / len(losses), skipped_batches=skipped)

@@ -469,6 +469,12 @@ def test_tune_encoder_seed_may_differ_from_checkpoint(workspace, tmp_path):
         ('{"train": {"epochs": -1}}', "train.epochs"),
         ('{"preprocess": {"segment_seconds": -0.1, "overlap_seconds": -0.2}}', "preprocess.segment_seconds"),
         ('{"preprocess": {"segment_seconds": 0, "overlap_seconds": -1}}', "preprocess.segment_seconds"),
+        ('{"preprocess": {"overlap_seconds": -1}}', "preprocess.overlap_seconds"),
+        ('{"preprocess": {"fmax_hz": 8000.5}}', "preprocess.fmax_hz"),
+        ('{"encoder": {"transformer_width": 0}}', "encoder.transformer_width"),
+        ('{"encoder": {"transformer_width": -4}}', "encoder.transformer_width"),
+        ('{"encoder": {"transformer_layers": -1}}', "encoder.transformer_layers"),
+        ('{"encoder": {"transformer_layers": 0}}', "encoder.transformer_layers"),
     ],
 )
 def test_malformed_config_value_is_config_error(text, where):
@@ -477,6 +483,14 @@ def test_malformed_config_value_is_config_error(text, where):
 
     with pytest.raises(ConfigError, match=re.escape(where)):
         RunConfig.from_json(text)
+
+
+def test_config_accepts_the_limits():
+    from tricl.config import RunConfig
+
+    config = RunConfig.from_json('{"preprocess": {"fmax_hz": 8000, "overlap_seconds": 0}, '
+                                 '"encoder": {"transformer_layers": 1, "transformer_width": 2}}')
+    assert (config.preprocess.fmax_hz, config.encoder.transformer_layers, config.encoder.transformer_width) == (8000, 1, 2)
 
 
 def test_config_accepts_an_int_for_a_float():

@@ -157,6 +157,17 @@ def test_text_identical_sequences_identical_embedding():
     np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-12)
 
 
+def test_text_without_blocks_sees_only_the_token_count():
+    # why encoder.transformer_layers must be >= 1: the [EOS] row is read out, and with
+    # no block it never attends to the tokens before it
+    enc = make_text_encoder()
+    alpha, bravo = (tokenize(f"The sound belongs to {name}.", TOKENIZER, MAX_LEN) for name in ("Alpha", "Bravo"))
+    assert len(alpha) == len(bravo) and alpha != bravo
+    assert not np.allclose(*enc.encode([alpha, bravo]).values)
+    enc.blocks = []
+    assert np.array_equal(*enc.encode([alpha, bravo]).values)
+
+
 def test_text_rejects_overlong_sequence():
     enc = TextEncoder(CFG.encoder, TOKENIZER.vocab_size, 4, np.random.default_rng(0))
     with pytest.raises(ContractError):

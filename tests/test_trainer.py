@@ -2,6 +2,7 @@
 
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tricl.trainer import (
     train,
     train_epoch,
 )
+from tricl.tuning import ClassifierModel, _classifier_batch_loss
 
 
 def rows(*values):
@@ -322,6 +324,27 @@ class TestTrainEpoch:
         loss = batch_loss(dataset, [0, 1, 2, 3], model)
         backward(loss)
         assert model.scales.scale_at.grad is not None
+
+
+    @pytest.mark.parametrize("loss_name", ["trainer.batch_loss", "tuning._classifier_batch_loss"])
+    def test_one_tape_alive_per_step(self, loss_name):
+        # the previous batch's graph is freed before the next batch's loss is built
+        config = tiny_run_config(epochs=1, batch_size=4)
+        dataset = make_dataset()  # two batches
+        if loss_name == "trainer.batch_loss":
+            model, loss_fn = make_model(config, dataset), batch_loss
+        else:
+            model, loss_fn = ClassifierModel(config, {"category": dataset.vessel_types()}), _classifier_batch_loss
+        losses = []
+
+        def tracked(dataset, indices, model):
+            assert all(ref() is None for ref in losses), "an earlier batch's tape is still alive"
+            loss = loss_fn(dataset, indices, model)
+            losses.append(weakref.ref(loss.values))
+            return loss
+
+        train_epoch(dataset, model, AdamW(model.store, lr=config.train.lr), config, np.random.default_rng(0), tracked)
+        assert len(losses) == 2 and losses[-1]() is None
 
 
 class TestFit:
