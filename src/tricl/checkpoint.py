@@ -5,7 +5,7 @@ type: a tri-modal model's tokenizer, templates and label set, a classifier's
 classes per task). Round trips are bit-exact (raw float64). The reader
 ignores metadata fields it does not read, such as the ``kind`` earlier
 classifier checkpoints carry. Version 1 files, one npz member per
-parameter, are rejected.
+parameter, and parameters holding NaN or infinity are rejected.
 """
 
 from __future__ import annotations
@@ -137,4 +137,7 @@ def load_checkpoint(path):
         else:
             raise ConfigError(f"{path}: unknown model_type {model_type!r}")
     model.store.load_values(_split(flat, field("params"), path))
+    if not np.isfinite(model.store.buffer).all():
+        bad = next(name for name, t in model.store.tensors.items() if not np.isfinite(t.values).all())
+        raise DataError(f"{path}: parameter {bad} holds a non-finite value (NaN or infinity)")
     return model

@@ -42,8 +42,15 @@ class PreprocessConfig:
             raise ConfigError("overlap_seconds must be smaller than segment_seconds")
         if self.overlap_seconds < 0:
             raise ConfigError(f"preprocess.overlap_seconds must be >= 0, got {self.overlap_seconds}")
+        for key in ("frame_length_ms", "frame_shift_ms", "fmin_hz"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"preprocess.{key} must be > 0, got {getattr(self, key)}")
         if self.fmax_hz > TARGET_RATE / 2:  # every segment is resampled to TARGET_RATE
             raise ConfigError(f"preprocess.fmax_hz must be <= the Nyquist limit {TARGET_RATE / 2:g} Hz, got {self.fmax_hz}")
+        if self.fmin_hz >= self.fmax_hz:
+            raise ConfigError(f"preprocess.fmin_hz must be < preprocess.fmax_hz, got {self.fmin_hz} and {self.fmax_hz}")
+        if self.n_scales < 1:
+            raise ConfigError(f"preprocess.n_scales must be >= 1, got {self.n_scales}")
         if not (isinstance(self.wavelet_hop, int) and self.wavelet_hop >= 1):
             raise ConfigError(f"wavelet_hop must be an integer >= 1, got {self.wavelet_hop!r}")
         if not 0.0 < self.wavelet_truncation < 1.0:

@@ -60,7 +60,9 @@ class AudioEncoder:
 
     def embed(self, segments: list[AudioSegment], chunk: int) -> Tensor:
         """Embeddings with no tape: kernels built once, `encode` on chunks of
-        `chunk` segments, which bounds memory on a large fold."""
+        `chunk` segments, which bounds memory on a large fold. The tape-free
+        build is the memoised one while the wavelet and grid are unchanged
+        (``wavelet.build_kernels``), so repeated calls build once."""
         with no_grad():
             kernels = self.build_kernels()
             return concat([self.encode(segments[i : i + chunk], kernels) for i in range(0, len(segments), chunk)])

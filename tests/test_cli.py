@@ -209,6 +209,31 @@ def test_ill_typed_stored_config_is_data_error(workspace, tmp_path, capsys):
     assert f"{bad}: malformed config: train.batch_size is '8', expected int" in capsys.readouterr().err
 
 
+def _set_param(name, value):
+    """An edit that writes `value` into every entry of parameter `name`."""
+    def rewrite(meta, arrays):
+        flat, offset = arrays["params"].copy(), 0
+        for entry, shape in meta["params"]:
+            size = int(np.prod(shape))
+            if entry == name:
+                flat[offset : offset + size] = value
+            offset += size
+        return meta, {**arrays, "params": flat}
+
+    return rewrite
+
+
+@pytest.mark.parametrize("name, value", [("wavelet.f_c", np.nan), ("wavelet.f_b", np.inf), ("wavelet.m", np.nan)])
+def test_non_finite_checkpoint_parameter_is_data_error(workspace, tmp_path, capsys, name, value):
+    # f_c = NaN and f_b = inf used to print NaN similarities and exit 0; m = NaN a ValueError traceback
+    bad = tmp_path / "bad.ckpt"
+    _rewrite(workspace / "model.ckpt", bad, _set_param(name, value))
+    assert _infer(bad, workspace, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad}: parameter {name} holds a non-finite value" in captured.err
+
+
 def _infer_wav(ckpt, wav, tmp_path):
     labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps(["Alpha", "Bravo"]))
@@ -475,6 +500,15 @@ def test_tune_encoder_seed_may_differ_from_checkpoint(workspace, tmp_path):
         ('{"encoder": {"transformer_width": -4}}', "encoder.transformer_width"),
         ('{"encoder": {"transformer_layers": -1}}', "encoder.transformer_layers"),
         ('{"encoder": {"transformer_layers": 0}}', "encoder.transformer_layers"),
+        ('{"preprocess": {"n_scales": 0}}', "preprocess.n_scales"),
+        ('{"preprocess": {"fmin_hz": 0}}', "preprocess.fmin_hz"),
+        ('{"preprocess": {"fmin_hz": -20.0}}', "preprocess.fmin_hz"),
+        ('{"preprocess": {"fmin_hz": 5000, "fmax_hz": 4000}}', "preprocess.fmin_hz"),
+        ('{"preprocess": {"fmin_hz": 4000, "fmax_hz": 4000}}', "preprocess.fmin_hz"),
+        ('{"preprocess": {"frame_length_ms": 0}}', "preprocess.frame_length_ms"),
+        ('{"preprocess": {"frame_length_ms": -10.0}}', "preprocess.frame_length_ms"),
+        ('{"preprocess": {"frame_shift_ms": 0}}', "preprocess.frame_shift_ms"),
+        ('{"preprocess": {"frame_shift_ms": -5.0}}', "preprocess.frame_shift_ms"),
     ],
 )
 def test_malformed_config_value_is_config_error(text, where):

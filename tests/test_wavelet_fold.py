@@ -1,24 +1,32 @@
 """Folded wavelet transform against a direct per-scale reference: hops from
 1 to 1600, batches against single-segment calls, kernel gradients by finite
 differences, the frontend's two halves on one thread against two (bitwise),
-and the memory and accuracy of the paper-default kernels and of one 30-s
-encode."""
+the memo of tape-free builds, and the memory and accuracy of the
+paper-default kernels and of one 30-s encode."""
 
 import dataclasses
+import json
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import check_grad, fbsp_kernel, tiny_run_config
-from tricl import wavelet
+from tricl import encoders, wavelet
+from tricl.cli import main
 from tricl.config import EncoderConfig, PreprocessConfig
+from tricl.data import Dataset, TrainSample
 from tricl.dsp import TARGET_RATE, AudioSegment
 from tricl.encoders import AudioEncoder
 from tricl.errors import ConfigError, KernelSupportError, ShapeError
 from tricl.presets import experiment_run_config
 from tricl.store import trainable
+from tricl.templates import AnnotationRecord
 from tricl.tensor import Tensor, backward, beside, mul, no_grad, tsum
+from tricl.tuning import encoder_tune
 from tricl.wavelet import (
     BAND_FLOOR,
     WaveletParams,
@@ -263,18 +271,186 @@ def test_no_grad_build_keeps_no_half_kernels():
     np.testing.assert_array_equal(transform_with_kernels(samples[None], taped, 160).values, fast)
 
 
-def test_paper_default_kernel_memory():
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """No tape-free build memoised when the test starts."""
+    monkeypatch.setattr(wavelet, "_memo", ())
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The number of calls to ``_folded_kernels``: builds that missed the memo."""
+    calls = []
+    fold = wavelet._folded_kernels
+    monkeypatch.setattr(wavelet, "_folded_kernels", lambda *args: calls.append(1) or fold(*args))
+    return calls
+
+
+def without_memo(monkeypatch):
+    """Every encoder build starts from an empty memo, so none is reused."""
+    build = wavelet.build_kernels
+
+    def fresh(*args, **kwargs):
+        monkeypatch.setattr(wavelet, "_memo", ())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(encoders, "build_kernels", fresh)
+
+
+PRESET_CASE = (PRESET.wavelet_hop, 0, PRESET.fmin_hz, PRESET.fmax_hz, PRESET.n_scales, PRESET.wavelet_truncation)
+
+
+@pytest.mark.parametrize("hop, n, fmin, fmax, n_scales, truncation", [*CASES, PRESET_CASE])
+def test_memo_hit_equals_a_fresh_build_bitwise(cold_memo, fold_calls, monkeypatch, hop, n, fmin, fmax, n_scales,
+                                               truncation):
+    params = WaveletParams.create(2.5, 0.7, 1.2)
+    with no_grad():
+        first = build_kernels(params, default_scale_grid(n_scales, fmin, fmax), hop, truncation=truncation)
+        hit = build_kernels(WaveletParams.create(2.5, 0.7, 1.2), default_scale_grid(n_scales, fmin, fmax), hop,
+                            truncation=truncation)
+    assert hit is first and len(fold_calls) == 1
+    monkeypatch.setattr(wavelet, "_memo", ())
+    with no_grad():
+        fresh = build_kernels(params, default_scale_grid(n_scales, fmin, fmax), hop, truncation=truncation)
+    taped = build_kernels(params, default_scale_grid(n_scales, fmin, fmax), hop, truncation=truncation)
+    assert fresh is not hit and len(fold_calls) == 3
+    assert hit.folded.values.tobytes() == fresh.folded.values.tobytes() == taped.folded.values.tobytes()
+    assert (hit.scales, hit.hop, hit.max_half) == (fresh.scales, fresh.hop, fresh.max_half)
+
+
+MEMO_KEY = dict(m=2.5, f_b=0.7, f_c=1.2, grid=(5, 400.0, 4000.0), hop=100, truncation=5e-2)
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [({}, dict(m=2.5000000000000004)), ({}, dict(f_b=0.7000000000000001)), ({}, dict(f_c=1.2000000000000002)),
+     ({}, dict(grid=(5, 400.0, 4000.000000000001))), ({}, dict(grid=(6, 400.0, 4000.0))), ({}, dict(hop=101)),
+     ({}, dict(truncation=5.000000000000001e-2)), (dict(f_c=0.0), dict(f_c=-0.0)), (dict(f_c=-0.0), dict(f_c=0.0))],
+    ids=["m", "f_b", "f_c", "grid-values", "grid-size", "hop", "truncation", "zero-to-minus-zero", "minus-zero-to-zero"],
+)
+def test_memo_misses_when_any_key_component_changes(cold_memo, fold_calls, before, after):
+    def build(changes):
+        m, f_b, f_c, grid, hop, truncation = {**MEMO_KEY, **changes}.values()
+        with no_grad():
+            return build_kernels(WaveletParams.create(m, f_b, f_c), default_scale_grid(*grid), hop, truncation=truncation)
+
+    first = build(before)
+    changed = build(after)
+    assert changed is not first and len(fold_calls) == 2
+    assert build(after) is changed and len(fold_calls) == 2
+    assert build(before) is not first and len(fold_calls) == 3  # the memo holds the last build only
+
+
+def test_memoised_rows_are_read_only(cold_memo):
+    with no_grad():
+        kernels = build_kernels(WaveletParams.create(), default_scale_grid(3, 600.0, 3000.0), 100)
+    assert wavelet._memo[1] is kernels
+    with pytest.raises(ValueError):
+        kernels.folded.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        kernels.folded.values *= 2.0
+
+
+def test_taped_build_bypasses_and_empties_the_memo(cold_memo, fold_calls):
+    params, scales = WaveletParams.create(), default_scale_grid(3, 600.0, 3000.0)
+    with no_grad():
+        untaped = build_kernels(params, scales, 100)
+    taped = build_kernels(params, scales, 100)
+    assert taped is not untaped and taped.folded.requires_grad and len(fold_calls) == 2
+    assert wavelet._memo == ()
+    assert taped.folded.values.flags.writeable
+    with no_grad():
+        assert build_kernels(params, scales, 100) is not untaped
+    assert len(fold_calls) == 3
+
+
+def test_memo_pairs_each_key_with_its_own_build_across_threads(cold_memo):
+    """Four threads, more than the cores, each alternating two wavelets under
+    no_grad with a short switch interval: a build returned for the wrong key
+    would differ from that wavelet's reference rows."""
+    scales = default_scale_grid(4, 500.0, 4000.0)
+    wavelets = [(2.0 + 0.1 * i, 0.5, 1.0 + 0.05 * i) for i in range(8)]
+    with no_grad():
+        reference = {w: build_kernels(WaveletParams.create(*w), scales, 160).folded.values.tobytes() for w in wavelets}
+
+    def hammer(mine):
+        with no_grad():
+            for _ in range(40):
+                for w in mine:
+                    if build_kernels(WaveletParams.create(*w), scales, 160).folded.values.tobytes() != reference[w]:
+                        return w
+        return None
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(hammer, wavelets[2 * i : 2 * i + 2]) for i in range(4)]
+            mismatched = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatched == [None] * 4
+
+
+SPEC = {
+    "seed": 0, "samples_per_class": 4, "duration_seconds": 0.2,
+    "classes": [{"name": "Alpha", "f0_hz": 400.0, "harmonics": [1.0, 0.4]},
+                {"name": "Bravo", "f0_hz": 1100.0, "harmonics": [1.0, 0.4]}],
+}
+
+
+def test_eval_over_four_folds_builds_kernels_once(cold_memo, fold_calls, monkeypatch, tmp_path, capsys):
+    """The checkpoint's sources are `Alpha-0`...; synth names its own `Alpha_000`..., so no fold leaks."""
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == 0
+    argv = ["eval", "--ckpt", str(Path(__file__).parent / "data" / "trimodal_v2.ckpt"),
+            "--manifest", str(tmp_path / "data" / "manifest.jsonl"), "--folds", "4"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    assert len(fold_calls) == 1
+    without_memo(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == report
+    assert len(fold_calls) == 1 + 4
+
+
+def tiny_dataset():
+    t = np.arange(800) / TARGET_RATE
+    samples = [
+        TrainSample(AudioSegment(0.4 * np.sin(2 * np.pi * f * t) + 0.02 * np.random.default_rng(i).standard_normal(800)),
+                    f"The sound belongs to {label}.", f"{label}-{i}", AnnotationRecord(label))
+        for i, (label, f) in enumerate([("Alpha", 400.0), ("Bravo", 1200.0)] * 4)
+    ]
+    return Dataset(samples, tiny_run_config().preprocess)
+
+
+def test_frozen_encoder_tune_builds_kernels_once(cold_memo, fold_calls, monkeypatch):
+    dataset, config = tiny_dataset(), tiny_run_config(epochs=2, lr=1e-3)
+    model, trace = encoder_tune(None, dataset, config, freeze_encoder=True)
+    assert len(fold_calls) == 1 and len(trace) == 2
+    without_memo(monkeypatch)
+    again, again_trace = encoder_tune(None, dataset, config, freeze_encoder=True)
+    assert len(fold_calls) == 1 + 2 * 2  # 8 samples in batches of 4, 2 epochs
+    assert np.array(trace).tobytes() == np.array(again_trace).tobytes()
+    assert model.store.buffer.tobytes() == again.store.buffer.tobytes()
+
+
+def test_paper_default_kernel_memory(cold_memo, monkeypatch):
     """The no_grad build keeps nothing for a backward and reuses its arrays;
-    a recording build keeps the folded rows and five per-tap arrays for its
-    backward."""
+    the memo keeps its folded rows alone. A recording build keeps the folded
+    rows and five per-tap arrays for its backward."""
     pre = PreprocessConfig()
     params = WaveletParams.create()
     scales = default_scale_grid(pre.n_scales, pre.fmin_hz, pre.fmax_hz)
     tracemalloc.start()
     try:
         with no_grad():
-            build_kernels(params, scales, pre.wavelet_hop, truncation=pre.wavelet_truncation)
+            untaped = build_kernels(params, scales, pre.wavelet_hop, truncation=pre.wavelet_truncation)
         no_grad_peak = tracemalloc.get_traced_memory()[1]
+        assert wavelet._memo[1] is untaped and untaped.folded.values.nbytes == 5754 * 800 * 8  # 36.8 MB
+        del untaped
+        monkeypatch.setattr(wavelet, "_memo", ())  # the recording build below would drop it anyway
         before = tracemalloc.get_traced_memory()[0]
         kernels = build_kernels(params, scales, pre.wavelet_hop, truncation=pre.wavelet_truncation)
         kept = tracemalloc.get_traced_memory()[0] - before
