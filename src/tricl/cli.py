@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 protocol error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tricl", description="Template-guided tri-modal acoustic recognition")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -69,8 +69,15 @@ class EncoderConfig:
 
     def __post_init__(self):
         self.conv_channels = tuple(int(c) for c in self.conv_channels)
+        if not self.conv_channels:
+            raise ConfigError("encoder.conv_channels must list at least one width")
         if min(self.d, self.transformer_heads, self.attn_pool_heads, *self.conv_channels) < 1:
             raise ConfigError("encoder.d, conv_channels, transformer_heads and attn_pool_heads must be >= 1")
+        if self.conv_channels[-1] % self.attn_pool_heads != 0:  # the pool splits the last width into heads
+            raise ConfigError(f"encoder.attn_pool_heads {self.attn_pool_heads} must divide the last "
+                              f"encoder.conv_channels width {self.conv_channels[-1]}")
+        if self.seed < 0:
+            raise ConfigError(f"encoder.seed must be >= 0, got {self.seed}")
         if self.transformer_width < 1:
             raise ConfigError(f"encoder.transformer_width must be >= 1, got {self.transformer_width}")
         # with no block the text encoder's [EOS] row sees only its own token and position,
@@ -97,7 +104,7 @@ class TrainConfig:
             raise ConfigError("contrastive training needs batch_size >= 2")
         if self.modalities not in ("tri", "audio_text"):
             raise ConfigError(f"modalities must be 'tri' or 'audio_text', got {self.modalities!r}")
-        for key in ("epochs", "lr", "weight_decay"):  # 0 epochs builds an untrained model
+        for key in ("epochs", "lr", "weight_decay", "seed"):  # 0 epochs builds an untrained model
             if getattr(self, key) < 0:
                 raise ConfigError(f"train.{key} must be >= 0, got {getattr(self, key)}")
 

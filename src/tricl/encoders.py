@@ -2,8 +2,10 @@
 into one shared d-dimensional embedding space.
 
 Each encoder takes a batch of N inputs (equal-length segments, equal-shape
-spectrograms, token sequences of any length) and returns an (N, d) tensor;
-`AudioEncoder.embed` is the tape-free, chunked read-out both model types use.
+spectrograms, token sequences of any length) and returns an (N, d) tensor.
+`AudioEncoder.encode` is the one audio path: it builds its own wavelet
+kernels, and the memo in `wavelet.build_kernels` alone decides reuse.
+`AudioEncoder.embed` is its tape-free, chunked read-out both model types use.
 
 Audio: learnable Fbsp wavelet frontend -> residual conv stack with channel
 attention -> per-sample pooling -> linear projection. Spectrogram: residual
@@ -30,7 +32,7 @@ from .layers import (
     uniform_init,
 )
 from .tensor import Tensor, add, concat, matmul, mean, no_grad, reshape, take_rows, transpose
-from .wavelet import WaveletKernels, WaveletParams, build_kernels, default_scale_grid, transform_with_kernels
+from .wavelet import WaveletParams, build_kernels, default_scale_grid, transform_with_kernels
 
 
 class AudioEncoder:
@@ -42,30 +44,24 @@ class AudioEncoder:
         self.conv = ConvStack(rng, config.conv_channels, "audio.conv", attention=True)
         self.proj = Linear(rng, self.conv.out_channels, config.d, "audio.proj")
 
-    def build_kernels(self) -> WaveletKernels:
-        return build_kernels(
-            self.wavelet,
-            self.scale_grid,
-            self.preprocess.wavelet_hop,
-            truncation=self.preprocess.wavelet_truncation,
-        )
-
-    def encode(self, segments: list[AudioSegment], kernels: WaveletKernels) -> Tensor:
+    def encode(self, segments: list[AudioSegment]) -> Tensor:
+        """(N, d) embeddings of N equal-length segments. Builds the wavelet
+        kernels once per call: on the tape when the wavelet trains, else the
+        memoised build (``wavelet.build_kernels``)."""
         if not segments:
             raise ContractError("cannot encode an empty batch")
-        samples = [segment.samples for segment in segments]
-        grid = transform_with_kernels(samples, kernels, self.preprocess.wavelet_hop)  # (N, frames, scales)
+        hop = self.preprocess.wavelet_hop
+        kernels = build_kernels(self.wavelet, self.scale_grid, hop, truncation=self.preprocess.wavelet_truncation)
+        grid = transform_with_kernels([segment.samples for segment in segments], kernels, hop)  # (N, frames, scales)
         h = self.conv(reshape(grid, (1, *grid.shape)))
         return self.proj(transpose(mean(h, axis=(2, 3))))
 
     def embed(self, segments: list[AudioSegment], chunk: int) -> Tensor:
-        """Embeddings with no tape: kernels built once, `encode` on chunks of
-        `chunk` segments, which bounds memory on a large fold. The tape-free
-        build is the memoised one while the wavelet and grid are unchanged
-        (``wavelet.build_kernels``), so repeated calls build once."""
+        """Embeddings with no tape: `encode` on chunks of `chunk` segments,
+        which bounds memory on a large fold. Every chunk's build is the
+        memoised one, so the kernels are built once while the wavelet holds."""
         with no_grad():
-            kernels = self.build_kernels()
-            return concat([self.encode(segments[i : i + chunk], kernels) for i in range(0, len(segments), chunk)])
+            return concat([self.encode(segments[i : i + chunk]) for i in range(0, len(segments), chunk)])
 
 
 class SpecEncoder:

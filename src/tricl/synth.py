@@ -62,6 +62,8 @@ class ClassSpec:
     f0_field: str | None = None  # aux field conditioning the fundamental
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:  # it names the WAVs and is the vessel type
+            raise ConfigError(f"class name must be a nonempty string, got {self.name!r}")
         if not isinstance(self.harmonics, (list, tuple)) or not self.harmonics:
             raise ConfigError(f"class {self.name}: harmonics must be a nonempty list of amplitudes")
         self.harmonics = tuple(float(h) for h in self.harmonics)
@@ -71,6 +73,11 @@ class ClassSpec:
             self.f0_hz = {k: float(v) for k, v in self.f0_hz.items()}
         else:
             self.f0_hz = float(self.f0_hz)
+        f0s = self.f0_hz.values() if isinstance(self.f0_hz, dict) else [self.f0_hz]
+        if not all(map(math.isfinite, f0s)):  # a NaN would reach the 16-bit WAVs
+            raise ConfigError(f"class {self.name}: f0_hz must be finite, got {self.f0_hz}")
+        if not all(map(math.isfinite, self.harmonics)):
+            raise ConfigError(f"class {self.name}: harmonics must be finite, got {list(self.harmonics)}")
 
     def signature(self):
         f0 = self.f0_hz if isinstance(self.f0_hz, float) else tuple(sorted(self.f0_hz.items()))
@@ -120,8 +127,18 @@ class SynthSpec:
             raise ConfigError("need at least one class")
         self.samples_per_class, self.seed = operator.index(self.samples_per_class), operator.index(self.seed)
         self.duration_seconds, self.noise_level = float(self.duration_seconds), float(self.noise_level)
-        if self.samples_per_class < 1 or self.duration_seconds <= 0.0 or self.noise_level < 0.0:
-            raise ConfigError("need samples_per_class >= 1, duration_seconds > 0 and noise_level >= 0")
+        if self.samples_per_class < 1:
+            raise ConfigError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
+        if not (math.isfinite(self.duration_seconds) and round(self.duration_seconds * TARGET_RATE) >= 1):
+            raise ConfigError(f"duration_seconds must be finite and hold at least one sample at {TARGET_RATE} Hz, "
+                              f"got {self.duration_seconds}")
+        if not 0.0 <= self.noise_level < math.inf:
+            raise ConfigError(f"noise_level must be finite and >= 0, got {self.noise_level}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        names = [c.name for c in self.classes]
+        if len(set(names)) != len(names):  # a repeated name overwrites the other class's WAVs
+            raise ConfigError(f"class names must be distinct, got {names}")
         signatures = [c.signature() for c in self.classes]
         if len(set(signatures)) != len(signatures):
             raise ConfigError("class signatures must be pairwise distinct")

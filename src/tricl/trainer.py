@@ -16,12 +16,12 @@ Classifier tuning passes its own loss, built on the same op.
 The encoders do not depend on each other, so `batch_loss` runs them on two
 threads (`tensor.beside`): audio and text on the worker beside the
 spectrogram encoder, or audio beside text for an audio+text model. The
-audio task builds its wavelet kernels itself, so the build also runs on the
-worker, beside the spectrogram (or text) encoder. Each embedding is a
-`tensor.branch`, so `backward` walks the encoders on the same threads, and
-the gradients are bitwise those of a one-thread step. The AdamW step that
-follows splits its update over the same two threads once the store is large
-enough (`optim.SPLIT_AT`).
+audio encoder builds its wavelet kernels inside `encode`, so the build also
+runs on the worker, beside the spectrogram (or text) encoder. Each embedding
+is a `tensor.branch`, so `backward` walks the encoders on the same threads,
+and the gradients are bitwise those of a one-thread step. The AdamW step
+that follows splits its update over the same two threads once the store is
+large enough (`optim.SPLIT_AT`).
 """
 
 from __future__ import annotations
@@ -124,8 +124,7 @@ def batch_loss(dataset, indices, model: TriModalModel) -> Tensor | None:
     row_of = {sentence: r for r, sentence in enumerate(sentences)}
 
     def audio():
-        encoder = model.audio_encoder
-        return encoder.encode([s.segment for s in samples], encoder.build_kernels())
+        return model.audio_encoder.encode([s.segment for s in samples])
 
     def text():
         return take_rows(model.encode_text(sentences), [row_of[s.sentence] for s in samples])

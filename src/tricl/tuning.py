@@ -4,12 +4,13 @@ model shape (the audio encoder plus one linear head per task) and differ
 only in their training loss: `_classifier_batch_loss`, softmax CE per head
 (category-only encoder tuning and the multi-task baseline), or
 `_multilabel_batch_loss`, binary CE over every head's logits side by side
-(the multi-label baseline). `train_classifier` runs either through
-`trainer.fit`; neither skips a batch. Both model types name their audio
-encoder `audio_encoder`, so `encoder_tune` starts from either.
-`ClassifierModel.head_logits` is the one place a head is applied. A tuning
-config may differ from its pretrained model only in the train section and
-the encoder seed, which seeds new heads.
+(the multi-label baseline). Both embed a batch with `AudioEncoder.encode`,
+whose kernel build is taped, or memoised for a frozen encoder.
+`train_classifier` runs either through `trainer.fit`; neither skips a batch.
+Both model types name their audio encoder `audio_encoder`, so
+`encoder_tune` starts from either. `ClassifierModel.head_logits` is the one
+place a head is applied. A tuning config may differ from its pretrained
+model only in the train section and the encoder seed, which seeds new heads.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _classifier_batch_loss(dataset: Dataset, indices: list[int], model: Classifi
     left out of that task's term; never None, since every sample has a
     vessel type."""
     batch = [dataset.samples[i] for i in indices]
-    embeddings = model.audio_encoder.encode([s.segment for s in batch], model.audio_encoder.build_kernels())
+    embeddings = model.audio_encoder.encode([s.segment for s in batch])
     total = None
     for task in sorted(model.heads):
         class_index = {c: i for i, c in enumerate(model.task_classes[task])}
@@ -136,7 +137,7 @@ def _multilabel_batch_loss(dataset: Dataset, indices: list[int], model: Classifi
     order, against multi-hot targets; a missing annotation is a row of
     zeros in its task's block."""
     batch = [dataset.samples[i] for i in indices]
-    embeddings = model.audio_encoder.encode([s.segment for s in batch], model.audio_encoder.build_kernels())
+    embeddings = model.audio_encoder.encode([s.segment for s in batch])
     tasks = sorted(model.heads)
     targets = np.hstack([[[_annotation(s, task) == c for c in model.task_classes[task]] for s in batch]
                          for task in tasks])  # one-hot blocks; None matches no class

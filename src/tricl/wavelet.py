@@ -10,10 +10,11 @@ The transform W(a, tau) = a**-0.5 * sum_n f(n) * conj(psi((n/fs - tau)/a)) / fs
 in two tape ops that each own one layout:
 
 * ``build_kernels`` maps m, f_b and f_c to the folded rows
-  (``WaveletKernels.folded``), once per batch: it samples psi at every
-  scale's taps and lays each scale's scaled conjugate kernel, re and im, into
-  rows of ``hop`` taps. Its backward maps the rows' gradient back onto the
-  taps and sums closed-form derivatives over them. Only it knows the taps.
+  (``WaveletKernels.folded``), once per ``AudioEncoder.encode`` call: it
+  samples psi at every scale's taps and lays each scale's scaled conjugate
+  kernel, re and im, into rows of ``hop`` taps. Its backward maps the rows'
+  gradient back onto the taps and sums closed-form derivatives over them.
+  Only it knows the taps.
 * ``transform_with_kernels`` maps the folded rows to the grids of N
   equal-length segments: it cuts each zero-padded segment into rows of
   ``hop`` samples, multiplies all N segments' rows with the kernel rows in

@@ -509,6 +509,10 @@ def test_tune_encoder_seed_may_differ_from_checkpoint(workspace, tmp_path):
         ('{"preprocess": {"frame_length_ms": -10.0}}', "preprocess.frame_length_ms"),
         ('{"preprocess": {"frame_shift_ms": 0}}', "preprocess.frame_shift_ms"),
         ('{"preprocess": {"frame_shift_ms": -5.0}}', "preprocess.frame_shift_ms"),
+        ('{"encoder": {"conv_channels": []}}', "encoder.conv_channels"),
+        ('{"encoder": {"conv_channels": [4, 6], "attn_pool_heads": 4}}', "encoder.attn_pool_heads"),
+        ('{"encoder": {"seed": -1}}', "encoder.seed"),
+        ('{"train": {"seed": -1}}', "train.seed"),
     ],
 )
 def test_malformed_config_value_is_config_error(text, where):
@@ -561,24 +565,62 @@ def _with_class(**changes):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, where",
     [
-        pytest.param(_with_class(harmonics=["x"]), id="harmonic-not-a-number"),
-        pytest.param(_with_class(f0_hz="loud"), id="f0-not-a-number"),
-        pytest.param(_with_class(colour="red"), id="unknown-class-key"),
-        pytest.param(_with_class(harmonics={"close": [1.0], "far": [0.5]}, f0_field="distance"), id="per-value-harmonics"),
-        pytest.param([SPEC], id="spec-not-an-object"),
-        pytest.param({**SPEC, "aux_fields": []}, id="aux-fields-not-an-object"),
-        pytest.param({**SPEC, "aux_fields": {"distance": {"values": "close"}}}, id="aux-values-not-a-list"),
-        pytest.param({**SPEC, "samples_per_class": "many"}, id="count-not-an-integer"),
+        pytest.param(_with_class(harmonics=["x"]), "", id="harmonic-not-a-number"),
+        pytest.param(_with_class(f0_hz="loud"), "", id="f0-not-a-number"),
+        pytest.param(_with_class(colour="red"), "", id="unknown-class-key"),
+        pytest.param(_with_class(harmonics={"close": [1.0], "far": [0.5]}, f0_field="distance"), "",
+                     id="per-value-harmonics"),
+        pytest.param([SPEC], "", id="spec-not-an-object"),
+        pytest.param({**SPEC, "aux_fields": []}, "", id="aux-fields-not-an-object"),
+        pytest.param({**SPEC, "aux_fields": {"distance": {"values": "close"}}}, "", id="aux-values-not-a-list"),
+        pytest.param({**SPEC, "samples_per_class": "many"}, "", id="count-not-an-integer"),
+        # json writes NaN and Infinity and reads them back
+        pytest.param({**SPEC, "duration_seconds": float("nan")}, "duration_seconds", id="duration-nan"),
+        pytest.param({**SPEC, "duration_seconds": float("inf")}, "duration_seconds", id="duration-infinite"),
+        pytest.param({**SPEC, "duration_seconds": 1e-5}, "duration_seconds", id="duration-under-one-sample"),
+        pytest.param({**SPEC, "seed": -1}, "seed", id="seed-negative"),
+        pytest.param({**SPEC, "noise_level": float("nan")}, "noise_level", id="noise-nan"),
+        pytest.param(_with_class(f0_hz=float("nan")), "f0_hz", id="f0-nan"),
+        pytest.param(_with_class(harmonics=[1.0, float("nan")]), "harmonics", id="harmonic-nan"),
+        pytest.param(_with_class(name="Bravo"), "class names must be distinct", id="class-names-repeated"),
+        pytest.param(_with_class(name=""), "class name", id="class-name-empty"),
     ],
 )
-def test_malformed_synth_spec_is_config_error(tmp_path, capsys, spec):
+def test_malformed_synth_spec_is_config_error(tmp_path, capsys, spec, where):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    from tricl import cli
+
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["synth", "--spec", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]) == 1
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_infer_without_template_does_not_inherit_the_last_one(workspace, tmp_path, capsys):
+    # the parser outlives a call, so a second call's defaults must not be the first call's options
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(["Alpha", "Bravo"]))
+    template = tmp_path / "template.txt"
+    template.write_text("A ship of the {label} kind\n")
+    wav = sorted((workspace / "data").glob("*.wav"))[0]
+    argv = ["infer", "--ckpt", str(workspace / "model.ckpt"), "--wav", str(wav), "--labels", str(labels)]
+    outputs = []
+    for extra in ([], ["--template", str(template)], []):
+        capsys.readouterr()
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] != outputs[0] and outputs[2] == outputs[0]
 
 
 def test_infer_rejects_bad_labels_file(workspace, tmp_path, capsys):

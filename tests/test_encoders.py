@@ -46,7 +46,7 @@ def test_shared_embedding_dimension():
     segments = [make_segment(i) for i in range(3)]
     d = CFG.encoder.d
     enc = make_audio_encoder()
-    audio = enc.encode(segments, enc.build_kernels())
+    audio = enc.encode(segments)
     spec = make_spec_encoder().encode([spec_of(s) for s in segments])
     text = make_text_encoder().encode([tokenize(s, TOKENIZER, MAX_LEN) for s in SENTENCES[:3]])
     assert audio.shape == spec.shape == text.shape == (3, d)
@@ -63,9 +63,7 @@ class TestBatchRowsMatchSingleEncodes:
             np.testing.assert_allclose(batched[i], encode([x]).values[0], rtol=0, atol=1e-12)
 
     def test_audio(self):
-        enc = make_audio_encoder(1)
-        kernels = enc.build_kernels()
-        self.check(lambda xs: enc.encode(xs, kernels), [make_segment(i) for i in range(4)])
+        self.check(make_audio_encoder(1).encode, [make_segment(i) for i in range(4)])
 
     def test_spec(self):
         enc = make_spec_encoder(1)
@@ -80,7 +78,7 @@ class TestBatchRowsMatchSingleEncodes:
 def test_empty_batch_rejected():
     with pytest.raises(ContractError, match="empty batch"):
         enc = make_audio_encoder()
-        enc.encode([], enc.build_kernels())
+        enc.encode([])
     with pytest.raises(ContractError, match="empty batch"):
         make_spec_encoder().encode([])
     with pytest.raises(ContractError, match="empty batch"):
@@ -90,7 +88,7 @@ def test_empty_batch_rejected():
 def test_unequal_audio_lengths_rejected():
     with pytest.raises(ShapeError, match="equal lengths"):
         enc = make_audio_encoder()
-        enc.encode([make_segment(0, n=800), make_segment(1, n=640)], enc.build_kernels())
+        enc.encode([make_segment(0, n=800), make_segment(1, n=640)])
 
 
 def test_unequal_spectrogram_shapes_rejected():
@@ -101,10 +99,10 @@ def test_unequal_spectrogram_shapes_rejected():
 def test_deterministic_forward():
     segments = [make_segment(3), make_segment(4)]
     enc1, enc2 = make_audio_encoder(1), make_audio_encoder(1)
-    v1 = enc1.encode(segments, enc1.build_kernels()).values
-    v2 = enc2.encode(segments, enc2.build_kernels()).values
+    v1 = enc1.encode(segments).values
+    v2 = enc2.encode(segments).values
     assert np.array_equal(v1, v2)
-    assert np.array_equal(v1, enc1.encode(segments, enc1.build_kernels()).values)
+    assert np.array_equal(v1, enc1.encode(segments).values)
 
 
 def test_spec_encoder_rejects_wrong_kind():
@@ -184,7 +182,7 @@ class TestGradientFlow:
         segments = [make_segment(7 + i, n=400) for i in range(3)]
 
         def build():
-            return tsum(mul(enc.encode(segments, enc.build_kernels()), self.readout))
+            return tsum(mul(enc.encode(segments), self.readout))
 
         # h below the relu-kink scale: zero-init biases leave pre-activations near 0
         params = list(trainable(enc).values())

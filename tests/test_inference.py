@@ -87,7 +87,7 @@ class TestPromptInfer:
         idx2, sims2 = prompt_infer(scaled, candidates, model)
         # cosine is scale-invariant in each embedding; scaling audio input is
         # nonlinear, so check invariance on the embedding directly instead
-        audio = model.audio_encoder.encode([seg], model.audio_encoder.build_kernels())
+        audio = model.audio_encoder.encode([seg])
         texts = model.encode_text(candidates)
         for c in (0.5, 3.0):
             sims = cosine_matrix(Tensor(audio.values * c), texts).values[0]
@@ -99,7 +99,7 @@ class TestPromptInfer:
 
     def test_zero_norm_audio_rejected(self, monkeypatch):
         model = build_model()
-        monkeypatch.setattr(model.audio_encoder, "encode", lambda segments, kernels: Tensor(np.zeros((len(segments), 8))))
+        monkeypatch.setattr(model.audio_encoder, "encode", lambda segments: Tensor(np.zeros((len(segments), 8))))
         with pytest.raises(ContractError, match="zero-norm"):
             prompt_infer(tone_segment(400.0), ["The sound belongs to Alpha."], model)
 
@@ -111,13 +111,13 @@ def test_encodes_in_chunks_of_batch_size(monkeypatch):
     segments = [tone_segment(300.0 + 50.0 * i, seed=i) for i in range(3 * batch_size)]
     candidates = candidate_queue(parse_template(model.test_template_text), list(model.class_labels))
     with no_grad():
-        whole = model.audio_encoder.encode(segments, model.audio_encoder.build_kernels()).values
+        whole = model.audio_encoder.encode(segments).values
     sizes = []
     encode = AudioEncoder.encode
 
-    def recording(self, batch, kernels):
+    def recording(self, batch):
         sizes.append(len(batch))
-        return encode(self, batch, kernels)
+        return encode(self, batch)
 
     monkeypatch.setattr(AudioEncoder, "encode", recording)
     sims = model.similarities(segments, candidates)

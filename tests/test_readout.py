@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tricl import wavelet
 from tricl.checkpoint import load_checkpoint
 from tricl.data import Dataset, FoldAssignment, TrainSample
 from tricl.dsp import AudioSegment
@@ -80,12 +81,14 @@ def test_classifier_read_out_pinned():
 
 
 def test_embed_builds_kernels_once_and_records_no_tape(monkeypatch):
+    """Each chunk's encode asks for its kernels; from a cold memo only the first folds them."""
     encoder = load_checkpoint(DATA / "classifier_v2.ckpt").audio_encoder
-    builds, sizes = [], []
-    build, encode = AudioEncoder.build_kernels, AudioEncoder.encode
-    monkeypatch.setattr(AudioEncoder, "build_kernels", lambda self: builds.append(1) or build(self))
-    monkeypatch.setattr(AudioEncoder, "encode", lambda self, batch, *args: sizes.append(len(batch)) or encode(self, batch, *args))
+    folds, sizes = [], []
+    fold, encode = wavelet._folded_kernels, AudioEncoder.encode
+    monkeypatch.setattr(wavelet, "_memo", ())
+    monkeypatch.setattr(wavelet, "_folded_kernels", lambda *args: folds.append(1) or fold(*args))
+    monkeypatch.setattr(AudioEncoder, "encode", lambda self, batch: sizes.append(len(batch)) or encode(self, batch))
     out = encoder.embed(probe_segments(), 4)
-    assert len(builds) == 1 and sizes == [4, 4, 2]
+    assert len(folds) == 1 and sizes == [4, 4, 2]
     assert out.shape == (10, encoder.config.d) and not out.requires_grad and not out._parents
 

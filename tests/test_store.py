@@ -144,7 +144,7 @@ def test_earlier_classifier_checkpoint_predicts_identically(tmp_path):
     path = DATA / "classifier_v2.ckpt"
     model = load_checkpoint(path)
     with no_grad():
-        embeddings = model.audio_encoder.encode([PROBE], model.audio_encoder.build_kernels())
+        embeddings = model.audio_encoder.encode([PROBE])
         logits = model.head_logits(embeddings, "category").values
     np.testing.assert_allclose(logits.ravel(), CLASSIFIER_LOGITS, rtol=1e-10, atol=0)
     assert model.predict_labels([PROBE]) == ["Bravo"]

@@ -12,9 +12,10 @@ import pytest
 
 from helpers import plain_backward, tiny_run_config
 from test_trainer import make_dataset, make_model
+from tricl.dsp import AudioSegment
 from tricl.encoders import AudioEncoder, SpecEncoder, TextEncoder
 from tricl.errors import ContractError, KernelSupportError
-from tricl import tensor, wavelet
+from tricl import encoders, tensor, wavelet
 from tricl.optim import AdamW
 from tricl.tensor import Tensor, add, backward, beside, branch, mul, no_grad, tsum
 from tricl.trainer import batch_loss, train_epoch
@@ -25,12 +26,12 @@ def bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
-def record_threads(monkeypatch, cls, method: str = "encode") -> list[str]:
-    """Names of the threads that run `cls.<method>`."""
+def record_threads(monkeypatch, owner, attr: str = "encode") -> list[str]:
+    """Names of the threads that run `owner.<attr>`, a method or a module's function."""
     names = []
-    original = getattr(cls, method)
-    monkeypatch.setattr(cls, method, lambda self, *args: names.append(threading.current_thread().name)
-                        or original(self, *args))
+    original = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args, **kwargs: names.append(threading.current_thread().name)
+                        or original(*args, **kwargs))
     return names
 
 
@@ -135,9 +136,9 @@ def test_encoders_run_on_their_threads(monkeypatch, modalities, worker, caller):
     config = tiny_run_config(modalities=modalities)
     dataset = make_dataset(n_sources=4)
     model = make_model(config, dataset)
-    encoders = {"audio": AudioEncoder, "spec": SpecEncoder, "text": TextEncoder}
-    threads = {name: record_threads(monkeypatch, cls) for name, cls in encoders.items()}
-    threads["kernels"] = record_threads(monkeypatch, AudioEncoder, "build_kernels")
+    classes = {"audio": AudioEncoder, "spec": SpecEncoder, "text": TextEncoder}
+    threads = {name: record_threads(monkeypatch, cls) for name, cls in classes.items()}
+    threads["kernels"] = record_threads(monkeypatch, encoders, "build_kernels")  # the binding encode calls
     batch_loss(dataset, [0, 1, 2, 3], model)
     for name in worker:
         assert threads[name] and threads[name][0].startswith("tricl-worker")
@@ -161,9 +162,8 @@ def test_frontend_on_the_caller_runs_one_half_on_the_worker(monkeypatch):
     calls = record_frontend_halves(monkeypatch)
     config = tiny_run_config()
     encoder = AudioEncoder(config.encoder, config.preprocess, np.random.default_rng(0))
-    segments = np.random.default_rng(1).standard_normal((3, 800))
-    kernels = encoder.build_kernels()
-    backward(tsum(wavelet.transform_with_kernels(segments, kernels, config.preprocess.wavelet_hop)))
+    segments = [AudioSegment(s) for s in np.random.default_rng(1).standard_normal((3, 800))]
+    backward(tsum(encoder.encode(segments)))
     assert encoder.wavelet.m.grad is not None
     main = threading.current_thread().name
     assert len(calls) == 3  # kernel build, transform forward and backward

@@ -386,9 +386,8 @@ class TestBatchLoss:
         dataset = make_dataset(n_sources=4)
         model = make_model(config, dataset)
         indices = [2, 0, 3, 1]
-        kernels = model.audio_encoder.build_kernels()
         samples = [dataset.samples[i] for i in indices]
-        audio = concat([model.audio_encoder.encode([s.segment], kernels) for s in samples])
+        audio = concat([model.audio_encoder.encode([s.segment]) for s in samples])
         text = concat([model.encode_text([s.sentence]) for s in samples])
         spec = concat([model.spec_encoder.encode([dataset.spectrogram(s)]) for s in samples])
         reference = contrastive_loss(

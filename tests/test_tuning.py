@@ -214,8 +214,7 @@ class TestBaselines:
         targets = np.array([[e in (s.vessel_type, f"distance={s.record.distance}", f"wind={s.record.wind}")
                              for e in dictionary] for s in batch])
         assert targets.sum(axis=1).tolist() == [3, 3, 2, 3]
-        reference = binary_ce_logits(fused(model.audio_encoder.encode([s.segment for s in batch],
-                                                                      model.audio_encoder.build_kernels())), targets)
+        reference = binary_ce_logits(fused(model.audio_encoder.encode([s.segment for s in batch])), targets)
         backward(reference)
         assert float(loss.values) == pytest.approx(float(reference.values), rel=0, abs=1e-12)
         widths = np.cumsum([0] + [h.w.shape[1] for h in heads])
@@ -258,13 +257,12 @@ class TestBaselines:
                                 {"category": ["Alpha", "Bravo"], "distance": ["close", "far"], "wind": ["calm", "gusty"]})
         batch = dataset.samples[:4]
         batch[0].record = AnnotationRecord("Alpha", distance=None, wind="gusty")
-        kernels = model.audio_encoder.build_kernels()
         reference = None
         for task in sorted(model.heads):
             annotated = [s for s in batch if (s.vessel_type if task == "category" else getattr(s.record, task))]
             targets = [model.task_classes[task].index(s.vessel_type if task == "category" else getattr(s.record, task))
                        for s in annotated]
-            term = cross_entropy(model.head_logits(model.audio_encoder.encode([s.segment for s in annotated], kernels), task), targets)
+            term = cross_entropy(model.head_logits(model.audio_encoder.encode([s.segment for s in annotated]), task), targets)
             reference = term if reference is None else add(reference, term)
         backward(reference)
         expect_grads = {k: v.grad.copy() for k, v in model.store.tensors.items()}
@@ -273,7 +271,7 @@ class TestBaselines:
 
         calls = []
         encode = AudioEncoder.encode
-        monkeypatch.setattr(AudioEncoder, "encode", lambda self, *args: calls.append(1) or encode(self, *args))
+        monkeypatch.setattr(AudioEncoder, "encode", lambda self, batch: calls.append(1) or encode(self, batch))
         loss = _classifier_batch_loss(dataset, [0, 1, 2, 3], model)
         assert len(calls) == 1
         assert float(loss.values) == pytest.approx(float(reference.values), rel=0, abs=1e-12)
@@ -288,10 +286,10 @@ class TestBaselines:
         segments = [s.segment for s in dataset.samples]
         assert len(segments) == 3 * config.train.batch_size
         with no_grad():
-            whole = model.heads["category"](model.audio_encoder.encode(segments, model.audio_encoder.build_kernels())).values
+            whole = model.heads["category"](model.audio_encoder.encode(segments)).values
         sizes = []
         encode = AudioEncoder.encode
-        monkeypatch.setattr(AudioEncoder, "encode", lambda self, batch, *args: sizes.append(len(batch)) or encode(self, batch, *args))
+        monkeypatch.setattr(AudioEncoder, "encode", lambda self, batch: sizes.append(len(batch)) or encode(self, batch))
         preds = model.predict_labels(segments)
         assert sizes == [config.train.batch_size] * 3
         assert preds == [["Alpha", "Bravo"][i] for i in np.argmax(whole, axis=1)]

@@ -25,7 +25,7 @@ from tricl.errors import ConfigError, KernelSupportError, ShapeError
 from tricl.presets import experiment_run_config
 from tricl.store import trainable
 from tricl.templates import AnnotationRecord
-from tricl.tensor import Tensor, backward, beside, mul, no_grad, tsum
+from tricl.tensor import Tensor, backward, beside, mean, mul, no_grad, reshape, transpose, tsum
 from tricl.tuning import encoder_tune
 from tricl.wavelet import (
     BAND_FLOOR,
@@ -364,6 +364,37 @@ def test_taped_build_bypasses_and_empties_the_memo(cold_memo, fold_calls):
     assert len(fold_calls) == 3
 
 
+def test_encode_builds_taped_per_call_and_tape_free_once(cold_memo, fold_calls, monkeypatch):
+    """`encode` builds its own kernels: on the tape each call, which leaves
+    the memo empty, and under no_grad the memoised build. Either way its rows
+    are bitwise those of the kernels built by the caller and handed to the
+    transform, the encode path before it built them itself."""
+    config = tiny_run_config()
+    pre = config.preprocess
+    encoder = AudioEncoder(config.encoder, pre, np.random.default_rng(0))
+    segments = [AudioSegment(s) for s in np.random.default_rng(1).standard_normal((3, 800))]
+
+    def caller_built():
+        kernels = build_kernels(encoder.wavelet, encoder.scale_grid, pre.wavelet_hop, truncation=pre.wavelet_truncation)
+        grid = transform_with_kernels([s.samples for s in segments], kernels, pre.wavelet_hop)
+        h = encoder.conv(reshape(grid, (1, *grid.shape)))
+        return encoder.proj(transpose(mean(h, axis=(2, 3)))).values.tobytes()
+
+    taped_reference = caller_built()
+    with no_grad():
+        untaped_reference = caller_built()
+    monkeypatch.setattr(wavelet, "_memo", ())
+    fold_calls.clear()
+
+    taped = [encoder.encode(segments) for _ in range(2)]
+    assert len(fold_calls) == 2 and wavelet._memo == ()
+    assert all(e.requires_grad and e.values.tobytes() == taped_reference for e in taped)
+    with no_grad():
+        untaped = [encoder.encode(segments) for _ in range(2)]
+    assert len(fold_calls) == 3
+    assert all(not e.requires_grad and e.values.tobytes() == untaped_reference for e in untaped)
+
+
 def test_memo_pairs_each_key_with_its_own_build_across_threads(cold_memo):
     """Four threads, more than the cores, each alternating two wavelets under
     no_grad with a short switch interval: a build returned for the wrong key
@@ -412,7 +443,7 @@ def test_eval_over_four_folds_builds_kernels_once(cold_memo, fold_calls, monkeyp
     without_memo(monkeypatch)
     assert main(argv) == 0
     assert capsys.readouterr().out == report
-    assert len(fold_calls) == 1 + 4
+    assert len(fold_calls) == 1 + 8  # one build per encoded chunk: two chunks of each fold's 8 segments
 
 
 def tiny_dataset():
@@ -461,7 +492,7 @@ def test_paper_default_kernel_memory(cold_memo, monkeypatch):
     assert kept <= 120 * 2**20
 
 
-def test_paper_default_encode_memory_and_frames():
+def test_paper_default_encode_memory_and_frames(cold_memo):
     pre = PreprocessConfig()  # 64 scales over 20-7800 Hz, hop 800, 30-s segments
     encoder = AudioEncoder(EncoderConfig(), pre, np.random.default_rng(0))
     samples = np.random.default_rng(1).standard_normal(int(pre.segment_seconds * TARGET_RATE))
@@ -469,13 +500,13 @@ def test_paper_default_encode_memory_and_frames():
     try:
         tracemalloc.reset_peak()
         with no_grad():
-            kernels = encoder.build_kernels()
-            encoder.encode([AudioSegment(samples)], kernels)
+            encoder.encode([AudioSegment(samples)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 100 * 2**20
 
+    kernels = wavelet._memo[1]  # the build that encode made
     with no_grad():
         grid = transform_with_kernels(samples[None], kernels, pre.wavelet_hop).values[0]
     hop = pre.wavelet_hop
@@ -496,10 +527,11 @@ def test_band_floor_kernels_refused_before_allocation():
     encoder.wavelet.f_b.values[...] = 0.0
     encoder.wavelet.clamp()
     assert float(encoder.wavelet.f_b.values) == BAND_FLOOR
+    segment = AudioSegment(np.zeros(800))
     tracemalloc.start()
     try:
         with pytest.raises(KernelSupportError, match=r"m=2, f_b=0\.0001 needs 38197189 kernel taps over 4 scales"):
-            encoder.build_kernels()
+            encoder.encode([segment])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
