@@ -13,7 +13,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .dsp import TARGET_RATE
+from .bpe import _FIRST_MERGE_ID
+from .dsp import TARGET_RATE, fft_size_for, frame_samples
 from .errors import ConfigError
 
 
@@ -42,9 +43,18 @@ class PreprocessConfig:
             raise ConfigError("overlap_seconds must be smaller than segment_seconds")
         if self.overlap_seconds < 0:
             raise ConfigError(f"preprocess.overlap_seconds must be >= 0, got {self.overlap_seconds}")
-        for key in ("frame_length_ms", "frame_shift_ms", "fmin_hz"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"preprocess.{key} must be > 0, got {getattr(self, key)}")
+        if self.fmin_hz <= 0:
+            raise ConfigError(f"preprocess.fmin_hz must be > 0, got {self.fmin_hz}")
+        for key in ("frame_length_ms", "frame_shift_ms"):
+            if frame_samples(getattr(self, key)) < 1:
+                raise ConfigError(f"preprocess.{key} must round to at least one sample at {TARGET_RATE} Hz, "
+                                  f"got {getattr(self, key)} ms")
+        frame_len = frame_samples(self.frame_length_ms)
+        if self.fft_size is not None and self.fft_size < frame_len:
+            raise ConfigError(f"preprocess.fft_size must be >= the frame length of {frame_len} samples, got {self.fft_size}")
+        n_bins = fft_size_for(frame_len, self.fft_size) // 2 + 1
+        if self.spec_input == "mel" and not 1 <= self.n_mels <= n_bins:  # n_mels is unread for stft
+            raise ConfigError(f"preprocess.n_mels must lie in [1, {n_bins}], the FFT bin count, got {self.n_mels}")
         if self.fmax_hz > TARGET_RATE / 2:  # every segment is resampled to TARGET_RATE
             raise ConfigError(f"preprocess.fmax_hz must be <= the Nyquist limit {TARGET_RATE / 2:g} Hz, got {self.fmax_hz}")
         if self.fmin_hz >= self.fmax_hz:
@@ -107,6 +117,10 @@ class TrainConfig:
         for key in ("epochs", "lr", "weight_decay", "seed"):  # 0 epochs builds an untrained model
             if getattr(self, key) < 0:
                 raise ConfigError(f"train.{key} must be >= 0, got {getattr(self, key)}")
+        if self.vocab_size <= _FIRST_MERGE_ID:
+            raise ConfigError(f"train.vocab_size must exceed {_FIRST_MERGE_ID} (bytes + specials), got {self.vocab_size}")
+        if self.max_tokens < 2:  # [SOS] and [EOS]
+            raise ConfigError(f"train.max_tokens must be >= 2, got {self.max_tokens}")
 
 
 @dataclass

@@ -49,10 +49,15 @@ class Spectrogram:
         return self.grid.shape[1]
 
 
+def frame_samples(ms: float) -> int:
+    """A frame length or shift of `ms` milliseconds in samples at TARGET_RATE."""
+    return int(round(ms * TARGET_RATE / 1000.0))
+
+
 def frame_signal(segment: AudioSegment, frame_length_ms: float, frame_shift_ms: float) -> np.ndarray:
     """Split into full frames (n_frames, frame_len); the tail is discarded."""
-    frame_len = int(round(frame_length_ms * TARGET_RATE / 1000.0))
-    frame_shift = int(round(frame_shift_ms * TARGET_RATE / 1000.0))
+    frame_len = frame_samples(frame_length_ms)
+    frame_shift = frame_samples(frame_shift_ms)
     if frame_shift <= 0 or frame_len <= 0:
         raise ConfigError(f"frame length/shift must be positive, got {frame_len}/{frame_shift} samples")
     n = len(segment.samples)
@@ -62,7 +67,7 @@ def frame_signal(segment: AudioSegment, frame_length_ms: float, frame_shift_ms: 
     return windows[::frame_shift].copy()
 
 
-def _fft_size_for(frame_len: int, fft_size: int | None) -> int:
+def fft_size_for(frame_len: int, fft_size: int | None) -> int:
     if fft_size is not None:
         if fft_size < frame_len:
             raise ConfigError(f"fft_size {fft_size} smaller than frame length {frame_len}")
@@ -83,7 +88,7 @@ def stft_spectrogram(
     """Magnitude spectrogram: framing, Hann windowing, FFT, frames stacked on axis 0."""
     frames = frame_signal(segment, frame_length_ms, frame_shift_ms)
     frame_len = frames.shape[1]
-    nfft = _fft_size_for(frame_len, fft_size)
+    nfft = fft_size_for(frame_len, fft_size)
     window = np.hanning(frame_len)
     grid = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1))
     if log_magnitude:

@@ -31,12 +31,11 @@ walks each branch's subgraph from the gradient its node received, the
 branches marked ``on_worker`` on the worker thread beside the rest. Every
 node's gradient is summed in the order of a plain walk of the same graph,
 so the result is bitwise that walk's. Grad mode is per thread; a worker
-task runs in its caller's mode. Three callers use ``beside``: the contrastive
-step (``trainer.batch_loss`` and its branch walk), ``optim.AdamW.step`` for a
-large store, and the wavelet frontend, whose kernel build and transform split
-into two halves of the scales on every call. Called on the worker, as the
-contrastive step calls the frontend, ``beside`` runs both functions there in
-turn, so that step keeps its thread placement.
+task runs in its caller's mode. Two callers use ``beside``: the contrastive
+step (``trainer.batch_loss`` and its branch walk) and ``optim.AdamW.step``
+for a large store. Neither calls it from the worker, but a call there runs
+both functions on the worker in turn: with one worker, a task that waited
+on a second one would wait forever.
 """
 
 from __future__ import annotations

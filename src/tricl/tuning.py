@@ -159,18 +159,20 @@ def _task_classes(dataset: Dataset, tasks) -> dict[str, list[str]]:
     return task_classes
 
 
-def _check_tuning_config(config: RunConfig, checkpoint: RunConfig) -> None:
-    for section in ("preprocess", "encoder"):
+def _check_tuning_config(config: RunConfig, checkpoint: RunConfig, train_keys: tuple[str, ...] = ()) -> None:
+    for section in ("preprocess", "encoder", "train"):
         ours, theirs = asdict(getattr(config, section)), asdict(getattr(checkpoint, section))
-        for key in ours:
+        for key in train_keys if section == "train" else ours:
             if key != "seed" and ours[key] != theirs[key]:
                 raise ConfigError(f"tuning config sets {section}.{key}={ours[key]!r}, the checkpoint has {theirs[key]!r}")
 
 
 def uart_tune(model: TriModalModel, dataset: Dataset, config: RunConfig, log_path=None) -> list[str]:
     """Continue contrastive training on a new dataset without touching the
-    model structure; templates may differ, the tokenizer is kept."""
-    _check_tuning_config(config, model.config)
+    model structure; templates may differ, the tokenizer is kept. The train
+    keys that shape the model, its encoders and its text side, must be the
+    checkpoint's."""
+    _check_tuning_config(config, model.config, ("modalities", "vocab_size", "max_tokens"))
     lines = trainer.continue_training(dataset, model, config, log_path=log_path)
     model.class_labels = dataset.vessel_types()
     return lines

@@ -18,16 +18,11 @@ in two tape ops that each own one layout:
 * ``transform_with_kernels`` maps the folded rows to the grids of N
   equal-length segments: it cuts each zero-padded segment into rows of
   ``hop`` samples, multiplies all N segments' rows with the kernel rows in
-  one matrix product per part of a block of scales, and reads each frame as
+  one matrix product per block of scales (``_blocks``), and reads each frame as
   a sum down a diagonal of that product. Its backward, the rows' gradient, is
-  one transposed product per part. Only it knows the segment rows.
+  one transposed product per block. Only it knows the segment rows.
 
-Each op splits its scales into two halves, one on each thread
-(``tensor.beside``): the build into two runs of whole scales cut nearest half
-the taps, the transform each block where that best evens the folded rows
-(``_sides``). Each scale's taps, rows, product columns and grid column belong
-to one half, so the thread count changes no bit; on the worker, as in the
-contrastive step, ``beside`` runs both halves there in turn.
+Both ops run wholly on the thread that calls them.
 
 A build that records no tape (under ``no_grad``, or with m, f_b and f_c
 outside the trained store) is memoised: ``build_kernels`` keeps the last
@@ -55,7 +50,7 @@ import numpy as np
 
 from .dsp import TARGET_RATE
 from .errors import ConfigError, EmptyInputError, KernelSupportError, ShapeError
-from .tensor import Tensor, beside, custom_op, records
+from .tensor import Tensor, custom_op, records
 
 M_FLOOR = 1.01
 BAND_FLOOR = 1e-4
@@ -189,53 +184,44 @@ def _spans(rows: np.ndarray, k: ScaleKernel) -> tuple[np.ndarray, np.ndarray]:
 
 def _psi_taps(params: WaveletParams, layout: list[ScaleKernel], scales, record: bool) -> tuple:
     """psi at each scale's positive offsets x = 1..h / (fs * a), the taps of
-    all scales end to end (``ScaleKernel.offset``), in two runs of whole
-    scales: ``(re, im)``, and when `record` also x, d log env / d m and
-    d log env / d f_b. With u = pi * f_b * x / m, the tapered envelope
+    all scales end to end (``ScaleKernel.offset``): ``(re, im)``, and when
+    `record` also x, d log env / d m and d log env / d f_b. With
+    u = pi * f_b * x / m, the tapered envelope
     env = sqrt(f_b) * |sinc u|**m * taper and the phase phi = 2 * pi * f_c * x,
     re = env * cos(phi) and im = env * sin(phi)."""
     m, f_b, f_c = params.m, params.f_b, params.f_c
     order = float(m.values)
-    offsets = np.cumsum([0, *(k.half_width for k in layout)])
-    total = int(offsets[-1])
+    total = sum(k.half_width for k in layout)
     x, env, re, im = (np.empty(total) for _ in range(4))
-    root_fb = np.sqrt(f_b.values)
+    for k, a in zip(layout, scales):
+        x[k.offset : k.offset + k.half_width] = np.arange(1, k.half_width + 1, dtype=np.float64) / (TARGET_RATE * a)
+    u = f_b.values * x
+    u /= m.values
+    u *= np.pi
+    np.sin(u, out=env)
+    env /= u
+    np.abs(env, out=env)  # |sinc u|
     if record:
         d_m = np.empty(total)
         d_fb = np.empty(total)
-
-    def fill(first: int, last: int) -> None:
-        taps = slice(offsets[first], offsets[last])
-        for k, a in zip(layout[first:last], scales[first:last]):
-            x[k.offset : k.offset + k.half_width] = np.arange(1, k.half_width + 1, dtype=np.float64) / (TARGET_RATE * a)
-        u = f_b.values * x[taps]
-        u /= m.values
-        u *= np.pi
-        e = np.sin(u, out=env[taps])
-        e /= u
-        np.abs(e, out=e)  # |sinc u|
-        if record:
-            with np.errstate(divide="ignore", invalid="ignore"):  # taps with sinc u = 0 are zeroed below
-                dlog = u / np.tan(u) - 1.0
-                np.subtract(np.log(e), dlog, out=d_m[taps])
-                np.divide(0.5 + order * dlog, f_b.values, out=d_fb[taps])
-            zero = e == 0.0
-            d_m[taps][zero] = 0.0
-            d_fb[taps][zero] = 0.0
-        np.power(e, order, out=e)
-        for k in layout[first:last]:
-            h, o = k.half_width, k.offset
-            env[o : o + h] *= np.minimum(1.0, (h + 1 - np.arange(1, h + 1, dtype=np.float64)) / (max(1, h // 16) + 1))
-        e *= root_fb
-        phase = np.multiply(f_c.values, x[taps], out=u)
-        phase *= 2.0 * np.pi
-        np.cos(phase, out=re[taps])
-        re[taps] *= e
-        np.sin(phase, out=im[taps])
-        im[taps] *= e
-
-    cut = int(np.argmin(np.abs(2 * offsets - total)))  # the scale boundary nearest half the taps
-    beside(lambda: fill(0, cut), lambda: fill(cut, len(layout)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # taps with sinc u = 0 are zeroed below
+            dlog = u / np.tan(u) - 1.0
+            np.subtract(np.log(env), dlog, out=d_m)
+            np.divide(0.5 + order * dlog, f_b.values, out=d_fb)
+        zero = env == 0.0
+        d_m[zero] = 0.0
+        d_fb[zero] = 0.0
+    np.power(env, order, out=env)
+    for k in layout:
+        h, o = k.half_width, k.offset
+        env[o : o + h] *= np.minimum(1.0, (h + 1 - np.arange(1, h + 1, dtype=np.float64)) / (max(1, h // 16) + 1))
+    env *= np.sqrt(f_b.values)
+    phase = np.multiply(f_c.values, x, out=u)
+    phase *= 2.0 * np.pi
+    np.cos(phase, out=re)
+    re *= env
+    np.sin(phase, out=im)
+    im *= env
     return (re, im, x, d_m, d_fb) if record else (re, im)
 
 
@@ -322,33 +308,12 @@ def _blocks(kernels: WaveletKernels, frames: int, batch: int):
     yield (*span(group), group)
 
 
-def _sides(blocks) -> tuple[list, list]:
-    """The blocks' scales cut into two sides. Each block is cut at the scale
-    boundary that best evens the two sides' folded rows so far: a lone block
-    where it best halves its rows, a block of one scale whole to the lighter
-    side. Both parts of a block keep its segment rows."""
-    sides: tuple[list, list] = ([], [])
-    rows = [0, 0]
-    for lo, hi, k0, k1, group in blocks:
-        bounds = [k0, *(k.start for _, k in group[1:]), k1]
-        cut = min(range(len(bounds)), key=lambda c: abs(rows[0] - rows[1] + 2 * bounds[c] - k0 - k1))
-        for side, part, a, b in ((0, group[:cut], k0, bounds[cut]), (1, group[cut:], bounds[cut], k1)):
-            if part:
-                sides[side].append((lo, hi, a, b, part))
-                rows[side] += b - a
-    return sides
-
-
 def transform_with_kernels(samples, kernels: WaveletKernels, hop: int) -> Tensor:
     """Wavelet magnitude grids (N x frames x scales) of N equal-length
     segments, as one tape op whose parent is ``kernels.folded``. `samples`
     is an (N, n) array or a sequence of N 1-D arrays; each segment is copied
-    once, straight into its padded rows.
-
-    The scales are cut into two sides (``_sides``), each with its own
-    products, forward and backward, one on each thread (``tensor.beside``).
-    Each scale's product columns, grid column and folded rows belong to one
-    side, so the thread count changes no bit."""
+    once, straight into its padded rows. The scales run in the blocks of
+    ``_blocks``: one product per block forward, one per block backward."""
     if hop != kernels.hop:
         raise ConfigError(f"hop {hop} differs from the hop {kernels.hop} the kernels were folded for")
     shapes = {np.shape(segment) for segment in samples}
@@ -365,36 +330,28 @@ def transform_with_kernels(samples, kernels: WaveletKernels, hop: int) -> Tensor
         row[pad : pad + n] = segment
     x = x.reshape(batch, n_rows, hop)
     folded = kernels.folded.values
-    first, second = _sides(_blocks(kernels, frames, batch))
+    blocks = list(_blocks(kernels, frames, batch))
 
     re = np.empty((batch, frames, len(kernels)))
     im = np.empty((batch, frames, len(kernels)))
-
-    def forward(side) -> None:
-        for lo, hi, k0, k1, group in side:
-            product = (x[:, lo:hi].reshape(-1, hop) @ folded[k0:k1].T).reshape(batch, hi - lo, k1 - k0)
-            for j, k in group:
-                re[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0, k.rows, frames).sum(axis=2)
-                im[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames).sum(axis=2)
-
-    beside(lambda: forward(first), lambda: forward(second))
+    for lo, hi, k0, k1, group in blocks:
+        product = (x[:, lo:hi].reshape(-1, hop) @ folded[k0:k1].T).reshape(batch, hi - lo, k1 - k0)
+        for j, k in group:
+            re[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0, k.rows, frames).sum(axis=2)
+            im[:, :, j] = _diagonals(product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames).sum(axis=2)
     mag = np.hypot(re, im)
 
     def bw(g):
         # complex modulus, with a zero subgradient at the origin
         scale = np.where(mag > 0.0, g / np.where(mag > 0.0, mag, 1.0), 0.0)
         g_re, g_im = scale * re, scale * im
-        d_folded = np.empty(folded.shape)  # the two sides' rows tile it
-
-        def gather(side) -> None:
-            for lo, hi, k0, k1, group in side:
-                d_product = np.zeros((batch, hi - lo, k1 - k0))
-                for j, k in group:
-                    _diagonals(d_product, k.shift - lo, k.start - k0, k.rows, frames)[...] = g_re[:, :, j, None]
-                    _diagonals(d_product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames)[...] = g_im[:, :, j, None]
-                np.matmul(d_product.reshape(-1, k1 - k0).T, x[:, lo:hi].reshape(-1, hop), out=d_folded[k0:k1])
-
-        beside(lambda: gather(first), lambda: gather(second))
+        d_folded = np.empty(folded.shape)  # the blocks' rows tile it
+        for lo, hi, k0, k1, group in blocks:
+            d_product = np.zeros((batch, hi - lo, k1 - k0))
+            for j, k in group:
+                _diagonals(d_product, k.shift - lo, k.start - k0, k.rows, frames)[...] = g_re[:, :, j, None]
+                _diagonals(d_product, k.shift - lo, k.start - k0 + k.rows, k.rows, frames)[...] = g_im[:, :, j, None]
+            np.matmul(d_product.reshape(-1, k1 - k0).T, x[:, lo:hi].reshape(-1, hop), out=d_folded[k0:k1])
         return (d_folded,)
 
     return custom_op(mag, (kernels.folded,), bw)

@@ -30,6 +30,7 @@ CONFIG = {
         "overlap_seconds": 0.0,
         "frame_length_ms": 20.0,
         "frame_shift_ms": 10.0,
+        "n_mels": 64,  # at most the 257 bins of a 20-ms frame, so a tuning config may switch to mel
         "n_scales": 4,
         "fmin_hz": 300.0,
         "fmax_hz": 3000.0,
@@ -462,6 +463,28 @@ def test_tune_config_contradicting_checkpoint_is_config_error(workspace, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("modalities", "audio_text"), ("max_tokens", 40), ("vocab_size", 300)])
+def test_tune_uart_config_with_other_model_shape_is_config_error(workspace, tmp_path, capsys, key, value):
+    """The tuned model keeps the checkpoint's encoders and text side, so a
+    train key that would shape another model is refused; a classifier has no
+    text side, so `tune encoder` takes the same config."""
+    from tricl.checkpoint import load_checkpoint
+
+    config = tmp_path / "tune.json"
+    config.write_text(json.dumps({**CONFIG, "train": {**CONFIG["train"], key: value}}))
+    stored = getattr(load_checkpoint(workspace / "model.ckpt").config.train, key)
+    assert stored != value
+    common = ["--ckpt", str(workspace / "model.ckpt"), "--manifest", str(workspace / "data" / "manifest.jsonl"),
+              "--config", str(config), "--holdout-fold", "0"]
+    out = tmp_path / "tuned.ckpt"
+    capsys.readouterr()
+    assert main(["tune", "uart", *common, "--out", str(out)]) == 1
+    assert f"error: tuning config sets train.{key}={value!r}, the checkpoint has {stored!r}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["tune", "encoder", *common, "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_tune_encoder_seed_may_differ_from_checkpoint(workspace, tmp_path):
     # the encoder seed only seeds the new head
     config = tmp_path / "tune.json"
@@ -513,6 +536,13 @@ def test_tune_encoder_seed_may_differ_from_checkpoint(workspace, tmp_path):
         ('{"encoder": {"conv_channels": [4, 6], "attn_pool_heads": 4}}', "encoder.attn_pool_heads"),
         ('{"encoder": {"seed": -1}}', "encoder.seed"),
         ('{"train": {"seed": -1}}', "train.seed"),
+        ('{"train": {"max_tokens": 1}}', "train.max_tokens"),
+        ('{"train": {"vocab_size": 259}}', "train.vocab_size"),
+        ('{"preprocess": {"frame_length_ms": 0.01}}', "preprocess.frame_length_ms"),
+        ('{"preprocess": {"frame_shift_ms": 0.01}}', "preprocess.frame_shift_ms"),
+        ('{"preprocess": {"fft_size": 64, "frame_length_ms": 20.0}}', "preprocess.fft_size"),
+        ('{"preprocess": {"spec_input": "mel", "n_mels": 0}}', "preprocess.n_mels"),
+        ('{"preprocess": {"spec_input": "mel", "n_mels": 400, "frame_length_ms": 20.0}}', "preprocess.n_mels"),
     ],
 )
 def test_malformed_config_value_is_config_error(text, where):
@@ -529,6 +559,11 @@ def test_config_accepts_the_limits():
     config = RunConfig.from_json('{"preprocess": {"fmax_hz": 8000, "overlap_seconds": 0}, '
                                  '"encoder": {"transformer_layers": 1, "transformer_width": 2}}')
     assert (config.preprocess.fmax_hz, config.encoder.transformer_layers, config.encoder.transformer_width) == (8000, 1, 2)
+    config = RunConfig.from_json('{"train": {"max_tokens": 2, "vocab_size": 260}, "preprocess": {"frame_length_ms": '
+                                 '20.0, "frame_shift_ms": 0.04, "fft_size": 320, "spec_input": "mel", "n_mels": 161}}')
+    assert (config.train.max_tokens, config.train.vocab_size, config.preprocess.fft_size, config.preprocess.n_mels) == \
+        (2, 260, 320, 161)
+    assert RunConfig.from_json('{"preprocess": {"n_mels": 5000}}').preprocess.n_mels == 5000  # unread without mel
 
 
 def test_config_accepts_an_int_for_a_float():

@@ -15,7 +15,7 @@ from test_trainer import make_dataset, make_model
 from tricl.dsp import AudioSegment
 from tricl.encoders import AudioEncoder, SpecEncoder, TextEncoder
 from tricl.errors import ContractError, KernelSupportError
-from tricl import encoders, tensor, wavelet
+from tricl import encoders, tensor
 from tricl.optim import AdamW
 from tricl.tensor import Tensor, add, backward, beside, branch, mul, no_grad, tsum
 from tricl.trainer import batch_loss, train_epoch
@@ -146,47 +146,39 @@ def test_encoders_run_on_their_threads(monkeypatch, modalities, worker, caller):
         assert threads[name] == [threading.current_thread().name]
 
 
-def record_frontend_halves(monkeypatch) -> list[tuple[str, str]]:
-    """(thread that asks, thread that runs the first half) per two-halves call of the wavelet frontend."""
-    calls = []
-
-    def recording(there, here):
-        asker = threading.current_thread().name
-        return beside(lambda: calls.append((asker, threading.current_thread().name)) or there(), here)
-
-    monkeypatch.setattr(wavelet, "beside", recording)
-    return calls
-
-
-def test_frontend_on_the_caller_runs_one_half_on_the_worker(monkeypatch):
-    calls = record_frontend_halves(monkeypatch)
-    config = tiny_run_config()
-    encoder = AudioEncoder(config.encoder, config.preprocess, np.random.default_rng(0))
-    segments = [AudioSegment(s) for s in np.random.default_rng(1).standard_normal((3, 800))]
-    backward(tsum(encoder.encode(segments)))
-    assert encoder.wavelet.m.grad is not None
-    main = threading.current_thread().name
-    assert len(calls) == 3  # kernel build, transform forward and backward
-    assert all(asker == main and runner.startswith("tricl-worker") for asker, runner in calls)
-
-
-def test_contrastive_step_submits_nothing_from_the_worker(monkeypatch):
-    """Inside the contrastive step the frontend runs on the worker, where both
-    halves run inline: the only submissions are the step's own two."""
-    calls = record_frontend_halves(monkeypatch)
+def record_submissions(monkeypatch) -> list[str]:
+    """Names of the threads that submit a task to the worker."""
     beside(lambda: None, lambda: None)  # the worker exists
     submitted = []
     submit = tensor._WORKER.submit
     monkeypatch.setattr(tensor._WORKER, "submit",
                         lambda fn: submitted.append(threading.current_thread().name) or submit(fn))
+    return submitted
+
+
+def test_frontend_on_the_caller_submits_nothing(monkeypatch):
+    """The wavelet frontend runs wholly on the thread that calls it: a taped
+    encode with its backward, and a tape-free embed, start no worker task."""
+    submitted = record_submissions(monkeypatch)
+    config = tiny_run_config()
+    encoder = AudioEncoder(config.encoder, config.preprocess, np.random.default_rng(0))
+    segments = [AudioSegment(s) for s in np.random.default_rng(1).standard_normal((3, 800))]
+    backward(tsum(encoder.encode(segments)))
+    assert encoder.wavelet.m.grad is not None
+    encoder.embed(segments, chunk=2)
+    assert submitted == []
+
+
+def test_contrastive_step_submits_nothing_from_the_worker(monkeypatch):
+    """Inside the contrastive step the frontend runs on the worker and starts
+    no task of its own: the only submissions are the step's own two."""
+    submitted = record_submissions(monkeypatch)
     config = tiny_run_config()
     dataset = make_dataset(n_sources=4)
     model = make_model(config, dataset)
     backward(batch_loss(dataset, [0, 1, 2, 3], model))
     main = threading.current_thread().name
     assert submitted == [main, main]  # the forward's encoders, then the backward's branch walk
-    assert len(calls) == 3
-    assert all(asker.startswith("tricl-worker") and runner == asker for asker, runner in calls)
 
 
 def test_worker_error_reaches_train_epoch_with_its_type():

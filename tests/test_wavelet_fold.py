@@ -1,6 +1,6 @@
 """Folded wavelet transform against a direct per-scale reference: hops from
 1 to 1600, batches against single-segment calls, kernel gradients by finite
-differences, the frontend's two halves on one thread against two (bitwise),
+differences, the frontend on the worker against the caller's thread (bitwise),
 the memo of tape-free builds, and the memory and accuracy of the
 paper-default kernels and of one 30-s encode."""
 
@@ -120,11 +120,13 @@ def test_blocks_bound_the_batch_product(monkeypatch, hop, n, fmin, fmax, n_scale
     for block_elems in (wavelet._BLOCK_ELEMS, 20_000, 3000):
         monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
         for batch in (1, 3, 8):
-            columns = []
+            columns, rows = [], []
             for lo, hi, k0, k1, group in wavelet._blocks(kernels, frames, batch):
                 assert len(group) == 1 or batch * (hi - lo) * (k1 - k0) <= block_elems
                 columns += [j for j, _ in group]
+                rows += range(k0, k1)
             assert columns == list(range(n_scales))
+            assert rows == list(range(len(kernels.folded.values)))  # the backward fills an uninitialised gradient
 
 
 def frontend(hop, n, fmin, fmax, n_scales, truncation):
@@ -154,39 +156,15 @@ def frontend(hop, n, fmin, fmax, n_scales, truncation):
 
 @pytest.mark.parametrize("block_elems", [wavelet._BLOCK_ELEMS, 3000], ids=["default-blocks", "small-blocks"])
 @pytest.mark.parametrize("hop, n, fmin, fmax, n_scales, truncation", CASES)
-def test_split_frontend_equals_one_thread_bitwise(monkeypatch, block_elems, hop, n, fmin, fmax, n_scales, truncation):
-    """Called from the caller, each op runs one half on the worker; called on
-    the worker, ``beside`` runs both halves there in turn."""
+def test_frontend_bits_do_not_depend_on_the_thread(monkeypatch, block_elems, hop, n, fmin, fmax, n_scales, truncation):
+    """The contrastive step runs the frontend on the worker, the other callers
+    on their own thread: both give the same bits."""
     monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
     case = (hop, n, fmin, fmax, n_scales, truncation)
-    two = frontend(*case)
-    one, _ = beside(lambda: frontend(*case), lambda: None)
-    for name in two:
-        assert one[name] == two[name], name
-
-
-@pytest.mark.parametrize("block_elems", [wavelet._BLOCK_ELEMS, 3000], ids=["default-blocks", "small-blocks"])
-@pytest.mark.parametrize("hop, n, fmin, fmax, n_scales, truncation", CASES)
-def test_sides_share_every_scale_once(monkeypatch, block_elems, hop, n, fmin, fmax, n_scales, truncation):
-    monkeypatch.setattr(wavelet, "_BLOCK_ELEMS", block_elems)
-    kernels = build_kernels(WaveletParams.create(2.5, 0.7, 1.2), default_scale_grid(n_scales, fmin, fmax), hop,
-                            truncation=truncation)
-    blocks = list(wavelet._blocks(kernels, (n - 1) // hop + 1, 3))
-    sides = wavelet._sides(blocks)
-    assert all(sides)
-    block_of = {j: block for block in blocks for j, _ in block[4]}
-    for side in sides:
-        for lo, hi, k0, k1, group in side:
-            assert (lo, hi) == block_of[group[0][0]][:2]  # a part keeps its block's segment rows
-            assert (k0, k1) == (group[0][1].start, group[-1][1].start + 2 * group[-1][1].rows)
-    assert sorted(j for side in sides for *_, group in side for j, _ in group) == list(range(n_scales))
-    # the backward writes each side's rows into an uninitialised gradient
-    assert sorted(row for side in sides for _, _, k0, k1, _ in side for row in range(k0, k1)) == \
-        list(range(len(kernels.folded.values)))
-    if len(blocks) == 1:  # one block is cut where it best halves its folded rows
-        rows = [k1 - k0 for *_, k0, k1, _ in (side[0] for side in sides)]
-        assert abs(rows[0] - rows[1]) == min(abs(2 * (k.start - blocks[0][2]) - blocks[0][3] + blocks[0][2])
-                                             for k in list(kernels)[1:])
+    here = frontend(*case)
+    there, _ = beside(lambda: frontend(*case), lambda: None)
+    for name in here:
+        assert there[name] == here[name], name
 
 
 def test_overrunning_diagonal_view_raises():
