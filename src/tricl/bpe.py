@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import repeat
 
 from .errors import ConfigError
 
@@ -18,6 +19,7 @@ EOS_ID = 257
 PAD_ID = 258
 N_SPECIALS = 3
 _FIRST_MERGE_ID = 256 + N_SPECIALS
+_NO_MERGE = 1 << 62  # the rank of a pair that no merge joins
 
 
 def _merge(ids: list[int], pair: tuple[int, int], new_id: int) -> list[int]:
@@ -44,12 +46,16 @@ class BpeTokenizer:
         return _FIRST_MERGE_ID + len(self.merges)
 
     def encode(self, text: str) -> list[int]:
+        """Apply the earliest learned merge present, everywhere, until none is.
+        A pair's id is its rank: merges learned earlier have smaller ids."""
         ids = list(text.encode("utf-8"))
         while len(ids) >= 2:
-            pair = min(zip(ids, ids[1:]), key=lambda p: self.merges.get(p, float("inf")))
-            if pair not in self.merges:
+            ranks = list(map(self.merges.get, zip(ids, ids[1:]), repeat(_NO_MERGE)))
+            new_id = min(ranks)
+            if new_id == _NO_MERGE:
                 break
-            ids = _merge(ids, pair, self.merges[pair])
+            i = ranks.index(new_id)
+            ids = _merge(ids, (ids[i], ids[i + 1]), new_id)
         return ids
 
     def to_text(self) -> str:

@@ -50,6 +50,10 @@ class PreprocessConfig:
                 raise ConfigError(f"preprocess.{key} must round to at least one sample at {TARGET_RATE} Hz, "
                                   f"got {getattr(self, key)} ms")
         frame_len = frame_samples(self.frame_length_ms)
+        segment_len = int(round(self.segment_seconds * TARGET_RATE))  # as data.segment_audio cuts it
+        if frame_len > segment_len:  # else every spectrogram fails at ingest
+            raise ConfigError(f"preprocess.frame_length_ms must fit one segment: its {frame_len} samples exceed "
+                              f"the {segment_len} of preprocess.segment_seconds {self.segment_seconds}")
         if self.fft_size is not None and self.fft_size < frame_len:
             raise ConfigError(f"preprocess.fft_size must be >= the frame length of {frame_len} samples, got {self.fft_size}")
         n_bins = fft_size_for(frame_len, self.fft_size) // 2 + 1

@@ -40,6 +40,22 @@ outermost one to weight 1/(max(1, h//16) + 1), not to zero. Since h steps as
 m and f_b move, the kernels and the loss are piecewise in m and f_b: they
 jump where a width steps, and a finite difference across a step differs from
 the closed-form gradient, which holds the widths fixed.
+
+The build samples psi on a tap grid: each scale's taps k = 1..h fill rows of
+``_TAP_ROW`` (64), the last row padded, and ``_TAP_BLOCK_ROWS`` rows are
+evaluated at a time, so no temporary exceeds 2 MB at any grid size. A
+tap's u = pi * f_b * x / m and phi = 2 * pi * f_c * x grow as k, so with
+k = 64 * q + r + 1 the sines and cosines come by angle addition,
+exp(i(a + b)) = exp(ia) * exp(ib), from libm values at the row's k = 64 * q
+and the column's r + 1 alone: about 4 * (T/64 + 64 * scales) libm calls for
+T taps, not 3 * T. x and u keep the bits of the per-tap formula, and so do
+tan(u) and the gradient factors built on it; |sinc u|**m is
+exp(m * log|sinc u|). Against one libm sin and cos per tap
+(``tests/helpers.psi_taps_reference``) the taps move by about 1e-15 of the
+kernel peak at the preset and paper-default wavelets, and by up to 7e-15 as
+2 * f_c * m / f_b grows to 24 (f_c = 3) or 28 (f_b near
+``MAX_KERNEL_TAPS``), because phi then spans more turns where the envelope
+is large and both forms round phi to the same relative precision.
 """
 
 from __future__ import annotations
@@ -60,6 +76,10 @@ BAND_FLOOR = 1e-4
 MAX_KERNEL_TAPS = 4_000_000
 # elements per block of the batch's segment-by-kernel product (8 MB)
 _BLOCK_ELEMS = 1_000_000
+# taps per row of the tap grid, and rows per block of it that _psi_taps
+# evaluates at once (1 MB per real temporary, 2 MB per complex one)
+_TAP_ROW = 64
+_TAP_BLOCK_ROWS = 2048
 # the last tape-free build as (key, kernels), or (): replaced whole, never
 # changed in place, so either thread reads a key with its own kernels
 _memo: tuple = ()
@@ -108,7 +128,7 @@ class ScaleKernel:
 
     half_width: int
     factor: float  # 1 / (fs * sqrt(a)) for scale a
-    offset: int  # first of its positive-offset taps among all scales' (build_kernels only)
+    offset: int  # first of its positive-offset taps in the tap grid (build_kernels only)
     start: int  # first folded row of the re part; the im part follows `rows` later
     rows: int
     shift: int
@@ -166,7 +186,7 @@ def build_kernels(params: WaveletParams, scale_grid, hop: int, truncation: float
         shift, lead = divmod(max_half - half, hop)
         rows = -(-(lead + 2 * half + 1) // hop)
         layout.append(ScaleKernel(half, 1.0 / (TARGET_RATE * np.sqrt(a)), offset, start, rows, shift, lead))
-        offset += half
+        offset += -(-half // _TAP_ROW) * _TAP_ROW
         start += 2 * rows
     kernels = WaveletKernels(layout, hop, max_half, _folded_kernels(params, layout, scales, (start, hop)))
     if not record:
@@ -175,97 +195,112 @@ def build_kernels(params: WaveletParams, scale_grid, hop: int, truncation: float
     return kernels
 
 
-def _spans(rows: np.ndarray, k: ScaleKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Views of scale k's re and im kernel, offsets -h..h, in the folded `rows`."""
-    span = slice(k.lead, k.lead + 2 * k.half_width + 1)
-    return (rows[k.start : k.start + k.rows].reshape(-1)[span],
-            rows[k.start + k.rows : k.start + 2 * k.rows].reshape(-1)[span])
-
-
 def _psi_taps(params: WaveletParams, layout: list[ScaleKernel], scales, record: bool) -> tuple:
-    """psi at each scale's positive offsets x = 1..h / (fs * a), the taps of
-    all scales end to end (``ScaleKernel.offset``): ``(re, im)``, and when
-    `record` also x, d log env / d m and d log env / d f_b. With
-    u = pi * f_b * x / m, the tapered envelope
-    env = sqrt(f_b) * |sinc u|**m * taper and the phase phi = 2 * pi * f_c * x,
-    re = env * cos(phi) and im = env * sin(phi)."""
-    m, f_b, f_c = params.m, params.f_b, params.f_c
-    order = float(m.values)
-    total = sum(k.half_width for k in layout)
-    x, env, re, im = (np.empty(total) for _ in range(4))
-    for k, a in zip(layout, scales):
-        x[k.offset : k.offset + k.half_width] = np.arange(1, k.half_width + 1, dtype=np.float64) / (TARGET_RATE * a)
-    u = f_b.values * x
-    u /= m.values
-    u *= np.pi
-    np.sin(u, out=env)
-    env /= u
-    np.abs(env, out=env)  # |sinc u|
-    if record:
-        d_m = np.empty(total)
-        d_fb = np.empty(total)
-        with np.errstate(divide="ignore", invalid="ignore"):  # taps with sinc u = 0 are zeroed below
-            dlog = u / np.tan(u) - 1.0
-            np.subtract(np.log(env), dlog, out=d_m)
-            np.divide(0.5 + order * dlog, f_b.values, out=d_fb)
-        zero = env == 0.0
-        d_m[zero] = 0.0
-        d_fb[zero] = 0.0
-    np.power(env, order, out=env)
-    for k in layout:
-        h, o = k.half_width, k.offset
-        env[o : o + h] *= np.minimum(1.0, (h + 1 - np.arange(1, h + 1, dtype=np.float64)) / (max(1, h // 16) + 1))
-    env *= np.sqrt(f_b.values)
-    phase = np.multiply(f_c.values, x, out=u)
-    phase *= 2.0 * np.pi
-    np.cos(phase, out=re)
-    re *= env
-    np.sin(phase, out=im)
-    im *= env
-    return (re, im, x, d_m, d_fb) if record else (re, im)
+    """psi times each scale's `factor` at its positive offsets
+    x = k / (fs * a), k = 1..h, on the tap grid (module docstring): flat
+    ``(re, im)``, and when `record` also x, d log env / d m and
+    d log env / d f_b, with scale k's taps from ``k.offset`` on; re and im
+    are 0 on the rest of its last row. With u = pi * f_b * x / m, the
+    tapered envelope env = sqrt(f_b) * |sinc u|**m * taper and the phase
+    phi = 2 * pi * f_c * x, re = env * cos(phi) * factor and
+    im = env * sin(phi) * factor."""
+    m, f_b, f_c = params.m.values, params.f_b.values, params.f_c.values
+    halves = np.array([k.half_width for k in layout])
+    rows = -(-halves // _TAP_ROW)
+    scale = np.repeat(np.arange(len(layout)), rows)  # each row's scale
+    n = len(scale)
+    first = (np.arange(n) - np.repeat(np.cumsum(rows) - rows, rows)) * float(_TAP_ROW)  # a row's k are first + cols
+    cols = np.arange(1, _TAP_ROW + 1, dtype=np.float64)
+    fs_a = TARGET_RATE * np.asarray(scales, dtype=np.float64)
+
+    def turns(x):  # exp(i u) and exp(i phi) at x, u and phi computed as for the taps below
+        return [np.exp(1j * a) for a in (f_b * x / m * np.pi, f_c * x * (2.0 * np.pi))]
+
+    # a tap's u and phi are its row's first plus its column's: cos and sin run on these tables alone
+    (u_row, phi_row), (u_col, phi_col) = turns(first / fs_a[scale]), turns(cols / fs_a[:, None])
+    phi_row *= np.sqrt(f_b) * np.array([k.factor for k in layout])[scale]
+    # the taper min(1, (h + 1 - k) / (w + 1)), w = max(1, h // 16), and 0 past h, on the rows it reaches
+    ramp = np.maximum(1, halves // 16)
+    tail = np.flatnonzero(first + _TAP_ROW > (halves - ramp)[scale])
+    taper = ((halves + 1.0)[scale[tail], None] - (first[tail, None] + cols)) / (ramp + 1.0)[scale[tail], None]
+    np.clip(taper, 0.0, 1.0, out=taper)
+    out = [np.empty((n, _TAP_ROW)) for _ in range(5 if record else 2)]
+    for lo in range(0, n, _TAP_BLOCK_ROWS):  # bounds the temporaries
+        rs = slice(lo, lo + _TAP_BLOCK_ROWS)
+        s = scale[rs]
+        x = np.add(first[rs, None], cols, out=out[2][rs] if record else None)
+        x /= fs_a[s, None]
+        u = f_b * x
+        u /= m
+        u *= np.pi
+        turn = u_col[s]
+        turn *= u_row[rs, None]
+        env = np.abs(turn.imag)
+        env /= u  # |sinc u|
+        with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(m * -inf) = 0
+            log_env = np.log(env)
+        if record:
+            with np.errstate(divide="ignore", invalid="ignore"):  # taps with sinc u = 0 are zeroed below
+                dlog = np.tan(u)
+                np.divide(u, dlog, out=dlog)
+                dlog -= 1.0
+                np.subtract(log_env, dlog, out=out[3][rs])
+                np.divide(0.5 + m * dlog, f_b, out=out[4][rs])
+            zero = env == 0.0
+            out[3][rs][zero] = 0.0
+            out[4][rs][zero] = 0.0
+        log_env *= m
+        np.exp(log_env, out=env)  # |sinc u|**m
+        t0, t1 = np.searchsorted(tail, (lo, lo + _TAP_BLOCK_ROWS))
+        env[tail[t0:t1] - lo] *= taper[t0:t1]
+        turn = phi_col[s]
+        turn *= phi_row[rs, None]
+        np.multiply(turn.real, env, out=out[0][rs])
+        np.multiply(turn.imag, env, out=out[1][rs])
+    return tuple(a.reshape(-1) for a in out)
 
 
 def _folded_kernels(params: WaveletParams, layout: list[ScaleKernel], scales, shape) -> Tensor:
     """The folded kernel rows, as one tape op whose parents are m, f_b and f_c.
 
-    A scale's re kernel is its mirrored re taps (``_psi_taps``), psi(0) =
-    sqrt(f_b) and its re taps; its im kernel is its mirrored im taps, 0 and
-    its negated im taps (conj flips the odd sine); both are scaled by
-    `factor`. The backward maps the rows' gradient back onto the taps (each
-    scale's span of its rows times `factor`, mirrored halves added, the
-    psi(0) terms summed in scale order), then sums closed-form per-tap
-    derivatives of log env (d log|sinc u| / d log u = u * cot(u) - 1) and of
-    phi (2 * pi * x); a tap with sinc u = 0 contributes no gradient. Under
-    no_grad none of the backward's per-tap factors are computed.
+    A scale's re kernel is its mirrored re taps (``_psi_taps``, already
+    scaled by `factor`), psi(0) = sqrt(f_b) times `factor`, and its re taps;
+    its im kernel is its mirrored im taps, 0 and its negated im taps (conj
+    flips the odd sine). The backward maps the rows' gradient back onto the
+    taps (mirrored halves added, the psi(0) terms summed in scale order),
+    then sums closed-form per-tap derivatives of log env
+    (d log|sinc u| / d log u = u * cot(u) - 1) and of phi (2 * pi * x); a tap
+    with sinc u = 0 contributes no gradient. Under no_grad none of the
+    backward's per-tap factors are computed.
     """
     m, f_b, f_c = params.m, params.f_b, params.f_c
     record = records((m, f_b, f_c))
     re, im, *saved = _psi_taps(params, layout, scales, record)
     root_fb = np.sqrt(f_b.values)  # psi(0)
+    hop = shape[1]
+    centers = [k.start * hop + k.lead + k.half_width for k in layout]  # psi(0) in the flat re rows
     folded = np.zeros(shape)
-    for k in layout:
-        h, o = k.half_width, k.offset
-        re_k, im_k = _spans(folded, k)
-        re_k[:h] = re[o : o + h][::-1]  # envelope and cosine are even
-        re_k[h] = root_fb
-        re_k[h + 1 :] = re[o : o + h]
-        im_k[:h] = im[o : o + h][::-1]
-        im_k[h + 1 :] = -im[o : o + h]
-        re_k *= k.factor
-        im_k *= k.factor
+    flat = folded.reshape(-1)
+    for k, c in zip(layout, centers):
+        h, o, c_im = k.half_width, k.offset, c + k.rows * hop
+        flat[c + 1 : c + h + 1] = re[o : o + h]
+        flat[c - h : c] = re[o : o + h][::-1]  # envelope and cosine are even
+        np.negative(im[o : o + h], out=flat[c_im + 1 : c_im + h + 1])
+        flat[c_im - h : c_im] = im[o : o + h][::-1]
+    flat[centers] = root_fb * np.array([k.factor for k in layout])
     if not record:
         return Tensor(folded)
     x, d_m, d_fb = saved
 
     def bw(g):
-        g_re, g_im = np.empty(len(x)), np.empty(len(x))
+        g = g.reshape(-1)
+        g_re, g_im = np.zeros(len(x)), np.zeros(len(x))
         g_center = 0.0  # psi(0)'s, summed in scale order
-        for k in layout:
-            h, o = k.half_width, k.offset
-            d_re, d_im = (d * k.factor for d in _spans(g, k))
-            np.add(d_re[h + 1 :], d_re[:h][::-1], out=g_re[o : o + h])
-            np.subtract(d_im[:h][::-1], d_im[h + 1 :], out=g_im[o : o + h])
-            g_center += d_re[h]
+        for k, c in zip(layout, centers):
+            h, o, c_im = k.half_width, k.offset, c + k.rows * hop
+            np.add(g[c + 1 : c + h + 1], g[c - h : c][::-1], out=g_re[o : o + h])
+            np.subtract(g[c_im - h : c_im][::-1], g[c_im + 1 : c_im + h + 1], out=g_im[o : o + h])
+            g_center += g[c] * k.factor
         g_log_env = g_re * re + g_im * im  # d loss / d log env per tap
         return (
             np.array(np.sum(g_log_env * d_m)),

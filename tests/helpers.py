@@ -7,6 +7,7 @@ import numpy as np
 
 from tricl.bpe import _FIRST_MERGE_ID, _merge
 from tricl.config import RunConfig
+from tricl.dsp import TARGET_RATE
 from tricl.optim import AdamW
 from tricl.tensor import Tensor, add, backward, custom_op, matmul, reshape
 
@@ -138,6 +139,48 @@ def fbsp_kernel(x, params):
     return out
 
 
+def psi_taps_reference(params, half_widths, scales, record: bool) -> tuple:
+    """The per-tap form of ``wavelet._psi_taps``, one libm sin and cos per
+    tap: psi at each scale's offsets x = 1..h / (fs * a), the taps of all
+    scales end to end with no padding and without the scale's `factor`:
+    ``(re, im)``, and when `record` also x, d log env / d m and
+    d log env / d f_b."""
+    m, f_b, f_c = params.m, params.f_b, params.f_c
+    order = float(m.values)
+    offsets = np.cumsum([0, *half_widths])
+    total = offsets[-1]
+    x, env, re, im = (np.empty(total) for _ in range(4))
+    for h, o, a in zip(half_widths, offsets, scales):
+        x[o : o + h] = np.arange(1, h + 1, dtype=np.float64) / (TARGET_RATE * a)
+    u = f_b.values * x
+    u /= m.values
+    u *= np.pi
+    np.sin(u, out=env)
+    env /= u
+    np.abs(env, out=env)  # |sinc u|
+    if record:
+        d_m = np.empty(total)
+        d_fb = np.empty(total)
+        with np.errstate(divide="ignore", invalid="ignore"):  # taps with sinc u = 0 are zeroed below
+            dlog = u / np.tan(u) - 1.0
+            np.subtract(np.log(env), dlog, out=d_m)
+            np.divide(0.5 + order * dlog, f_b.values, out=d_fb)
+        zero = env == 0.0
+        d_m[zero] = 0.0
+        d_fb[zero] = 0.0
+    np.power(env, order, out=env)
+    for h, o in zip(half_widths, offsets):
+        env[o : o + h] *= np.minimum(1.0, (h + 1 - np.arange(1, h + 1, dtype=np.float64)) / (max(1, h // 16) + 1))
+    env *= np.sqrt(f_b.values)
+    phase = np.multiply(f_c.values, x, out=u)
+    phase *= 2.0 * np.pi
+    np.cos(phase, out=re)
+    re *= env
+    np.sin(phase, out=im)
+    im *= env
+    return (re, im, x, d_m, d_fb) if record else (re, im)
+
+
 def tiny_run_config(seed: int = 0, modalities: str = "tri", epochs: int = 1, lr: float = 1e-3,
                     batch_size: int = 4) -> RunConfig:
     """Desk-scale config: 0.05 s segments, 4 wavelet scales, small encoders."""
@@ -195,6 +238,18 @@ def im2col_conv(x: Tensor, w: Tensor, b: Tensor, kernel: int, stride: int, pad: 
 
     cols = custom_op(win.transpose(0, 4, 5, 1, 2, 3).reshape(c * kernel * kernel, n * oh * ow), (x,), col2im)
     return reshape(add(matmul(w, cols), b), (w.shape[0], n, oh, ow))
+
+
+def bpe_encode_reference(tokenizer, text: str) -> list[int]:
+    """Token ids by the plain loop that picks the lowest-ranked adjacent pair
+    with a key function per pair; ``BpeTokenizer.encode`` must match it."""
+    ids = list(text.encode("utf-8"))
+    while len(ids) >= 2:
+        pair = min(zip(ids, ids[1:]), key=lambda p: tokenizer.merges.get(p, float("inf")))
+        if pair not in tokenizer.merges:
+            break
+        ids = _merge(ids, pair, tokenizer.merges[pair])
+    return ids
 
 
 def train_bpe_reference(corpus: list[str], vocab_size: int) -> list[tuple[int, int]]:

@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tiny_run_config, train_bpe_reference
+from helpers import bpe_encode_reference, tiny_run_config, train_bpe_reference
 from tricl.bpe import EOS_ID, PAD_ID, SOS_ID, BpeTokenizer, tokenize, train_bpe
+from tricl.checkpoint import load_checkpoint
 from tricl.encoders import TextEncoder
 from tricl.errors import ConfigError, ContractError
 from tricl.templates import AUX_TEMPLATE_TEXT, AnnotationRecord, parse_template, render_template
@@ -43,6 +46,16 @@ def test_round_trip_over_corpus():
 def test_byte_fallback_handles_any_unicode(text):
     tok = train_bpe(CORPUS, 300)
     assert expand(tok, tok.encode(text)) == text
+
+
+TOKENIZERS = (train_bpe(CORPUS, 400), load_checkpoint(Path(__file__).parent / "data" / "trimodal_v2.ckpt").tokenizer)
+
+
+@given(st.one_of(st.text(max_size=80), st.text(alphabet="ab cdeé船.", max_size=80), st.sampled_from(CORPUS)))
+@settings(max_examples=200, deadline=None)
+def test_encode_matches_the_reference_loop(text):
+    for tok in TOKENIZERS:
+        assert tok.encode(text) == bpe_encode_reference(tok, text)
 
 
 def test_vocab_size_too_small():

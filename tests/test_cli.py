@@ -543,6 +543,10 @@ def test_tune_encoder_seed_may_differ_from_checkpoint(workspace, tmp_path):
         ('{"preprocess": {"fft_size": 64, "frame_length_ms": 20.0}}', "preprocess.fft_size"),
         ('{"preprocess": {"spec_input": "mel", "n_mels": 0}}', "preprocess.n_mels"),
         ('{"preprocess": {"spec_input": "mel", "n_mels": 400, "frame_length_ms": 20.0}}', "preprocess.n_mels"),
+        ('{"preprocess": {"segment_seconds": 0.35, "overlap_seconds": 0, "frame_length_ms": 400}}',
+         "preprocess.frame_length_ms"),
+        ('{"preprocess": {"segment_seconds": 0.0001, "overlap_seconds": 0, "frame_length_ms": 1}}',
+         "preprocess.frame_length_ms"),
     ],
 )
 def test_malformed_config_value_is_config_error(text, where):
@@ -564,6 +568,8 @@ def test_config_accepts_the_limits():
     assert (config.train.max_tokens, config.train.vocab_size, config.preprocess.fft_size, config.preprocess.n_mels) == \
         (2, 260, 320, 161)
     assert RunConfig.from_json('{"preprocess": {"n_mels": 5000}}').preprocess.n_mels == 5000  # unread without mel
+    config = RunConfig.from_json('{"preprocess": {"segment_seconds": 0.35, "overlap_seconds": 0, "frame_length_ms": 350}}')
+    assert config.preprocess.frame_length_ms == 350  # one frame fills the segment
 
 
 def test_config_accepts_an_int_for_a_float():
@@ -581,6 +587,16 @@ def test_train_with_ill_typed_config_exits_1(workspace, tmp_path, capsys):
     manifest = workspace / "data" / "manifest.jsonl"
     assert main(["train", "--manifest", str(manifest), "--config", str(config), "--out", str(ckpt)]) == 1
     assert "train.batch_size" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_train_with_frame_longer_than_segment_exits_1(workspace, tmp_path, capsys):
+    config = tmp_path / "long_frame.json"
+    config.write_text(json.dumps({**CONFIG, "preprocess": {**CONFIG["preprocess"], "frame_length_ms": 400.0}}))
+    ckpt = tmp_path / "long_frame.ckpt"
+    manifest = workspace / "data" / "manifest.jsonl"
+    assert main(["train", "--manifest", str(manifest), "--config", str(config), "--out", str(ckpt)]) == 1
+    assert "preprocess.frame_length_ms" in capsys.readouterr().err
     assert not ckpt.exists()
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import check_grad, fbsp_kernel, tiny_run_config
+from helpers import check_grad, fbsp_kernel, psi_taps_reference, tiny_run_config
 from tricl import encoders, wavelet
 from tricl.cli import main
 from tricl.config import EncoderConfig, PreprocessConfig
@@ -29,6 +29,8 @@ from tricl.tensor import Tensor, backward, beside, mean, mul, no_grad, reshape, 
 from tricl.tuning import encoder_tune
 from tricl.wavelet import (
     BAND_FLOOR,
+    M_FLOOR,
+    MAX_KERNEL_TAPS,
     WaveletParams,
     build_kernels,
     default_scale_grid,
@@ -77,6 +79,51 @@ def test_fold_matches_direct_reference(hop, n, fmin, fmax, n_scales, truncation)
     ref = direct_transform(samples, params, scales, hop, truncation)
     assert grid.shape == ref.shape == ((n - 1) // hop + 1, n_scales)
     assert np.abs(grid - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+PRESET = experiment_run_config().preprocess
+PRESET_GRID = default_scale_grid(PRESET.n_scales, PRESET.fmin_hz, PRESET.fmax_hz)
+PAPER = PreprocessConfig()
+PAPER_GRID = default_scale_grid(PAPER.n_scales, PAPER.fmin_hz, PAPER.fmax_hz)
+# (m, f_b, f_c), scales, truncation, taps over all scales
+TAP_CASES = [
+    *(((2.5, 0.7, 1.2), default_scale_grid(n_scales, fmin, fmax), truncation, None)
+      for _, _, fmin, fmax, n_scales, truncation in CASES),
+    ((2.0, 0.5, 1.0), PAPER_GRID, PAPER.wavelet_truncation, 1_124_727),
+    ((M_FLOOR, 0.5, 1.0), PRESET_GRID, PRESET.wavelet_truncation, 1_894_586),
+    ((2.0, 0.5, 3.0), PRESET_GRID, PRESET.wavelet_truncation, 41_103),
+    ((2.7, 0.8, 3.4), PRESET_GRID, PRESET.wavelet_truncation, 10_515),
+    ((2.0, 0.141, 1.0), PAPER_GRID, PAPER.wavelet_truncation, 3_988_309),
+]
+TAP_IDS = [*(f"case-hop{case[0]}-{case[1]}" for case in CASES), "paper-default", "m-floor", "f_c-3", "f_c-3.4",
+           "paper-near-max-taps"]
+
+
+@pytest.mark.parametrize("m_fb_fc, scales, truncation, taps", TAP_CASES, ids=TAP_IDS)
+def test_taps_match_the_per_tap_libm_reference(m_fb_fc, scales, truncation, taps):
+    """The tap grid's angle-added sines and cosines against one libm call per
+    tap: re and im within 1e-14 of the kernel peak, d log env / d m and / d f_b
+    within 1e-14 of their largest value, x bitwise. One scale per call keeps
+    the 4 M-tap case small."""
+    params = WaveletParams.create(*m_fb_fc)
+    halves = [support_half_width(params, a, truncation) for a in scales]
+    assert taps is None or sum(halves) == taps <= MAX_KERNEL_TAPS
+    worst = np.zeros(5)
+    largest = np.zeros(5)
+    for h, a in zip(halves, scales):
+        factor = 1.0 / (TARGET_RATE * np.sqrt(a))
+        new = wavelet._psi_taps(params, [wavelet.ScaleKernel(h, factor, 0, 0, 0, 0, 0)], [a], True)
+        assert len(new[0]) == -(-h // wavelet._TAP_ROW) * wavelet._TAP_ROW
+        assert not new[0][h:].any() and not new[1][h:].any()  # the row's rest
+        ref = psi_taps_reference(params, [h], [a], True)
+        np.testing.assert_array_equal(new[2][:h], ref[2])
+        for i, (got, want) in enumerate(zip(new, ref)):
+            scale = factor if i < 2 else 1.0
+            worst[i] = max(worst[i], np.abs(got[:h] - want * scale).max() / scale)
+            largest[i] = max(largest[i], np.abs(want).max())
+    peak = np.sqrt(float(params.f_b.values))
+    assert worst[0] <= 1e-14 * peak and worst[1] <= 1e-14 * peak
+    assert worst[3] <= 1e-14 * largest[3] and worst[4] <= 1e-14 * largest[4]
 
 
 @pytest.mark.parametrize("block_elems", [wavelet._BLOCK_ELEMS, 3000], ids=["default-blocks", "small-blocks"])
@@ -174,9 +221,6 @@ def test_overrunning_diagonal_view_raises():
         wavelet._diagonals(product, 1, 2, 3, 3)  # frame 2 would read past the buffer's end
     with pytest.raises(ValueError):
         wavelet._diagonals(product, 2, 3, 4, 1)
-
-
-PRESET = experiment_run_config().preprocess
 
 
 @pytest.mark.parametrize("m, f_b, f_c", [(2.0, 0.5, 1.0), (2.7, 0.8, 1.3)])
